@@ -1,16 +1,19 @@
 """Command-line front end: file ingestion, constructions, DOT export, and
 the corpus verification harness.
 
-Exit codes: 0 all pass / success, 1 any FAIL, 2 usage or parse error.
+Exit codes: 0 all pass / success, 1 any FAIL or ERROR, 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import random
 import sys
+import traceback
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +32,8 @@ from .semigroup import (
     adjoin_identity,
     adjoin_zero,
     all_ideals,
+    all_subsemigroups,
+    are_isomorphic,
     enumerate_semigroups,
     format_semigroup,
     full_generator_map,
@@ -38,7 +43,6 @@ from .semigroup import (
     is_ideal,
     is_pseudo_right_unitary,
     is_right_unitary,
-    is_subsemigroup,
     is_weakly_pru,
     lift_to_monoid,
     maximal_subgroup,
@@ -47,11 +51,6 @@ from .semigroup import (
     rees_quotient,
     sandwich,
 )
-
-VERIFY_TAGS = ("rees-quotient", "subsemigroup", "remove-zero", "adjoin-zero",
-               "semitorees", "semitoreeszero", "unit-sandwich", "czeros",
-               "decompose-roundtrip")
-
 
 @dataclass(frozen=True)
 class ReesSpec:
@@ -128,7 +127,10 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-# -- corpus instances ----------------------------------------------------------
+# -- corpus registry -----------------------------------------------------------
+#
+# A corpus instance is (iid, job) with job the picklable pair (tag, args);
+# REGISTRY[tag].verify(*args) decides it, in this process or a pool worker.
 
 def _sandwiches(base: FiniteSemigroup, i_count: int, j_count: int,
                 allow_zero: bool):
@@ -143,166 +145,183 @@ def _sandwich_id(base: FiniteSemigroup, p: SandwichMatrix) -> str:
                     for row in p.entries)
 
 
-def _sizes(imax: int, jmax: int):
-    return [(i, j) for i in range(1, imax + 1) for j in range(1, jmax + 1)]
+def _semigroups(max_order: int):
+    """Every semigroup of order <= max_order with its id n<order>i<index>."""
+    for n in range(1, max_order + 1):
+        for k, s in enumerate(enumerate_semigroups(n)):
+            yield f"n{n}i{k}", s
+
+
+def _rees_instances(bases, imax: int, jmax: int, allow_zero: bool, **_):
+    """(iid, (S, generators, I, J, P)) for every base S, every size up to
+    imax x jmax and every sandwich matrix P."""
+    for name in bases:
+        s = NAMED_SEMIGROUPS[name]()
+        gmap = full_generator_map(s)
+        for ic in range(1, imax + 1):
+            for jc in range(1, jmax + 1):
+                for p in _sandwiches(s, ic, jc, allow_zero):
+                    iid = f"{name}:I{ic}J{jc}:P={_sandwich_id(s, p)}"
+                    yield iid, (s, gmap, ic, jc, p)
+
+
+def _regular_c2_rees(imax: int, jmax: int, **_):
+    """(iid, (M0, C2)) for M0 = M^0(C2; imax, jmax; P) over every regular P."""
+    c2 = NAMED_SEMIGROUPS["c2"]()
+    for p in _sandwiches(c2, imax, jmax, allow_zero=True):
+        if p.regular:
+            m0, _ = rees_matrix(c2, imax, jmax, p, with_zero=True)
+            yield f"c2:I{imax}J{jmax}:P={_sandwich_id(c2, p)}", (m0, c2)
+
+
+def _ideal_instances(max_order: int, **_):
+    for sid, s in _semigroups(max_order):
+        gmap = full_generator_map(s)
+        for t in all_ideals(s):
+            iid = f"{sid}:T=" + ".".join(s.labels[v] for v in sorted(t))
+            yield iid, (s, gmap, t)
+
+
+def _subsemigroup_instances(max_order: int, **_):
+    for sid, s in _semigroups(max_order):
+        tau = full_generator_map(s)
+        for tset in all_subsemigroups(s):
+            if is_weakly_pru(s, tset):
+                labels = tuple(s.labels[v] for v in sorted(tset))
+                yield f"{sid}:T=" + ".".join(labels), (s, tau, tset, labels)
+
+
+def _remove_zero_instances(max_order: int, **_):
+    for sid, s in _semigroups(max_order):
+        tau = theorems.extend_to_zero(full_generator_map(s))
+        yield sid, (tau.target, tau, frozenset(range(s.order)), tau.alphabet[:-1])
+
+
+def _adjoin_zero_instances(max_order: int, **_):
+    for sid, s in _semigroups(max_order):
+        yield sid, (s, full_generator_map(s))
+
+
+def _semitorees_instances(bases, imax: int, jmax: int, seed: int, **_):
+    rng = random.Random(seed)
+    rerun_base = None
+    for iid, args in _rees_instances(bases, imax, jmax, allow_zero=False):
+        yield iid, args + (None,)
+        s, _gmap, ic, jc, _p = args
+        if (ic, jc) == (imax, jmax) and s is not rerun_base:
+            # one randomized-representative rerun per base semigroup
+            rerun_base = s
+            yield iid + ":randomrep", args + (rng.randrange(2 ** 30),)
+
+
+def _unit_sandwich_instances(bases, imax: int, jmax: int, **_):
+    for iid, (s, gmap, ic, jc, p) in _rees_instances(bases, imax, jmax, allow_zero=True):
+        if any(v is not None for row in p.entries for v in row):
+            yield iid, (s, gmap, ic, jc, p)
+
+
+def _czeros_instances(imax: int, jmax: int, **_):
+    for iid, s in (("b2", NAMED_SEMIGROUPS["b2"]()),
+                   ("c20", adjoin_zero(NAMED_SEMIGROUPS["c2"]())),
+                   ("c30", adjoin_zero(NAMED_SEMIGROUPS["c3"]()))):
+        yield iid, (s, full_generator_map(s))
+    for iid, (m0, _c2) in _regular_c2_rees(imax, jmax):
+        yield iid, (m0, full_generator_map(m0))
+
+
+def _theorem(name: str) -> Callable:
+    """theorems.<name>, looked up when called, so that a rebound theorems
+    function (a profiler's wrapper, a test's monkeypatch) is the one run."""
+    return lambda *args: getattr(theorems, name)(*args)
+
+
+def _verify_semitorees(s, gmap, i_count, j_count, p, rng_seed):
+    rng = random.Random(rng_seed) if rng_seed is not None else None
+    return theorems.verify_semitorees(s, gmap, i_count, j_count, p, rng=rng)
+
+
+def _decompose_roundtrip(m0, group) -> bool:
+    return are_isomorphic(theorems.rees_decompose(m0).group, group)
+
+
+@dataclass(frozen=True)
+class Verifier:
+    """One corpus tag: `instances(max_order=, bases=, imax=, jmax=, seed=)`
+    yields (iid, args), and `verify(*args)` returns a VerificationReport or
+    a bare verdict."""
+
+    instances: Callable
+    verify: Callable
+    bases: tuple[str, ...] = ("trivial", "c2", "c3")
+
+
+_intersection = _theorem("verify_subsemigroup_intersection")
+REGISTRY = {  # in corpus order
+    "rees-quotient": Verifier(_ideal_instances, _theorem("verify_rees_quotient")),
+    "subsemigroup": Verifier(_subsemigroup_instances, _intersection),
+    "remove-zero": Verifier(_remove_zero_instances, _intersection),
+    "adjoin-zero": Verifier(_adjoin_zero_instances, _theorem("verify_adjoin_zero")),
+    "semitorees": Verifier(_semitorees_instances, _verify_semitorees),
+    "semitoreeszero": Verifier(functools.partial(_rees_instances, allow_zero=True),
+                               _theorem("verify_semitoreeszero"), ("trivial", "c2")),
+    "unit-sandwich": Verifier(_unit_sandwich_instances,
+                              _theorem("verify_unit_sandwich"), ("c2", "c3")),
+    "czeros": Verifier(_czeros_instances, _theorem("verify_czeros")),
+    "decompose-roundtrip": Verifier(_regular_c2_rees, _decompose_roundtrip),
+}
+VERIFY_TAGS = tuple(REGISTRY)
+DEFAULT_BASES = {tag: v.bases for tag, v in REGISTRY.items()}
 
 
 def iter_instances(tag: str, max_order: int = 3, bases=("trivial", "c2", "c3"),
                    imax: int = 2, jmax: int = 2, seed: int = 0):
-    """Yield (instance_id, callable) pairs for one theorem tag.  The
-    callables close over constructed values only; they are executed by the
-    harness, possibly in worker processes."""
-    if tag == "rees-quotient":
-        for n in range(1, max_order + 1):
-            for k, s in enumerate(enumerate_semigroups(n)):
-                gmap = full_generator_map(s)
-                for t in all_ideals(s):
-                    iid = f"n{n}i{k}:T=" + ".".join(s.labels[v] for v in sorted(t))
-                    yield iid, _Job("rees-quotient", (s, gmap, t))
-    elif tag == "subsemigroup":
-        for n in range(1, max_order + 1):
-            for k, s in enumerate(enumerate_semigroups(n)):
-                tau = full_generator_map(s)
-                for r in range(1, n + 1):
-                    for sub in itertools.combinations(range(n), r):
-                        tset = frozenset(sub)
-                        if not is_subsemigroup(s, tset):
-                            continue
-                        if not is_weakly_pru(s, tset):
-                            continue
-                        labels = tuple(s.labels[v] for v in sorted(tset))
-                        iid = f"n{n}i{k}:T=" + ".".join(labels)
-                        yield iid, _Job("subsemigroup", (s, tau, tset, labels))
-    elif tag == "remove-zero":
-        for n in range(1, max_order + 1):
-            for k, s in enumerate(enumerate_semigroups(n)):
-                tau = theorems.extend_to_zero(full_generator_map(s))
-                tset = frozenset(range(s.order))
-                labels = tau.alphabet[:-1]
-                yield f"n{n}i{k}", _Job("subsemigroup", (tau.target, tau, tset, labels),
-                                        tag_override="remove-zero")
-    elif tag == "adjoin-zero":
-        for n in range(1, max_order + 1):
-            for k, s in enumerate(enumerate_semigroups(n)):
-                yield f"n{n}i{k}", _Job("adjoin-zero", (s, full_generator_map(s)))
-    elif tag == "semitorees":
-        rng = random.Random(seed)
-        for name in bases:
-            s = NAMED_SEMIGROUPS[name]()
-            gmap = full_generator_map(s)
-            rerun_done = False
-            for (ic, jc) in _sizes(imax, jmax):
-                for p in _sandwiches(s, ic, jc, allow_zero=False):
-                    iid = f"{name}:I{ic}J{jc}:P={_sandwich_id(s, p)}"
-                    yield iid, _Job("semitorees", (s, gmap, ic, jc, p, None))
-                    if not rerun_done and (ic, jc) == (imax, jmax):
-                        # one randomized-representative rerun per base semigroup
-                        yield iid + ":randomrep", _Job(
-                            "semitorees", (s, gmap, ic, jc, p, rng.randrange(2 ** 30)))
-                        rerun_done = True
-    elif tag == "semitoreeszero":
-        for name in bases:
-            s = NAMED_SEMIGROUPS[name]()
-            gmap = full_generator_map(s)
-            for (ic, jc) in _sizes(imax, jmax):
-                for p in _sandwiches(s, ic, jc, allow_zero=True):
-                    iid = f"{name}:I{ic}J{jc}:P={_sandwich_id(s, p)}"
-                    yield iid, _Job("semitoreeszero", (s, gmap, ic, jc, p))
-    elif tag == "unit-sandwich":
-        for name in bases:
-            s = NAMED_SEMIGROUPS[name]()
-            gmap = full_generator_map(s)
-            for (ic, jc) in _sizes(imax, jmax):
-                for p in _sandwiches(s, ic, jc, allow_zero=True):
-                    if not any(v is not None for row in p.entries for v in row):
-                        continue
-                    iid = f"{name}:I{ic}J{jc}:P={_sandwich_id(s, p)}"
-                    yield iid, _Job("unit-sandwich", (s, gmap, ic, jc, p))
-    elif tag == "czeros":
-        for name in ("b2",):
-            s = NAMED_SEMIGROUPS[name]()
-            yield name, _Job("czeros", (s, full_generator_map(s)))
-        for name in ("c2", "c3"):
-            s = adjoin_zero(NAMED_SEMIGROUPS[name]())
-            yield f"{name}0", _Job("czeros", (s, full_generator_map(s)))
-        c2 = NAMED_SEMIGROUPS["c2"]()
-        for p in _sandwiches(c2, imax, jmax, allow_zero=True):
-            if not p.regular:
-                continue
-            m0, _ = rees_matrix(c2, imax, jmax, p, with_zero=True)
-            iid = f"c2:I{imax}J{jmax}:P={_sandwich_id(c2, p)}"
-            yield iid, _Job("czeros", (m0, full_generator_map(m0)))
-    elif tag == "decompose-roundtrip":
-        c2 = NAMED_SEMIGROUPS["c2"]()
-        for p in _sandwiches(c2, imax, jmax, allow_zero=True):
-            if not p.regular:
-                continue
-            m0, _ = rees_matrix(c2, imax, jmax, p, with_zero=True)
-            iid = f"c2:I{imax}J{jmax}:P={_sandwich_id(c2, p)}"
-            yield iid, _Job("decompose-roundtrip", (m0, c2))
-    else:
+    """Lazily yield (instance_id, job) pairs for one theorem tag, where job
+    is the picklable pair (tag, args) that `run_job` decides."""
+    if tag not in REGISTRY:
         raise ValueError(f"unknown theorem tag {tag!r}")
+    for iid, args in REGISTRY[tag].instances(max_order=max_order, bases=bases,
+                                             imax=imax, jmax=jmax, seed=seed):
+        yield iid, (tag, args)
 
 
-@dataclass(frozen=True)
-class _Job:
-    kind: str
-    payload: tuple
-    tag_override: str | None = None
-
-
-def run_job(item: tuple[str, _Job]):
-    """Execute one corpus instance; top-level so worker processes can run it."""
-    iid, job = item
-    kind = job.kind
-    if kind == "rees-quotient":
-        s, gmap, t = job.payload
-        rep = theorems.verify_rees_quotient(s, gmap, t)
-    elif kind == "subsemigroup":
-        s, tau, tset, labels = job.payload
-        rep = theorems.verify_subsemigroup_intersection(s, tau, tset, labels)
-    elif kind == "adjoin-zero":
-        s, gmap = job.payload
-        rep = theorems.verify_adjoin_zero(s, gmap)
-    elif kind == "semitorees":
-        s, gmap, ic, jc, p, rng_seed = job.payload
-        rng = random.Random(rng_seed) if rng_seed is not None else None
-        rep = theorems.verify_semitorees(s, gmap, ic, jc, p, rng=rng)
-    elif kind == "semitoreeszero":
-        s, gmap, ic, jc, p = job.payload
-        rep = theorems.verify_semitoreeszero(s, gmap, ic, jc, p)
-    elif kind == "unit-sandwich":
-        s, gmap, ic, jc, p = job.payload
-        rep = theorems.verify_unit_sandwich(s, gmap, ic, jc, p)
-    elif kind == "czeros":
-        s, gmap = job.payload
-        rep = theorems.verify_czeros(s, gmap)
-    elif kind == "decompose-roundtrip":
-        m0, group = job.payload
-        holds = True
-        try:
-            dec = theorems.rees_decompose(m0)
-            from .semigroup import are_isomorphic
-            holds = are_isomorphic(dec.group, group)
-        except (SemigroupError, theorems.InternalError):
-            holds = False
-        line = f"RESULT decompose-roundtrip {iid} {'PASS' if holds else 'FAIL'}"
-        return iid, holds, line
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    tag = job.tag_override or rep.tag
-    line = theorems.result_line(rep, iid)
-    if job.tag_override:
-        line = line.replace(f"RESULT {rep.tag} ", f"RESULT {tag} ", 1)
-    return iid, rep.holds, line
-
-
-def worker_count() -> int:
-    raw = os.environ.get("REES_LOOP_WORKERS", "1")
+def run_job(item: tuple[str, tuple[str, tuple]]) -> tuple[str, bool, str]:
+    """Decide one corpus instance and return (iid, holds, RESULT line); top
+    level so worker processes can run it.  An exception in the verifier
+    becomes the verdict `ERROR <exception name>`, which counts as a failure,
+    with its traceback on stderr, so one broken instance does not lose the
+    rest of the run."""
+    iid, (tag, args) = item
     try:
-        return max(1, int(raw))
+        outcome = REGISTRY[tag].verify(*args)
+    except Exception as e:
+        print(f"{tag} {iid}: {traceback.format_exc()}", end="", file=sys.stderr)
+        holds, verdict = False, f"ERROR {type(e).__name__}"
+    else:
+        if isinstance(outcome, bool):
+            holds, verdict = outcome, "PASS" if outcome else "FAIL"
+        else:
+            holds, verdict = outcome.holds, outcome.verdict()
+    return iid, holds, f"RESULT {tag} {iid} {verdict}"
+
+
+def worker_count(jobs: int) -> int:
+    """Pool size for `jobs` instances: REES_LOOP_WORKERS (default 1), capped
+    at the CPU count and at `jobs`.  A value that is not a positive integer
+    means 1 worker; it and a value above the CPU count draw a warning."""
+    raw = os.environ.get("REES_LOOP_WORKERS", "1")
+    cpus = os.cpu_count() or 1
+    try:
+        wanted = int(raw)
     except ValueError:
-        return 1
+        wanted = 0
+    if wanted < 1:
+        print(f"warning: REES_LOOP_WORKERS={raw!r} is not a positive integer; "
+              "using 1 worker", file=sys.stderr)
+        wanted = 1
+    elif wanted > cpus:
+        print(f"warning: REES_LOOP_WORKERS={raw} exceeds the {cpus} CPUs; "
+              f"using {cpus} workers", file=sys.stderr)
+    return max(1, min(wanted, cpus, jobs))
 
 
 def run_corpus(instances, stream=None) -> int:
@@ -310,13 +329,12 @@ def run_corpus(instances, stream=None) -> int:
     by instance id, return the count of failures."""
     stream = stream or sys.stdout
     items = sorted(instances, key=lambda kv: kv[0])
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
+    workers = worker_count(len(items))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_job, items, chunksize=4))
     else:
         results = [run_job(item) for item in items]
-    results.sort(key=lambda r: r[0])
     failures = 0
     for _iid, holds, line in results:
         stream.write(line + "\n")
@@ -439,29 +457,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-DEFAULT_BASES = {
-    "semitoreeszero": ("trivial", "c2"),
-    "unit-sandwich": ("c2", "c3"),
-}
+def _run_tag(args, tag: str, bases=None) -> int:
+    """Run one tag's corpus at the command-line sizes; return its failures."""
+    return run_corpus(iter_instances(
+        tag, max_order=args.max_order, bases=tuple(bases or DEFAULT_BASES[tag]),
+        imax=args.imax, jmax=args.jmax, seed=args.seed))
 
 
 def cmd_verify(args) -> int:
-    bases = tuple(args.base) if args.base else \
-        DEFAULT_BASES.get(args.tag, ("trivial", "c2", "c3"))
-    instances = iter_instances(args.tag, max_order=args.max_order, bases=bases,
-                               imax=args.imax, jmax=args.jmax, seed=args.seed)
-    failures = run_corpus(instances)
+    failures = _run_tag(args, args.tag, args.base)
     print(f"{'PASS' if failures == 0 else 'FAIL'} ({args.tag})")
     return 0 if failures == 0 else 1
 
 
 def cmd_corpus(args) -> int:
-    total_failures = 0
-    for tag in VERIFY_TAGS:
-        bases = DEFAULT_BASES.get(tag, ("trivial", "c2", "c3"))
-        instances = iter_instances(tag, max_order=args.max_order, bases=bases,
-                                   imax=args.imax, jmax=args.jmax, seed=args.seed)
-        total_failures += run_corpus(instances)
+    total_failures = sum(_run_tag(args, tag) for tag in VERIFY_TAGS)
     print("PASS" if total_failures == 0 else f"FAIL ({total_failures} instances)")
     return 0 if total_failures == 0 else 1
 

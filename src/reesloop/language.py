@@ -703,12 +703,6 @@ def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
     return out
 
 
-def render_word(alphabet: Alphabet, word) -> str:
-    if not word:
-        return "-"
-    return " ".join(alphabet.name(x) for x in word)
-
-
 def parse_word(alphabet: Alphabet, text: str) -> tuple[int, ...]:
     text = text.strip()
     if text == "-" or not text:
@@ -716,7 +710,7 @@ def parse_word(alphabet: Alphabet, text: str) -> tuple[int, ...]:
     return tuple(alphabet.letter(tok) for tok in text.split())
 
 
-# -- text format and DOT ------------------------------------------------------
+# -- text format --------------------------------------------------------------
 
 def format_automaton(a: Nfa | Dfa) -> str:
     a = as_nfa(a)
@@ -786,19 +780,3 @@ def parse_automaton_text(text: str) -> Nfa:
     except LanguageError as e:
         raise ParseError(str(e), lines[0][0] if lines else 1) from None
 
-
-def automaton_dot(a: Nfa | Dfa, name: str = "automaton") -> str:
-    a = as_nfa(a)
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for q in range(a.n_states):
-        shape = "doublecircle" if q in a.final else "circle"
-        lines.append(f'  q{q} [label="{q}", shape={shape}];')
-    for i in sorted(a.initial):
-        lines.append(f"  start{i} [shape=point];")
-        lines.append(f"  start{i} -> q{i};")
-    for p, x, q in sorted(a.transitions,
-                          key=lambda t: (t[0], -1 if t[1] is None else t[1], t[2])):
-        lab = "ε" if x is None else a.alphabet.name(x)
-        lines.append(f'  q{p} -> q{q} [label="{lab}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -272,6 +272,13 @@ def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
     return all(s.mul(a, b) in sub for a in sub for b in sub)
 
 
+def all_subsemigroups(s: FiniteSemigroup) -> list[frozenset[int]]:
+    """Every subsemigroup, by size and then lexicographically."""
+    subsets = (frozenset(sub) for r in range(1, s.order + 1)
+               for sub in itertools.combinations(range(s.order), r))
+    return [t for t in subsets if is_subsemigroup(s, t)]
+
+
 def is_ideal(s: FiniteSemigroup, subset) -> bool:
     """True iff the subset absorbs multiplication by S on both sides."""
     sub = _check_subset(s, subset)

@@ -53,6 +53,8 @@ from .semigroup import (
     SemigroupError,
     ZERO,
     adjoin_zero,
+    all_subsemigroups,
+    enumerate_semigroups,
     full_generator_map,
     green_classes,
     group_of_units,
@@ -105,11 +107,16 @@ class VerificationReport:
     stats: dict = field(default_factory=dict, compare=False)
 
     def separator_text(self) -> str | None:
-        if self.separator is None:
-            return None
-        if not self.separator:
-            return "-"
-        return ".".join(self.lhs.alphabet.name(x) for x in self.separator)
+        return _render(self.lhs.alphabet, self.separator)
+
+    def verdict(self) -> str:
+        """PASS or FAIL, followed on FAIL by the separator or, failing that,
+        the first side-check witness."""
+        out = "PASS" if self.holds else "FAIL"
+        sep = self.separator_text()
+        if sep is None and not self.holds:
+            sep = next(iter(self.stats.get("witnesses", {}).values()), None)
+        return out if sep is None else f"{out} {sep}"
 
 
 def _render(alphabet, word) -> str | None:
@@ -140,14 +147,7 @@ def _finish(tag: str, lhs_nfa: Nfa, rhs_nfa: Nfa, extra_checks, stats, t0) -> Ve
 
 
 def result_line(report: VerificationReport, instance_id: str) -> str:
-    out = f"RESULT {report.tag} {instance_id} {'PASS' if report.holds else 'FAIL'}"
-    sep = report.separator_text()
-    if sep is None and not report.holds:
-        witnesses = report.stats.get("witnesses", {})
-        sep = next(iter(witnesses.values()), None)
-    if sep is not None:
-        out += f" {sep}"
-    return out
+    return f"RESULT {report.tag} {instance_id} {report.verdict()}"
 
 
 def format_report(report: VerificationReport, instance_id: str = "-") -> str:
@@ -515,28 +515,20 @@ def negative_control_search(max_order: int = 3, limit: int | None = None):
     """Search small semigroups for a subsemigroup that is not weakly
     pseudo-right-unitary and whose intersection identity fails.  Returns
     (number of non-hypothesis pairs checked, list of failing instances)."""
-    import itertools
-
-    from .semigroup import enumerate_semigroups
-
     checked = 0
     failures = []
     for n in range(1, max_order + 1):
         for s in enumerate_semigroups(n):
             tau = full_generator_map(s)
-            for r in range(1, n):
-                for sub in itertools.combinations(range(n), r):
-                    tset = frozenset(sub)
-                    if not all(s.mul(a, b) in tset for a in tset for b in tset):
-                        continue
-                    if is_weakly_pru(s, tset):
-                        continue
-                    checked += 1
-                    rep = verify_subsemigroup_intersection(
-                        s, tau, tset, tuple(s.labels[v] for v in sorted(tset)),
-                        require_hypothesis=False)
-                    if not rep.holds:
-                        failures.append((s, tset, rep))
-                        if limit is not None and len(failures) >= limit:
-                            return checked, failures
+            for tset in all_subsemigroups(s):
+                if is_weakly_pru(s, tset):
+                    continue
+                checked += 1
+                rep = verify_subsemigroup_intersection(
+                    s, tau, tset, tuple(s.labels[v] for v in sorted(tset)),
+                    require_hypothesis=False)
+                if not rep.holds:
+                    failures.append((s, tset, rep))
+                    if limit is not None and len(failures) >= limit:
+                        return checked, failures
     return checked, failures

@@ -1,25 +1,35 @@
 import io
+import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from reesloop import theorems
 from reesloop.cli import (
     iter_instances,
     main,
     parse_rees_spec,
     format_rees_spec,
     run_corpus,
+    worker_count,
 )
 from reesloop.language import equivalent, member, parse_automaton_text
 from reesloop.loops import loop_problem
 from reesloop.semigroup import (
+    NotAnIdeal,
+    adjoin_zero,
     brandt_b2,
     cyclic_group,
     format_semigroup,
+    full_generator_map,
     generator_map,
     parse_semigroup_text,
     trivial_semigroup,
 )
+
+CORPUS_REFERENCE = (Path(__file__).resolve().parents[1]
+                    / "perfbench" / "data" / "corpus_w2.stdout")
 
 
 @pytest.fixture
@@ -232,6 +242,60 @@ class TestWorkers:
         run_corpus(list(instances), stream=buf2)
         assert buf1.getvalue() == buf2.getvalue()
 
+    def test_large_value_is_capped_at_the_cpu_count_with_a_warning(
+            self, monkeypatch, capsys):
+        monkeypatch.setenv("REES_LOOP_WORKERS", str(10 ** 6))
+        assert worker_count(10 ** 9) == (os.cpu_count() or 1)
+        err = capsys.readouterr().err
+        assert "warning: REES_LOOP_WORKERS=1000000 exceeds" in err
+
+    def test_count_is_capped_at_the_number_of_jobs(self, monkeypatch, capsys):
+        monkeypatch.setenv("REES_LOOP_WORKERS", "1")
+        assert worker_count(0) == worker_count(1) == 1
+        if (os.cpu_count() or 1) >= 2:
+            monkeypatch.setenv("REES_LOOP_WORKERS", "2")
+            assert worker_count(1) == 1 and worker_count(5) == 2
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "two", ""])
+    def test_invalid_value_means_one_worker_with_a_warning(
+            self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("REES_LOOP_WORKERS", raw)
+        assert worker_count(100) == 1
+        assert f"warning: REES_LOOP_WORKERS={raw!r}" in capsys.readouterr().err
+
+
+class TestFaultIsolation:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_raising_instance_becomes_an_error_line(self, monkeypatch, workers):
+        s = adjoin_zero(cyclic_group(2))
+        non_ideal = frozenset({0})
+        with pytest.raises(NotAnIdeal):
+            theorems.verify_rees_quotient(s, full_generator_map(s), non_ideal)
+        good = list(iter_instances("adjoin-zero", max_order=2))
+        bad = ("n2i0:bad", ("rees-quotient", (s, full_generator_map(s), non_ideal)))
+        monkeypatch.setenv("REES_LOOP_WORKERS", workers)
+        buf = io.StringIO()
+        failures = run_corpus(good + [bad], stream=buf)
+        lines = buf.getvalue().splitlines()
+        assert failures == 1
+        assert "RESULT rees-quotient n2i0:bad ERROR NotAnIdeal" in lines
+        assert len(lines) == len(good) + 1
+        assert sum(l.endswith(" PASS") for l in lines) == len(good)
+        ids = [l.split()[2] for l in lines]
+        assert ids == sorted(ids)
+
+    def test_error_line_makes_the_run_exit_one(self, monkeypatch, capsys):
+        def broken(s, gmap):
+            raise RuntimeError("broken verifier")
+        monkeypatch.setattr(theorems, "verify_adjoin_zero", broken)
+        code, out = run_cli("verify", "adjoin-zero", "--max-order", "1")
+        assert code == 1
+        assert out == "RESULT adjoin-zero n1i0 ERROR RuntimeError\nFAIL (adjoin-zero)\n"
+        err = capsys.readouterr().err
+        assert err.startswith("adjoin-zero n1i0: Traceback")
+        assert "RuntimeError: broken verifier" in err
+
 
 class TestCorpus:
     def test_small_corpus_reproducible(self):
@@ -244,3 +308,9 @@ class TestCorpus:
         assert out1.strip().endswith("PASS")
         tags = {l.split()[1] for l in out1.splitlines() if l.startswith("RESULT")}
         assert "czeros" in tags and "semitorees" in tags
+
+    def test_serial_stream_matches_the_committed_reference(self, monkeypatch):
+        monkeypatch.delenv("REES_LOOP_WORKERS", raising=False)
+        code, out = run_cli("corpus", "--jmax", "1", "--seed", "0")
+        assert code == 0
+        assert out.encode() == CORPUS_REFERENCE.read_bytes()

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from reesloop.language import member
+from reesloop import theorems
+from reesloop.cli import iter_instances, run_job
+from reesloop.language import empty_nfa, member
 from reesloop.semigroup import (
     NotAnIdeal,
     ZERO,
@@ -266,6 +268,31 @@ class TestNegativeControl:
         assert rep.separator is not None
         # the separator must be accepted by exactly one side
         assert member(rep.lhs, rep.separator) != member(rep.rhs, rep.separator)
+
+
+class TestFormulaMutations:
+    """Each formula detail the module docstring records is needed: without
+    it the verifier FAILs on a pinned corpus instance, with a separator in
+    exactly one of the two compared languages."""
+
+    @staticmethod
+    def _fails(tag, iid, max_order, verifier, separator):
+        job = dict(iter_instances(tag, max_order=max_order))[iid]
+        assert run_job((iid, job)) == (iid, False, f"RESULT {tag} {iid} FAIL {separator}")
+        rep = verifier(*job[1])
+        assert not rep.holds and rep.separator_text() == separator
+        assert member(rep.lhs, rep.separator) != member(rep.rhs, rep.separator)
+
+    def test_rees_quotient_needs_the_star_on_ltt(self, monkeypatch):
+        monkeypatch.setattr(theorems, "star", lambda a: a)
+        self._fails("rees-quotient", "n2i3:T=s0.s1", 2,
+                    theorems.verify_rees_quotient, "s0.~s1.s0.~s1.s0.~s1")
+
+    def test_adjoin_zero_needs_the_single_letter_loops(self, monkeypatch):
+        monkeypatch.setattr(theorems, "word_set_nfa",
+                            lambda alphabet, words: empty_nfa(alphabet))
+        self._fails("adjoin-zero", "n1i0", 1, theorems.verify_adjoin_zero,
+                    "z.s0.~z")
 
 
 class TestReporting:
