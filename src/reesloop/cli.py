@@ -145,10 +145,18 @@ def _sandwich_id(base: FiniteSemigroup, p: SandwichMatrix) -> str:
                     for row in p.entries)
 
 
+@functools.lru_cache(maxsize=8)
+def _enumerated(enumerate_fn: Callable, n: int) -> tuple[FiniteSemigroup, ...]:
+    return tuple(enumerate_fn(n))
+
+
 def _semigroups(max_order: int):
-    """Every semigroup of order <= max_order with its id n<order>i<index>."""
+    """Every semigroup of order <= max_order with its id n<order>i<index>.
+    Each order is enumerated once per process and shared by every order-N
+    tag; the cache is keyed by the enumerate_semigroups bound when called,
+    so a rebound one (a profiler's wrapper, a test's monkeypatch) is run."""
     for n in range(1, max_order + 1):
-        for k, s in enumerate(enumerate_semigroups(n)):
+        for k, s in enumerate(_enumerated(enumerate_semigroups, n)):
             yield f"n{n}i{k}", s
 
 
@@ -304,10 +312,20 @@ def run_job(item: tuple[str, tuple[str, tuple]]) -> tuple[str, bool, str]:
     return iid, holds, f"RESULT {tag} {iid} {verdict}"
 
 
+_warned: set[str] = set()
+
+
+def _warn_once(message: str):
+    if message not in _warned:
+        _warned.add(message)
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def worker_count(jobs: int) -> int:
     """Pool size for `jobs` instances: REES_LOOP_WORKERS (default 1), capped
     at the CPU count and at `jobs`.  A value that is not a positive integer
-    means 1 worker; it and a value above the CPU count draw a warning."""
+    means 1 worker; it and a value above the CPU count draw a warning, once
+    per process."""
     raw = os.environ.get("REES_LOOP_WORKERS", "1")
     cpus = os.cpu_count() or 1
     try:
@@ -315,12 +333,12 @@ def worker_count(jobs: int) -> int:
     except ValueError:
         wanted = 0
     if wanted < 1:
-        print(f"warning: REES_LOOP_WORKERS={raw!r} is not a positive integer; "
-              "using 1 worker", file=sys.stderr)
+        _warn_once(f"REES_LOOP_WORKERS={raw!r} is not a positive integer; "
+                   "using 1 worker")
         wanted = 1
     elif wanted > cpus:
-        print(f"warning: REES_LOOP_WORKERS={raw} exceeds the {cpus} CPUs; "
-              f"using {cpus} workers", file=sys.stderr)
+        _warn_once(f"REES_LOOP_WORKERS={raw} exceeds the {cpus} CPUs; "
+                   f"using {cpus} workers")
     return max(1, min(wanted, cpus, jobs))
 
 
@@ -458,9 +476,11 @@ def cmd_decompose(args) -> int:
 
 
 def _run_tag(args, tag: str, bases=None) -> int:
-    """Run one tag's corpus at the command-line sizes; return its failures."""
+    """Run one tag's corpus at the command-line sizes; return its failures.
+    A base named twice runs once, in the order first named."""
+    bases = tuple(dict.fromkeys(bases or DEFAULT_BASES[tag]))
     return run_corpus(iter_instances(
-        tag, max_order=args.max_order, bases=tuple(bases or DEFAULT_BASES[tag]),
+        tag, max_order=args.max_order, bases=bases,
         imax=args.imax, jmax=args.jmax, seed=args.seed))
 
 

@@ -1,13 +1,17 @@
 """Regular languages over involutive doubled alphabets.
 
 Automata are partial (no explicit dead state); epsilon transitions are
-permitted in an Nfa and eliminated during determinization.  State sets are
-handled as integer bitmasks internally.
+permitted in an Nfa.  State sets are integer bitmasks internally, and each
+operation that simulates an Nfa (determinize, member, enumerate_words)
+closes its epsilon moves once per automaton into successor rows: for each
+state, every letter with the epsilon closure of that letter's successors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
+from typing import NamedTuple
 
 from .semigroup import ParseError
 
@@ -143,8 +147,9 @@ class Dfa:
             raise LanguageError("initial state out of range")
         if len(self.transitions) != self.n_states:
             raise LanguageError("transition table size mismatch")
+        nletters = self.alphabet.size
         for row in self.transitions:
-            if len(row) != self.alphabet.size:
+            if len(row) != nletters:
                 raise LanguageError("transition row size mismatch")
             for q in row:
                 if q is not None and not (0 <= q < self.n_states):
@@ -179,13 +184,6 @@ def epsilon_nfa(alphabet) -> Nfa:
     return Nfa(alphabet, 1, frozenset(), frozenset({0}), frozenset({0}))
 
 
-def word_nfa(alphabet, word) -> Nfa:
-    word = tuple(word)
-    trans = {(i, a, i + 1) for i, a in enumerate(word)}
-    return Nfa(alphabet, len(word) + 1, frozenset(trans),
-               frozenset({0}), frozenset({len(word)}))
-
-
 def word_set_nfa(alphabet, words) -> Nfa:
     """Union of finite words as one automaton (a simple chain per word)."""
     trans = set()
@@ -214,35 +212,19 @@ def universe_nfa(alphabet, letters=None) -> Nfa:
     return Nfa(alphabet, 1, frozenset(trans), frozenset({0}), frozenset({0}))
 
 
-# -- bitmask engine -----------------------------------------------------------
+# -- bitmask core -------------------------------------------------------------
+#
+# State sets are integer bitmasks.  _core closes an automaton's epsilon moves
+# once per call into successor rows: rows[p][x] is the epsilon closure of the
+# successors of p under letter x.  Closure distributes over union, so the
+# successor of a closed state set under a letter is the OR of its members'
+# rows, and one pass over the set's bits yields every letter's successor.
 
 def _bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _adjacency(a: Nfa):
-    eps = [0] * a.n_states
-    step = [[0] * a.n_states for _ in range(a.alphabet.size)]
-    for p, x, q in a.transitions:
-        if x is None:
-            eps[p] |= 1 << q
-        else:
-            step[x][p] |= 1 << q
-    return eps, step
-
-
-def _closure(eps, mask: int) -> int:
-    todo = mask
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        add = eps[low.bit_length() - 1] & ~mask
-        mask |= add
-        todo |= add
-    return mask
 
 
 def _mask(states) -> int:
@@ -252,22 +234,94 @@ def _mask(states) -> int:
     return m
 
 
-def _move(step, eps, mask: int, letter: int) -> int:
+class _Core(NamedTuple):
+    close: list[int]  # close[p]: the epsilon closure of p
+    rows: list[tuple[int, ...]]  # rows[p][x]: closed successors of p under x
+    active: int  # the states with a letter move; rows[p] is () for the rest
+    nletters: int
+
+
+def _core(a: Nfa) -> _Core:
+    eps = [0] * a.n_states
+    step: dict[tuple[int, int], int] = {}
+    for p, x, q in a.transitions:
+        if x is None:
+            eps[p] |= 1 << q
+        else:
+            step[p, x] = step.get((p, x), 0) | 1 << q
+    close = []
+    for p in range(a.n_states):
+        mask = todo = 1 << p
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            add = eps[low.bit_length() - 1] & ~mask
+            mask |= add
+            todo |= add
+        close.append(mask)
+    nletters = a.alphabet.size
+    dense: dict[int, list[int]] = {}
+    for (p, x), succ in step.items():
+        dense.setdefault(p, [0] * nletters)[x] = _closed(close, succ)
+    rows: list[tuple[int, ...]] = [()] * a.n_states
+    for p, row in dense.items():
+        rows[p] = tuple(row)
+    return _Core(close, rows, _mask(dense), nletters)
+
+
+def _closed(close: list[int], mask: int) -> int:
     out = 0
-    row = step[letter]
     for p in _bits(mask):
-        out |= row[p]
-    return _closure(eps, out) if out else 0
+        out |= close[p]
+    return out
+
+
+def _post(core: _Core, mask: int):
+    """The successor of a closed state set under each letter."""
+    rows = core.rows
+    mask &= core.active
+    if not mask:
+        return (0,) * core.nletters
+    low = mask & -mask
+    mask ^= low
+    out = rows[low.bit_length() - 1]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out = list(map(or_, out, rows[low.bit_length() - 1]))
+    return out
+
+
+def _reach(start, succ) -> set:
+    """Every node reachable from start; succ(node) lists its successors."""
+    seen = set(start)
+    queue = list(seen)
+    while queue:
+        for nxt in succ(queue.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def _live(succ: list[list[int]], initial, final) -> set[int]:
+    """States both reachable from initial and co-accessible to final, where
+    succ[p] lists the successors of p."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for p, qs in enumerate(succ):
+        for q in qs:
+            pred[q].append(p)
+    return _reach(initial, succ.__getitem__) & _reach(final, pred.__getitem__)
 
 
 def determinize(a: Nfa) -> Dfa:
-    """Subset construction with epsilon elimination; no dead state is kept."""
-    eps, step = _adjacency(a)
-    start = _closure(eps, _mask(a.initial))
+    """Subset construction over the closed rows; no dead state is kept."""
+    core = _core(a)
+    start = _closed(core.close, _mask(a.initial))
     fmask = _mask(a.final)
     nletters = a.alphabet.size
     ids = {start: 0}
-    rows = [[None] * nletters]
+    table = [[None] * nletters]
     final = set()
     queue = [start]
     while queue:
@@ -275,103 +329,58 @@ def determinize(a: Nfa) -> Dfa:
         sid = ids[mask]
         if mask & fmask:
             final.add(sid)
-        for x in range(nletters):
-            nxt = _move(step, eps, mask, x)
+        row = table[sid]
+        for x, nxt in enumerate(_post(core, mask)):
             if not nxt:
                 continue
             tid = ids.get(nxt)
             if tid is None:
-                tid = len(ids)
-                ids[nxt] = tid
-                rows.append([None] * nletters)
+                tid = ids[nxt] = len(ids)
+                table.append([None] * nletters)
                 queue.append(nxt)
-            rows[sid][x] = tid
-    return Dfa(a.alphabet, len(rows), tuple(tuple(r) for r in rows),
+            row[x] = tid
+    return Dfa(a.alphabet, len(table), tuple(tuple(r) for r in table),
                0, frozenset(final))
-
-
-def _trim_dfa(d: Dfa):
-    """States reachable from the initial state and co-accessible to a final."""
-    nletters = d.alphabet.size
-    reach = {d.initial}
-    queue = [d.initial]
-    while queue:
-        p = queue.pop()
-        for x in range(nletters):
-            q = d.transitions[p][x]
-            if q is not None and q not in reach:
-                reach.add(q)
-                queue.append(q)
-    rev: dict[int, set[int]] = {q: set() for q in range(d.n_states)}
-    for p in range(d.n_states):
-        for x in range(nletters):
-            q = d.transitions[p][x]
-            if q is not None:
-                rev[q].add(p)
-    co = set(d.final)
-    queue = list(co)
-    while queue:
-        q = queue.pop()
-        for p in rev[q]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    return reach & co
 
 
 def minimize(d: Dfa) -> Dfa:
     """Moore partition refinement on the trimmed partial DFA, renumbered
     canonically by breadth-first order; equivalent inputs yield identical
     outputs."""
-    keep = sorted(_trim_dfa(d))
     nletters = d.alphabet.size
+    keep = sorted(_live([[q for q in row if q is not None] for row in d.transitions],
+                        (d.initial,), d.final))
     if d.initial not in keep:
         return Dfa(d.alphabet, 1, ((None,) * nletters,), 0, frozenset(),
                    minimal=True)
-    idx = {p: i for i, p in enumerate(keep)}
-    n = len(keep)
-    trans = [[idx.get(d.transitions[p][x]) if d.transitions[p][x] in idx else None
-              for x in range(nletters)] for p in keep]
-    final = {idx[p] for p in d.final if p in idx}
-    cls = [1 if p in final else 0 for p in range(n)]
+    n = dead = len(keep)  # kept states are 0..n-1; the implicit dead state is n
+    idx = dict.fromkeys((None, *range(d.n_states)), dead)
+    idx.update((p, i) for i, p in enumerate(keep))
+    trans = [tuple(map(idx.__getitem__, d.transitions[p])) for p in keep]
+    final = {idx[p] for p in d.final if idx[p] != dead}
+    cls = [1 if p in final else 0 for p in range(n)] + [-1]
     while True:
-        sigs = {}
-        new = [0] * n
-        for p in range(n):
-            sig = (cls[p], tuple(-1 if q is None else cls[q] for q in trans[p]))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new[p] = sigs[sig]
+        sigs: dict[tuple, int] = {}
+        of = cls.__getitem__
+        new = [sigs.setdefault((cls[p], *map(of, trans[p])), len(sigs))
+               for p in range(n)] + [-1]
         if new == cls:
             break
         cls = new
-    start_cls = cls[idx[d.initial]]
     rep = {}
     for p in range(n):
         rep.setdefault(cls[p], p)
-    order = {start_cls: 0}
-    queue = [start_cls]
-    while queue:
-        c = queue.pop(0)
-        p = rep[c]
-        for x in range(nletters):
-            q = trans[p][x]
-            if q is not None and cls[q] not in order:
+    order = {cls[idx[d.initial]]: 0}
+    queue = list(order)
+    for c in queue:
+        for q in trans[rep[c]]:
+            if q != dead and cls[q] not in order:
                 order[cls[q]] = len(order)
                 queue.append(cls[q])
-    m = len(order)
-    rows = [[None] * nletters for _ in range(m)]
-    fin = set()
-    for c, i in order.items():
-        p = rep[c]
-        for x in range(nletters):
-            q = trans[p][x]
-            if q is not None:
-                rows[i][x] = order[cls[q]]
-        if p in final:
-            fin.add(i)
-    return Dfa(d.alphabet, m, tuple(tuple(r) for r in rows), 0,
-               frozenset(fin), minimal=True)
+    rows = tuple(tuple(None if q == dead else order[cls[q]] for q in trans[rep[c]])
+                 for c in order)
+    fin = frozenset(i for c, i in order.items() if rep[c] in final)
+    return Dfa(d.alphabet, len(rows), rows, 0, fin, minimal=True)
 
 
 def minimal_dfa(a: Nfa | Dfa) -> Dfa:
@@ -381,10 +390,10 @@ def minimal_dfa(a: Nfa | Dfa) -> Dfa:
 def member(a: Nfa | Dfa, word) -> bool:
     """State-set simulation."""
     a = as_nfa(a)
-    eps, step = _adjacency(a)
-    mask = _closure(eps, _mask(a.initial))
+    core = _core(a)
+    mask = _closed(core.close, _mask(a.initial))
     for x in word:
-        mask = _move(step, eps, mask, x)
+        mask = _post(core, mask)[x]
         if not mask:
             return False
     return bool(mask & _mask(a.final))
@@ -401,8 +410,7 @@ def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     start = (da.initial, db.initial)
     seen = {start: None}
     queue = [start]
-    while queue:
-        pair = queue.pop(0)
+    for pair in queue:
         p, q = pair
         ina = p is not None and p in da.final
         inb = q is not None and q in db.final
@@ -471,48 +479,50 @@ def plus(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, a.n_states, frozenset(trans), a.initial, a.final)
 
 
+def _by_state(a: Nfa, backward: bool = False) -> dict[int, list]:
+    """Each state's moves (letter or None, other end), forward or backward."""
+    out: dict[int, list] = {}
+    for p, x, q in a.transitions:
+        if backward:
+            p, q = q, p
+        out.setdefault(p, []).append((x, q))
+    return out
+
+
+def _product_moves(a_by, b_by, pair) -> list:
+    """Moves (label, pair) of the synchronized product out of a pair: an
+    epsilon move advances one side, a letter advances both."""
+    p, q = pair
+    out = []
+    for x, p2 in a_by.get(p, ()):
+        if x is None:
+            out.append((None, (p2, q)))
+        else:
+            out.extend((x, (p2, q2)) for y, q2 in b_by.get(q, ()) if y == x)
+    out.extend((None, (p, q2)) for y, q2 in b_by.get(q, ()) if y is None)
+    return out
+
+
+def _pairs_reached(a_by, b_by, start) -> set:
+    return _reach(start, lambda pair: [t for _x, t in _product_moves(a_by, b_by, pair)])
+
+
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product construction; epsilon moves advance one side at a time."""
     _require_same(a, b)
-    ids: dict[tuple[int, int], int] = {}
-
-    def sid(p, q):
-        if (p, q) not in ids:
-            ids[(p, q)] = len(ids)
-        return ids[(p, q)]
-
-    a_by_state: dict[int, list] = {}
-    for p, x, q in a.transitions:
-        a_by_state.setdefault(p, []).append((x, q))
-    b_by_state: dict[int, list] = {}
-    for p, x, q in b.transitions:
-        b_by_state.setdefault(p, []).append((x, q))
+    a_by, b_by = _by_state(a), _by_state(b)
     init = [(p, q) for p in a.initial for q in b.initial]
-    for pair in init:
-        sid(*pair)
+    ids = {pair: i for i, pair in enumerate(init)}
     trans = set()
     queue = list(init)
-    seen = set(init)
     while queue:
-        p, q = queue.pop()
-        cur = sid(p, q)
-        for x, p2 in a_by_state.get(p, ()):
-            if x is None:
-                targets = [((p2, q), None)]
-            else:
-                targets = [((p2, q2), x) for (y, q2) in b_by_state.get(q, ()) if y == x]
-            for pair, lab in targets:
-                trans.add((cur, lab, sid(*pair)))
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        for y, q2 in b_by_state.get(q, ()):
-            if y is None:
-                pair = (p, q2)
-                trans.add((cur, None, sid(*pair)))
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
+        pair = queue.pop()
+        cur = ids[pair]
+        for x, nxt in _product_moves(a_by, b_by, pair):
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            trans.add((cur, x, ids[nxt]))
     n = max(len(ids), 1)
     final = frozenset(ids[(p, q)] for (p, q) in ids
                       if p in a.final and q in b.final)
@@ -520,48 +530,15 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
                frozenset(ids[pair] for pair in init), final)
 
 
-def _sync_product_pairs(l: Nfa, r: Nfa):
-    """Transitions of the synchronized product of l and r as a pair graph."""
-    edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    l_by_state: dict[int, list] = {}
-    for p, x, q in l.transitions:
-        l_by_state.setdefault(p, []).append((x, q))
-    r_by_state: dict[int, list] = {}
-    for p, x, q in r.transitions:
-        r_by_state.setdefault(p, []).append((x, q))
-    for p in range(l.n_states):
-        for q in range(r.n_states):
-            outs = edges.setdefault((p, q), set())
-            for x, p2 in l_by_state.get(p, ()):
-                if x is None:
-                    outs.add((p2, q))
-                else:
-                    for y, q2 in r_by_state.get(q, ()):
-                        if y == x:
-                            outs.add((p2, q2))
-            for y, q2 in r_by_state.get(q, ()):
-                if y is None:
-                    outs.add((p, q2))
-    return edges
-
-
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:
     """L R^-1 = {w : wr in L for some r in R}.  Final states of L become
-    those from which some word of R completes to acceptance."""
+    those from which some word of R completes to acceptance: a backward
+    search of the product from its final pairs."""
     _require_same(l, r)
-    edges = _sync_product_pairs(l, r)
-    good = {(p, q) for p in l.final for q in r.final}
-    changed = True
-    while changed:
-        changed = False
-        for pair, outs in edges.items():
-            if pair not in good and outs & good:
-                good.add(pair)
-                changed = True
-    eps_r, _ = _adjacency(r)
-    r_start = _closure(eps_r, _mask(r.initial))
-    new_final = {p for p in range(l.n_states)
-                 if any((p, q) in good for q in _bits(r_start))}
+    good = _pairs_reached(_by_state(l, backward=True), _by_state(r, backward=True),
+                          [(p, q) for p in l.final for q in r.final])
+    r_start = _closed(_core(r).close, _mask(r.initial))
+    new_final = {p for p, q in good if r_start >> q & 1}
     return Nfa(l.alphabet, l.n_states, l.transitions, l.initial,
                frozenset(new_final))
 
@@ -570,17 +547,9 @@ def left_quotient(r: Nfa, l: Nfa) -> Nfa:
     """R^-1 L = {w : rw in L for some r in R}.  Initial states of L become
     those reachable from an initial state along some word of R."""
     _require_same(l, r)
-    edges = _sync_product_pairs(l, r)
-    start = {(p, q) for p in l.initial for q in r.initial}
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        pair = queue.pop()
-        for nxt in edges[pair]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    new_initial = {p for (p, q) in seen if q in r.final}
+    seen = _pairs_reached(_by_state(l), _by_state(r),
+                          [(p, q) for p in l.initial for q in r.initial])
+    new_initial = {p for p, q in seen if q in r.final}
     return Nfa(l.alphabet, l.n_states, l.transitions,
                frozenset(new_initial), l.final)
 
@@ -596,28 +565,10 @@ def involution_image(a: Nfa) -> Nfa:
 
 def trim(a: Nfa) -> Nfa:
     """Keep only states both reachable and co-accessible."""
-    fwd: dict[int, set[int]] = {p: set() for p in range(a.n_states)}
-    rev: dict[int, set[int]] = {p: set() for p in range(a.n_states)}
+    succ: list[list[int]] = [[] for _ in range(a.n_states)]
     for p, _x, q in a.transitions:
-        fwd[p].add(q)
-        rev[q].add(p)
-    reach = set(a.initial)
-    queue = list(reach)
-    while queue:
-        p = queue.pop()
-        for q in fwd[p]:
-            if q not in reach:
-                reach.add(q)
-                queue.append(q)
-    co = set(a.final)
-    queue = list(co)
-    while queue:
-        q = queue.pop()
-        for p in rev[q]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    keep = sorted(reach & co)
+        succ[p].append(q)
+    keep = sorted(_live(succ, a.initial, a.final))
     if not keep:
         return empty_nfa(a.alphabet)
     idx = {p: i for i, p in enumerate(keep)}
@@ -655,20 +606,20 @@ def factor_closure(a: Nfa) -> Nfa:
 def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
     """All accepted words of length <= max_len in length-lex order."""
     a = as_nfa(a)
-    eps, step = _adjacency(a)
+    core = _core(a)
     fmask = _mask(a.final)
-    out = []
-    level = [((), _closure(eps, _mask(a.initial)))]
-    if not level[0][1]:
+    start = _closed(core.close, _mask(a.initial))
+    if not start:
         return []
+    out = []
+    level = [((), start)]
     for length in range(max_len + 1):
         nxt = []
         for word, mask in level:
             if mask & fmask:
                 out.append(word)
             if length < max_len:
-                for x in range(a.alphabet.size):
-                    m = _move(step, eps, mask, x)
+                for x, m in enumerate(_post(core, mask)):
                     if m:
                         nxt.append((word + (x,), m))
         level = nxt

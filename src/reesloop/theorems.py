@@ -39,7 +39,6 @@ from .language import (
     sub_hat_letters,
     union,
     universe_nfa,
-    word_nfa,
     word_set_nfa,
 )
 from .loops import LoopAutomaton, loop_automaton, loop_problem, non_returning_language, path_language
@@ -262,8 +261,8 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     z_letter = big.letter(tau.alphabet[-1])
     l_small = loop_problem(gmap)
     l_big = embed_hat(l_small, big)
-    z_nfa = word_nfa(big, (z_letter,))
-    zbar_nfa = word_nfa(big, (big.bar(z_letter),))
+    z_nfa = word_set_nfa(big, [(z_letter,)])
+    zbar_nfa = word_set_nfa(big, [(big.bar(z_letter),)])
     bracketed = concat(concat(zbar_nfa, embed_hat(factor_closure(l_small), big)), z_nfa)
     one_letter = word_set_nfa(big, [(x,) for x in range(big.size)])
     middle = star(union(bracketed, one_letter))

@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from reesloop.semigroup import (
     trivial_semigroup,
 )
 
+SRC = Path(theorems.__file__).resolve().parents[1]  # the imported reesloop
 CORPUS_REFERENCE = (Path(__file__).resolve().parents[1]
                     / "perfbench" / "data" / "corpus_w2.stdout")
 
@@ -221,6 +224,14 @@ class TestVerify:
         # 2 + 4 + 4 + 16 matrices plus one randomized rerun
         assert len(lines) == 27
 
+    def test_repeated_base_runs_once(self):
+        code, out = run_cli("verify", "semitorees", "--base", "c2", "--base", "c2",
+                            "--imax", "1", "--jmax", "1")
+        assert code == 0
+        lines = [l for l in out.splitlines() if l.startswith("RESULT")]
+        # P = e, P = g and one randomized rerun
+        assert len(lines) == 3 and len(set(lines)) == 3
+
     def test_unknown_tag_usage_error(self):
         assert main(["verify", "not-a-tag"]) == 2
 
@@ -263,6 +274,20 @@ class TestWorkers:
         monkeypatch.setenv("REES_LOOP_WORKERS", raw)
         assert worker_count(100) == 1
         assert f"warning: REES_LOOP_WORKERS={raw!r}" in capsys.readouterr().err
+
+
+    def test_corpus_warns_once_per_process(self):
+        env = dict(os.environ, REES_LOOP_WORKERS="abc",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "reesloop.cli", "corpus", "--max-order", "1",
+             "--imax", "1", "--jmax", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            "warning: REES_LOOP_WORKERS='abc' is not a positive integer; "
+            "using 1 worker"]
 
 
 class TestFaultIsolation:

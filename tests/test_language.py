@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +32,6 @@ from reesloop.language import (
     trim,
     union,
     universe_nfa,
-    word_nfa,
     word_set_nfa,
 )
 
@@ -65,12 +66,12 @@ class TestAlphabet:
 
 class TestBasics:
     def test_member_single_word(self):
-        a = word_nfa(X, (x, xb))
+        a = word_set_nfa(X, [(x, xb)])
         assert member(a, (x, xb))
         assert not member(a, (x,))
 
     def test_star_idempotent(self):
-        a = word_nfa(X, (x,))
+        a = word_set_nfa(X, [(x,)])
         assert equivalent(star(star(a)), star(a))
 
     def test_determinize_then_minimize_two_initial(self):
@@ -83,20 +84,20 @@ class TestBasics:
         assert words(d) == {(x,), (xb,)}
 
     def test_union_concat_star_examples(self):
-        assert words(union(word_nfa(X, (x,)), word_nfa(X, (xb,)))) == {(x,), (xb,)}
-        assert words(concat(word_nfa(X, (x,)), word_nfa(X, (x,)))) == {(x, x)}
-        st_ = star(word_nfa(X, (x, xb)))
+        assert words(union(word_set_nfa(X, [(x,)]), word_set_nfa(X, [(xb,)]))) == {(x,), (xb,)}
+        assert words(concat(word_set_nfa(X, [(x,)]), word_set_nfa(X, [(x,)]))) == {(x, x)}
+        st_ = star(word_set_nfa(X, [(x, xb)]))
         assert member(st_, ())
         assert member(st_, (x, xb, x, xb))
         assert not member(st_, (x,))
 
     def test_plus(self):
-        p = plus(word_nfa(X, (x,)))
+        p = plus(word_set_nfa(X, [(x,)]))
         assert not member(p, ())
         assert member(p, (x,)) and member(p, (x, x))
 
     def test_intersect_examples(self):
-        l = union(word_nfa(X, (x, xb)), word_nfa(X, (x,)))
+        l = union(word_set_nfa(X, [(x, xb)]), word_set_nfa(X, [(x,)]))
         assert equivalent(intersect(l, universe_nfa(X)), l)
         assert words(intersect(l, empty_nfa(X))) == set()
         length2 = concat(universe_letter(X), universe_letter(X))
@@ -107,7 +108,7 @@ class TestBasics:
     def test_alphabet_mismatch(self):
         y = HatAlphabet(("y",))
         with pytest.raises(AlphabetMismatch):
-            union(word_nfa(X, (x,)), word_nfa(y, (0,)))
+            union(word_set_nfa(X, [(x,)]), word_set_nfa(y, [(0,)]))
 
 
 def universe_letter(alpha):
@@ -116,33 +117,33 @@ def universe_letter(alpha):
 
 class TestQuotients:
     def test_right_quotient_example(self):
-        got = right_quotient(word_nfa(X, (x, xb)), word_nfa(X, (xb,)))
+        got = right_quotient(word_set_nfa(X, [(x, xb)]), word_set_nfa(X, [(xb,)]))
         assert words(got) == {(x,)}
 
     def test_left_quotient_example(self):
-        got = left_quotient(word_nfa(X, (x,)), word_nfa(X, (x, xb)))
+        got = left_quotient(word_set_nfa(X, [(x,)]), word_set_nfa(X, [(x, xb)]))
         assert words(got) == {(xb,)}
 
     def test_right_quotient_by_epsilon(self):
-        l = union(word_nfa(X, (x, xb)), word_nfa(X, (x, x)))
+        l = union(word_set_nfa(X, [(x, xb)]), word_set_nfa(X, [(x, x)]))
         assert equivalent(right_quotient(l, epsilon_nfa(X)), l)
 
 
 class TestInvolution:
     def test_examples(self):
-        assert words(involution_image(word_nfa(X, (x,)))) == {(xb,)}
-        assert words(involution_image(word_nfa(X, (x, xb)))) == {(x, xb)}
-        assert words(involution_image(word_nfa(X, (x, xb, x)))) == {(xb, x, xb)}
+        assert words(involution_image(word_set_nfa(X, [(x,)]))) == {(xb,)}
+        assert words(involution_image(word_set_nfa(X, [(x, xb)]))) == {(x, xb)}
+        assert words(involution_image(word_set_nfa(X, [(x, xb, x)]))) == {(xb, x, xb)}
 
     def test_not_involutive(self):
         a = PlainAlphabet(("p", "q"))
         with pytest.raises(NotInvolutive):
-            involution_image(word_nfa(a, (0, 1)))
+            involution_image(word_set_nfa(a, [(0, 1)]))
 
 
 class TestClosures:
     def test_prefix_suffix_factor_of_xxbar(self):
-        a = word_nfa(X, (x, xb))
+        a = word_set_nfa(X, [(x, xb)])
         assert words(prefix_closure(a)) == {(), (x,), (x, xb)}
         assert words(suffix_closure(a)) == {(), (xb,), (x, xb)}
         # oracle: enumerate all factors of all accepted words
@@ -160,7 +161,7 @@ class TestClosures:
 
 class TestEnumerate:
     def test_star_to_length_two(self):
-        assert enumerate_words(star(word_nfa(X, (x,))), 2) == [(), (x,), (x, x)]
+        assert enumerate_words(star(word_set_nfa(X, [(x,)])), 2) == [(), (x,), (x, x)]
 
     def test_empty(self):
         assert enumerate_words(empty_nfa(X), 3) == []
@@ -229,6 +230,126 @@ def test_separator_is_one_sided(a, b):
         assert words(a) == words(b)
     else:
         assert member(a, sep) != member(b, sep)
+
+
+# -- reference acceptor --------------------------------------------------------
+#
+# A plain set-of-states path search with its own epsilon closure.  It reads
+# only the fields of Nfa and Dfa, so the engine is checked against code that
+# shares nothing with its bitmask rows.
+
+def ref_moves(a):
+    moves = {}
+    for p, x, q in a.transitions:
+        moves.setdefault((p, x), set()).add(q)
+    return moves
+
+
+def ref_close(moves, states):
+    seen = set(states)
+    todo = list(seen)
+    while todo:
+        for q in moves.get((todo.pop(), None), ()):
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+def ref_words(a, n=5, initial=None, final=None):
+    """Words of length <= n on a path from initial to final (default: the
+    automaton's own), by extending the set of states each word reaches."""
+    moves = ref_moves(a)
+    final = a.final if final is None else final
+    out = set()
+    level = {(): ref_close(moves, a.initial if initial is None else initial)}
+    for length in range(n + 1):
+        nxt = {}
+        for word, cur in level.items():
+            if cur & final:
+                out.add(word)
+            if length < n:
+                for x in range(a.alphabet.size):
+                    succ = {q for p in cur for q in moves.get((p, x), ())}
+                    if succ:
+                        nxt[word + (x,)] = ref_close(moves, succ)
+        level = nxt
+    return out
+
+
+def ref_pairs(a, b, start):
+    """State pairs reached from start by reading one word in both automata."""
+    am, bm = ref_moves(a), ref_moves(b)
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        p, q = todo.pop()
+        nxt = [(p2, q) for p2 in am.get((p, None), ())]
+        nxt += [(p, q2) for q2 in bm.get((q, None), ())]
+        nxt += [(p2, q2) for x in range(a.alphabet.size)
+                for p2 in am.get((p, x), ()) for q2 in bm.get((q, x), ())]
+        for pair in nxt:
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return seen
+
+
+def dfa_words(d, n=5):
+    out = set()
+    level = {(): d.initial}
+    for length in range(n + 1):
+        nxt = {}
+        for word, p in level.items():
+            if p in d.final:
+                out.add(word)
+            if length < n:
+                for x, q in enumerate(d.transitions[p]):
+                    if q is not None:
+                        nxt[word + (x,)] = q
+        level = nxt
+    return out
+
+
+def eps_nfas(draw, alphabet):
+    n = draw(st.integers(1, 6))
+    letters = [None] * 3 + list(range(alphabet.size))
+    triples = st.tuples(st.integers(0, n - 1), st.sampled_from(letters),
+                        st.integers(0, n - 1))
+    trans = draw(st.frozensets(triples, max_size=14))
+    initial = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n))
+    final = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    return Nfa(alphabet, n, trans, initial, final)
+
+
+eps_nfa = st.composite(eps_nfas)(HatAlphabet(("x", "y")))
+ALL_WORDS = [w for n in range(6) for w in itertools.product(range(4), repeat=n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps_nfa)
+def test_engine_accepts_the_reference_words(a):
+    ref = ref_words(a)
+    d = determinize(a)
+    assert dfa_words(d) == ref
+    assert dfa_words(minimize(d)) == ref
+    assert {w for w in ALL_WORDS if member(a, w)} == ref
+    assert enumerate_words(a, 5) == sorted(ref, key=lambda w: (len(w), w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps_nfa, eps_nfa)
+def test_products_accept_the_reference_words(l, r):
+    assert set(enumerate_words(intersect(l, r), 5)) == ref_words(l) & ref_words(r)
+    # R^-1 L starts L where some word of R leads; L R^-1 ends L where some
+    # word of R completes to acceptance
+    starts = {p for p, q in ref_pairs(l, r, itertools.product(l.initial, r.initial))
+              if q in r.final}
+    assert set(enumerate_words(left_quotient(r, l), 5)) == ref_words(l, initial=starts)
+    ends = {p for p in range(l.n_states)
+            if any(p2 in l.final and q in r.final
+                   for p2, q in ref_pairs(l, r, {(p, q0) for q0 in r.initial}))}
+    assert set(enumerate_words(right_quotient(l, r), 5)) == ref_words(l, final=ends)
 
 
 class TestTextFormat:

@@ -4,7 +4,7 @@ import pytest
 
 from reesloop import theorems
 from reesloop.cli import iter_instances, run_job
-from reesloop.language import empty_nfa, member
+from reesloop.language import empty_nfa, member, universe_nfa, word_set_nfa
 from reesloop.semigroup import (
     NotAnIdeal,
     ZERO,
@@ -289,10 +289,24 @@ class TestFormulaMutations:
                     theorems.verify_rees_quotient, "s0.~s1.s0.~s1.s0.~s1")
 
     def test_adjoin_zero_needs_the_single_letter_loops(self, monkeypatch):
+        # the single-letter set is the only word set of more than one word;
+        # the one-word sets z and z-bar are kept
         monkeypatch.setattr(theorems, "word_set_nfa",
-                            lambda alphabet, words: empty_nfa(alphabet))
+                            lambda alphabet, words: empty_nfa(alphabet)
+                            if len(words) > 1 else word_set_nfa(alphabet, words))
         self._fails("adjoin-zero", "n1i0", 1, theorems.verify_adjoin_zero,
                     "z.s0.~z")
+
+    def test_semitorees_needs_the_star_on_the_image(self, monkeypatch):
+        monkeypatch.setattr(theorems, "star", lambda a: a)
+        self._fails("semitorees", "c2:I1J2:P=e;g", 1,
+                    theorems.verify_semitorees, "-")
+
+    def test_subsemigroup_needs_the_restriction_to_x(self, monkeypatch):
+        monkeypatch.setattr(theorems, "universe_nfa",
+                            lambda alphabet, letters=None: universe_nfa(alphabet))
+        self._fails("subsemigroup", "n2i0:T=s0", 2,
+                    theorems.verify_subsemigroup_intersection, "s1.~s1")
 
 
 class TestReporting:
@@ -308,10 +322,10 @@ class TestReporting:
         # a composite report with a failing side check must surface its
         # witness text without touching the main alphabet
         from reesloop.theorems import _finish
-        from reesloop.language import HatAlphabet, word_nfa
+        from reesloop.language import HatAlphabet, word_set_nfa
         import time
         alpha = HatAlphabet(("x",))
-        a = word_nfa(alpha, (0,))
+        a = word_set_nfa(alpha, [(0,)])
         rep = _finish("demo", a, a, [("side", False, "u.~v")], {},
                       time.perf_counter())
         assert not rep.holds and rep.separator is None

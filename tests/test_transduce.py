@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reesloop.language import HatAlphabet, empty_nfa, enumerate_words, equivalent, universe_nfa, word_nfa
+from reesloop.language import HatAlphabet, empty_nfa, enumerate_words, equivalent, universe_nfa, word_set_nfa
 from reesloop.loops import loop_problem
 from reesloop.semigroup import (
     cyclic_group,
@@ -156,7 +156,7 @@ class TestApply:
                 v = tuple(rng.randrange(Y.size) for _ in range(rng.randrange(2)))
                 edges.append((p, u, v, q))
             t = transducer(X, Y, 2, edges, {0}, {rng.randrange(2)})
-            l = word_nfa(X, (0,)) if rng.random() < 0.3 else universe_nfa(X)
+            l = word_set_nfa(X, [(0,)]) if rng.random() < 0.3 else universe_nfa(X)
             got = set(enumerate_words(apply(t, l), 3))
             # input bound: normalized edges consume >= |v|-sized inputs only
             # when every step reads a letter; 8 covers 3 output letters here
@@ -189,10 +189,10 @@ class TestApplyAlgebra:
                 v = tuple(rng.randrange(Y.size) for _ in range(rng.randrange(2)))
                 edges.append((p, u, v, q))
             t = transducer(X, Y, 2, edges, {0}, {rng.randrange(2)})
-            a = word_nfa(X, tuple(rng.randrange(X.size)
-                                  for _ in range(rng.randrange(3))))
-            b = word_nfa(X, tuple(rng.randrange(X.size)
-                                  for _ in range(rng.randrange(3))))
+            a = word_set_nfa(X, [tuple(rng.randrange(X.size)
+                                      for _ in range(rng.randrange(3)))])
+            b = word_set_nfa(X, [tuple(rng.randrange(X.size)
+                                      for _ in range(rng.randrange(3)))])
             assert equivalent(apply(t, union(a, b)),
                               union(apply(t, a), apply(t, b)))
 
