@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import itertools
 import os
 import random
@@ -475,23 +476,40 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _run_tag(args, tag: str, bases=None) -> int:
-    """Run one tag's corpus at the command-line sizes; return its failures.
-    A base named twice runs once, in the order first named."""
+def _run_tag(tag: str, bases=None, **sizes) -> int:
+    """Run one tag's corpus; return its failures.  A base named twice runs
+    once, in the order first named."""
     bases = tuple(dict.fromkeys(bases or DEFAULT_BASES[tag]))
-    return run_corpus(iter_instances(
-        tag, max_order=args.max_order, bases=bases,
-        imax=args.imax, jmax=args.jmax, seed=args.seed))
+    return run_corpus(iter_instances(tag, bases=bases, **sizes))
+
+
+# verify's corpus options: the generator parameter each sets, and its flag
+_VERIFY_OPTIONS = {"max_order": "--max-order", "bases": "--base",
+                   "imax": "--imax", "jmax": "--jmax", "seed": "--seed"}
 
 
 def cmd_verify(args) -> int:
-    failures = _run_tag(args, args.tag, args.base)
+    """Run one tag's corpus; an option its instance generator does not read
+    is a usage error, and an option not given takes iter_instances' default."""
+    given = {name: getattr(args, name) for name in _VERIFY_OPTIONS
+             if getattr(args, name) is not None}
+    reads = inspect.signature(REGISTRY[args.tag].instances).parameters
+    unread = [_VERIFY_OPTIONS[name] for name in given if name not in reads]
+    if unread:
+        known = " ".join(flag for name, flag in _VERIFY_OPTIONS.items() if name in reads)
+        print(f"error: verify {args.tag} does not read {' '.join(unread)} "
+              f"(it reads {known})", file=sys.stderr)
+        return 2
+    failures = _run_tag(args.tag, **given)
     print(f"{'PASS' if failures == 0 else 'FAIL'} ({args.tag})")
     return 0 if failures == 0 else 1
 
 
 def cmd_corpus(args) -> int:
-    total_failures = sum(_run_tag(args, tag) for tag in VERIFY_TAGS)
+    total_failures = sum(
+        _run_tag(tag, max_order=args.max_order, imax=args.imax, jmax=args.jmax,
+                 seed=args.seed)
+        for tag in VERIFY_TAGS)
     print("PASS" if total_failures == 0 else f"FAIL ({total_failures} instances)")
     return 0 if total_failures == 0 else 1
 
@@ -551,12 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one theorem verifier over its corpus")
     p.add_argument("tag", choices=VERIFY_TAGS)
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--base", action="append",
+    p.add_argument("--max-order", type=int, help="order bound (default 3)")
+    p.add_argument("--base", action="append", dest="bases",
                    choices=sorted(NAMED_SEMIGROUPS), help="base semigroups for Rees tags")
-    p.add_argument("--imax", type=int, default=2)
-    p.add_argument("--jmax", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--imax", type=int, help="largest I (default 2)")
+    p.add_argument("--jmax", type=int, help="largest J (default 2)")
+    p.add_argument("--seed", type=int, help="randomized-rerun seed (default 0)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="run every theorem verifier")

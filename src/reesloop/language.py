@@ -24,33 +24,6 @@ class AlphabetMismatch(LanguageError):
     pass
 
 
-class NotInvolutive(LanguageError):
-    pass
-
-
-@dataclass(frozen=True)
-class PlainAlphabet:
-    """Symbols without a bar involution (transducer tapes, ad hoc tests)."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        _check_symbols(self.symbols)
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def name(self, letter: int) -> str:
-        return self.symbols[letter]
-
-    def letter(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise LanguageError(f"unknown symbol {name!r}") from None
-
-
 @dataclass(frozen=True)
 class HatAlphabet:
     """X^ = X union X-bar; letter k+i is the bar partner of letter i."""
@@ -98,9 +71,6 @@ class HatAlphabet:
         return self._base_index(symbol)
 
 
-Alphabet = PlainAlphabet | HatAlphabet
-
-
 def _check_symbols(symbols):
     if len(set(symbols)) != len(symbols):
         raise LanguageError("alphabet symbols must be distinct")
@@ -111,7 +81,7 @@ def _check_symbols(symbols):
 
 @dataclass(frozen=True)
 class Nfa:
-    alphabet: Alphabet
+    alphabet: HatAlphabet
     n_states: int
     transitions: frozenset[tuple[int, int | None, int]]
     initial: frozenset[int]
@@ -135,7 +105,7 @@ class Nfa:
 class Dfa:
     """Partial DFA; transitions[p][a] is the successor or None."""
 
-    alphabet: Alphabet
+    alphabet: HatAlphabet
     n_states: int
     transitions: tuple[tuple[int | None, ...], ...]
     initial: int
@@ -479,66 +449,74 @@ def plus(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, a.n_states, frozenset(trans), a.initial, a.final)
 
 
-def _by_state(a: Nfa, backward: bool = False) -> dict[int, list]:
-    """Each state's moves (letter or None, other end), forward or backward."""
-    out: dict[int, list] = {}
+def _moves(a: Nfa, backward: bool = False) -> list[list[tuple]]:
+    """Each state's moves (letter or None, label, other end), forward or
+    backward; an automaton's moves are labelled by the letters they read."""
+    out: list[list[tuple]] = [[] for _ in range(a.n_states)]
     for p, x, q in a.transitions:
         if backward:
             p, q = q, p
-        out.setdefault(p, []).append((x, q))
+        out[p].append((x, x, q))
     return out
 
 
-def _product_moves(a_by, b_by, pair) -> list:
-    """Moves (label, pair) of the synchronized product out of a pair: an
-    epsilon move advances one side, a letter advances both."""
-    p, q = pair
-    out = []
-    for x, p2 in a_by.get(p, ()):
-        if x is None:
-            out.append((None, (p2, q)))
-        else:
-            out.extend((x, (p2, q2)) for y, q2 in b_by.get(q, ()) if y == x)
-    out.extend((None, (p, q2)) for y, q2 in b_by.get(q, ()) if y is None)
-    return out
-
-
-def _pairs_reached(a_by, b_by, start) -> set:
-    return _reach(start, lambda pair: [t for _x, t in _product_moves(a_by, b_by, pair)])
+def _product(a_moves, b_moves, start) -> tuple[dict, list]:
+    """Explore the synchronized product of two move tables from the start
+    pairs.  An epsilon move of the first side advances it alone, unlabelled;
+    one of the second side advances it alone with its label; a letter move
+    of the second side advances both sides, with its label, along the first
+    side's moves on that letter.  Returns the reached pairs numbered in
+    discovery order, and the moves (i, label, j) between those numbers."""
+    eps: list[list[int]] = []
+    step: dict[tuple[int, int], list[int]] = {}
+    for p, row in enumerate(a_moves):
+        eps.append([q for x, _lab, q in row if x is None])
+        for x, _lab, q in row:
+            if x is not None:
+                step.setdefault((p, x), []).append(q)
+    ids = {pair: i for i, pair in enumerate(start)}
+    queue = list(ids)
+    moves = []
+    while queue:
+        pair = queue.pop()
+        p, q = pair
+        out = [(None, (p2, q)) for p2 in eps[p]]
+        for x, lab, q2 in b_moves[q]:
+            if x is None:
+                out.append((lab, (p, q2)))
+            else:
+                for p2 in step.get((p, x), ()):
+                    out.append((lab, (p2, q2)))
+        cur = ids[pair]
+        for lab, nxt in out:
+            i = ids.get(nxt)
+            if i is None:
+                i = ids[nxt] = len(ids)
+                queue.append(nxt)
+            moves.append((cur, lab, i))
+    return ids, moves
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product construction; epsilon moves advance one side at a time."""
     _require_same(a, b)
-    a_by, b_by = _by_state(a), _by_state(b)
-    init = [(p, q) for p in a.initial for q in b.initial]
-    ids = {pair: i for i, pair in enumerate(init)}
-    trans = set()
-    queue = list(init)
-    while queue:
-        pair = queue.pop()
-        cur = ids[pair]
-        for x, nxt in _product_moves(a_by, b_by, pair):
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            trans.add((cur, x, ids[nxt]))
-    n = max(len(ids), 1)
-    final = frozenset(ids[(p, q)] for (p, q) in ids
+    start = [(p, q) for p in a.initial for q in b.initial]
+    ids, moves = _product(_moves(a), _moves(b), start)
+    final = frozenset(i for (p, q), i in ids.items()
                       if p in a.final and q in b.final)
-    return Nfa(a.alphabet, n, frozenset(trans),
-               frozenset(ids[pair] for pair in init), final)
+    return Nfa(a.alphabet, max(len(ids), 1), frozenset(moves),
+               frozenset(range(len(start))), final)
 
 
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:
     """L R^-1 = {w : wr in L for some r in R}.  Final states of L become
     those from which some word of R completes to acceptance: a backward
-    search of the product from its final pairs."""
+    search of the product from its final pairs, which follows r's epsilon
+    moves back to r's initial states."""
     _require_same(l, r)
-    good = _pairs_reached(_by_state(l, backward=True), _by_state(r, backward=True),
-                          [(p, q) for p in l.final for q in r.final])
-    r_start = _closed(_core(r).close, _mask(r.initial))
-    new_final = {p for p, q in good if r_start >> q & 1}
+    good, _ = _product(_moves(l, backward=True), _moves(r, backward=True),
+                       [(p, q) for p in l.final for q in r.final])
+    new_final = {p for p, q in good if q in r.initial}
     return Nfa(l.alphabet, l.n_states, l.transitions, l.initial,
                frozenset(new_final))
 
@@ -547,8 +525,8 @@ def left_quotient(r: Nfa, l: Nfa) -> Nfa:
     """R^-1 L = {w : rw in L for some r in R}.  Initial states of L become
     those reachable from an initial state along some word of R."""
     _require_same(l, r)
-    seen = _pairs_reached(_by_state(l), _by_state(r),
-                          [(p, q) for p in l.initial for q in r.initial])
+    seen, _ = _product(_moves(l), _moves(r),
+                       [(p, q) for p in l.initial for q in r.initial])
     new_initial = {p for p, q in seen if q in r.final}
     return Nfa(l.alphabet, l.n_states, l.transitions,
                frozenset(new_initial), l.final)
@@ -556,8 +534,6 @@ def left_quotient(r: Nfa, l: Nfa) -> Nfa:
 
 def involution_image(a: Nfa) -> Nfa:
     """w -> w-bar: reverse the automaton and bar each letter."""
-    if not isinstance(a.alphabet, HatAlphabet):
-        raise NotInvolutive("alphabet carries no bar involution")
     bar = a.alphabet.bar
     trans = {(q, None if x is None else bar(x), p) for p, x, q in a.transitions}
     return Nfa(a.alphabet, a.n_states, frozenset(trans), a.final, a.initial)
@@ -626,7 +602,7 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
-def relabel(a: Nfa, target: Alphabet, letter_map) -> Nfa:
+def relabel(a: Nfa, target: HatAlphabet, letter_map) -> Nfa:
     """Transport an automaton onto another alphabet via a letter map."""
     trans = {(p, None if x is None else letter_map[x], q)
              for p, x, q in a.transitions}
@@ -636,8 +612,6 @@ def relabel(a: Nfa, target: Alphabet, letter_map) -> Nfa:
 def embed_hat(a: Nfa, target: HatAlphabet) -> Nfa:
     """Embed an automaton over a hat sub-alphabet into a larger hat alphabet,
     matching letters by symbol name and bar sign."""
-    if not isinstance(a.alphabet, HatAlphabet):
-        raise NotInvolutive("embedding requires a hat alphabet")
     lm = {}
     for x in range(a.alphabet.size):
         lm[x] = target.letter(a.alphabet.name(x))
@@ -654,7 +628,7 @@ def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
     return out
 
 
-def parse_word(alphabet: Alphabet, text: str) -> tuple[int, ...]:
+def parse_word(alphabet: HatAlphabet, text: str) -> tuple[int, ...]:
     text = text.strip()
     if text == "-" or not text:
         return ()
@@ -666,10 +640,7 @@ def parse_word(alphabet: Alphabet, text: str) -> tuple[int, ...]:
 def format_automaton(a: Nfa | Dfa) -> str:
     a = as_nfa(a)
     lines = [f"states {a.n_states}"]
-    if isinstance(a.alphabet, HatAlphabet):
-        lines.append("alphabet " + " ".join(a.alphabet.base))
-    else:
-        lines.append("alphabet " + " ".join(a.alphabet.symbols))
+    lines.append("alphabet " + " ".join(a.alphabet.base))
     lines.append("initial " + " ".join(str(q) for q in sorted(a.initial)))
     lines.append("final " + " ".join(str(q) for q in sorted(a.final)))
     for p, x, q in sorted(a.transitions,

@@ -7,8 +7,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .language import AlphabetMismatch, HatAlphabet, LanguageError, Nfa, parse_word
-from .semigroup import GeneratorMap, ParseError, ReesStructure, SemigroupError
+from .language import (AlphabetMismatch, HatAlphabet, LanguageError, Nfa, _moves,
+                       _product, member, word_set_nfa)
+from .semigroup import GeneratorMap, ReesStructure, SemigroupError
 
 
 class HasZero(SemigroupError):
@@ -76,33 +77,9 @@ def normalize(t: Transducer) -> Transducer:
 
 
 def accepts_pair(t: Transducer, u, v) -> bool:
-    """True iff some initial-to-final path spells the pair (u, v); decided by
-    search over (state, input position, output position) triples on the
-    normalized form."""
-    u, v = tuple(u), tuple(v)
-    nt = normalize(t)
-    by_state: dict[int, list] = {}
-    for p, eu, ev, q in nt.edges:
-        by_state.setdefault(p, []).append((eu, ev, q))
-    start = {(p, 0, 0) for p in nt.initial}
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        p, i, j = queue.pop()
-        if i == len(u) and j == len(v) and p in nt.final:
-            return True
-        for eu, ev, q in by_state.get(p, ()):
-            ni = i + len(eu)
-            nj = j + len(ev)
-            if ni > len(u) or nj > len(v):
-                continue
-            if u[i:ni] != eu or v[j:nj] != ev:
-                continue
-            state = (q, ni, nj)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return False
+    """True iff some initial-to-final path spells the pair (u, v): v is in
+    the image of the one-word language {u}."""
+    return member(apply(t, word_set_nfa(t.in_alphabet, [u])), v)
 
 
 def apply(t: Transducer, l: Nfa) -> Nfa:
@@ -112,53 +89,15 @@ def apply(t: Transducer, l: Nfa) -> Nfa:
     if l.alphabet != t.in_alphabet:
         raise AlphabetMismatch("language is not over the transducer input alphabet")
     nt = normalize(t)
-    l_eps: dict[int, set[int]] = {}
-    l_step: dict[tuple[int, int], set[int]] = {}
-    for p, x, q in l.transitions:
-        if x is None:
-            l_eps.setdefault(p, set()).add(q)
-        else:
-            l_step.setdefault((p, x), set()).add(q)
-    ids: dict[tuple[int, int], int] = {}
-
-    def sid(pair):
-        if pair not in ids:
-            ids[pair] = len(ids)
-        return ids[pair]
-
+    t_moves: list[list[tuple]] = [[] for _ in range(nt.n_states)]
+    for p, u, v, q in nt.edges:
+        t_moves[p].append((u[0] if u else None, v[0] if v else None, q))
     start = [(p, s) for p in l.initial for s in nt.initial]
-    for pair in start:
-        sid(pair)
-    trans = set()
-    queue = list(start)
-    seen = set(start)
-
-    def push(cur, lab, pair):
-        trans.add((cur, lab, sid(pair)))
-        if pair not in seen:
-            seen.add(pair)
-            queue.append(pair)
-
-    t_by_state: dict[int, list] = {}
-    for p, eu, ev, q in nt.edges:
-        t_by_state.setdefault(p, []).append((eu, ev, q))
-    while queue:
-        lp, ts = queue.pop()
-        cur = ids[(lp, ts)]
-        for q in l_eps.get(lp, ()):
-            push(cur, None, (q, ts))
-        for eu, ev, tq in t_by_state.get(ts, ()):
-            out = ev[0] if ev else None
-            if not eu:
-                push(cur, out, (lp, tq))
-            else:
-                for lq in l_step.get((lp, eu[0]), ()):
-                    push(cur, out, (lq, tq))
-    n = max(len(ids), 1)
-    final = frozenset(ids[(p, s)] for (p, s) in ids
+    ids, moves = _product(_moves(l), t_moves, start)
+    final = frozenset(i for (p, s), i in ids.items()
                       if p in l.final and s in nt.final)
-    return Nfa(t.out_alphabet, n, frozenset(trans),
-               frozenset(ids[pair] for pair in start), final)
+    return Nfa(t.out_alphabet, max(len(ids), 1), frozenset(moves),
+               frozenset(range(len(start))), final)
 
 
 def choose_words(gmap: GeneratorMap, rng: random.Random | None = None) -> dict[int, tuple[int, ...]]:
@@ -235,66 +174,3 @@ def build_rees_transducer(s_gmap: GeneratorMap, rees: ReesStructure,
                            pair_state(i, j)))
     return Transducer(in_alpha, out_alpha, state_z + 1, frozenset(edges),
                       frozenset({state_a}), frozenset({state_z}))
-
-
-# -- text format ---------------------------------------------------------------
-
-def format_transducer(t: Transducer) -> str:
-    lines = [f"states {t.n_states}",
-             "in-alphabet " + " ".join(t.in_alphabet.base),
-             "out-alphabet " + " ".join(t.out_alphabet.base),
-             "initial " + " ".join(str(q) for q in sorted(t.initial)),
-             "final " + " ".join(str(q) for q in sorted(t.final))]
-
-    def word_text(alpha, w):
-        return " ".join(alpha.name(x) for x in w) if w else "-"
-
-    for p, u, v, q in sorted(t.edges):
-        lines.append(f"{p} {word_text(t.in_alphabet, u)} / {word_text(t.out_alphabet, v)} {q}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_transducer_text(text: str) -> Transducer:
-    raw = text.splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    n_states = None
-    in_base = out_base = None
-    initial: list[int] = []
-    final: list[int] = []
-    edge_lines = []
-    for no, ln in lines:
-        toks = ln.split()
-        if toks[0] == "states":
-            n_states = int(toks[1])
-        elif toks[0] == "in-alphabet":
-            in_base = tuple(toks[1:])
-        elif toks[0] == "out-alphabet":
-            out_base = tuple(toks[1:])
-        elif toks[0] == "initial":
-            initial = [int(x) for x in toks[1:]]
-        elif toks[0] == "final":
-            final = [int(x) for x in toks[1:]]
-        elif "/" in toks:
-            edge_lines.append((no, toks))
-        else:
-            raise ParseError(f"unexpected line {ln!r}", no)
-    if n_states is None or in_base is None or out_base is None:
-        raise ParseError("missing states or alphabet lines", 1)
-    in_alpha = HatAlphabet(in_base)
-    out_alpha = HatAlphabet(out_base)
-    edges = set()
-    for no, toks in edge_lines:
-        try:
-            slash = toks.index("/")
-            p = int(toks[0])
-            q = int(toks[-1])
-            u = parse_word(in_alpha, " ".join(toks[1:slash]))
-            v = parse_word(out_alpha, " ".join(toks[slash + 1:-1]))
-        except (ValueError, LanguageError) as e:
-            raise ParseError(str(e), no) from None
-        edges.add((p, u, v, q))
-    try:
-        return Transducer(in_alpha, out_alpha, n_states, frozenset(edges),
-                          frozenset(initial), frozenset(final))
-    except LanguageError as e:
-        raise ParseError(str(e), 1) from None

@@ -235,6 +235,22 @@ class TestVerify:
     def test_unknown_tag_usage_error(self):
         assert main(["verify", "not-a-tag"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("adjoin-zero", "--base", "c2"),
+        ("semitorees", "--max-order", "1"),
+        ("czeros", "--max-order", "1"),
+    ])
+    def test_option_the_tag_does_not_read_is_a_usage_error(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not read {argv[1]}" in captured.err
+
+    def test_options_the_tag_reads_are_accepted(self):
+        code, out = run_cli("verify", "czeros", "--imax", "1", "--jmax", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS (czeros)"
+
     def test_stream_is_sorted_and_deterministic(self):
         _c1, out1 = run_cli("verify", "rees-quotient", "--max-order", "2")
         _c2, out2 = run_cli("verify", "rees-quotient", "--max-order", "2")

@@ -7,8 +7,6 @@ from reesloop.language import (
     AlphabetMismatch,
     HatAlphabet,
     Nfa,
-    NotInvolutive,
-    PlainAlphabet,
     concat,
     determinize,
     empty_nfa,
@@ -134,11 +132,6 @@ class TestInvolution:
         assert words(involution_image(word_set_nfa(X, [(x,)]))) == {(xb,)}
         assert words(involution_image(word_set_nfa(X, [(x, xb)]))) == {(x, xb)}
         assert words(involution_image(word_set_nfa(X, [(x, xb, x)]))) == {(xb, x, xb)}
-
-    def test_not_involutive(self):
-        a = PlainAlphabet(("p", "q"))
-        with pytest.raises(NotInvolutive):
-            involution_image(word_set_nfa(a, [(0, 1)]))
 
 
 class TestClosures:
