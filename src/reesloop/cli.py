@@ -595,10 +595,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SemigroupError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -37,10 +37,6 @@ class HatAlphabet:
     def size(self) -> int:
         return 2 * len(self.base)
 
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return self.base + tuple("~" + b for b in self.base)
-
     def bar(self, letter: int) -> int:
         k = len(self.base)
         return letter - k if letter >= k else letter + k
@@ -67,9 +63,6 @@ class HatAlphabet:
         except ValueError:
             raise LanguageError(f"unknown symbol {name!r}") from None
 
-    def positive_letter(self, symbol: str) -> int:
-        return self._base_index(symbol)
-
 
 def _check_symbols(symbols):
     if len(set(symbols)) != len(symbols):
@@ -91,10 +84,11 @@ class Nfa:
         for q in self.initial | self.final:
             if not (0 <= q < self.n_states):
                 raise LanguageError(f"state {q} out of range")
+        nletters = self.alphabet.size
         for p, a, q in self.transitions:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise LanguageError(f"transition state out of range: {(p, a, q)}")
-            if a is not None and not (0 <= a < self.alphabet.size):
+            if a is not None and not (0 <= a < nletters):
                 raise LanguageError(f"letter {a} out of range")
 
     def __repr__(self):
@@ -130,11 +124,6 @@ class Dfa:
 
     def __repr__(self):
         return f"Dfa(states={self.n_states}, minimal={self.minimal})"
-
-
-def nfa(alphabet, n_states, transitions, initial, final) -> Nfa:
-    return Nfa(alphabet, n_states, frozenset(tuple(t) for t in transitions),
-               frozenset(initial), frozenset(final))
 
 
 def as_nfa(a: Nfa | Dfa) -> Nfa:
@@ -274,16 +263,6 @@ def _reach(start, succ) -> set:
     return seen
 
 
-def _live(succ: list[list[int]], initial, final) -> set[int]:
-    """States both reachable from initial and co-accessible to final, where
-    succ[p] lists the successors of p."""
-    pred: list[list[int]] = [[] for _ in succ]
-    for p, qs in enumerate(succ):
-        for q in qs:
-            pred[q].append(p)
-    return _reach(initial, succ.__getitem__) & _reach(final, pred.__getitem__)
-
-
 def determinize(a: Nfa) -> Dfa:
     """Subset construction over the closed rows; no dead state is kept."""
     core = _core(a)
@@ -314,42 +293,43 @@ def determinize(a: Nfa) -> Dfa:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Moore partition refinement on the trimmed partial DFA, renumbered
-    canonically by breadth-first order; equivalent inputs yield identical
-    outputs."""
+    """Moore partition refinement, renumbered canonically by breadth-first
+    order; equivalent inputs yield identical outputs.  The implicit dead
+    state is one more block: state n, non-final, the target of its own
+    moves and of every None move of d.  States with an empty future refine
+    into its block, which the renumbering never emits, and unreachable
+    states are never reached, so there is no trim pass."""
+    n = d.n_states
     nletters = d.alphabet.size
-    keep = sorted(_live([[q for q in row if q is not None] for row in d.transitions],
-                        (d.initial,), d.final))
-    if d.initial not in keep:
-        return Dfa(d.alphabet, 1, ((None,) * nletters,), 0, frozenset(),
-                   minimal=True)
-    n = dead = len(keep)  # kept states are 0..n-1; the implicit dead state is n
-    idx = dict.fromkeys((None, *range(d.n_states)), dead)
-    idx.update((p, i) for i, p in enumerate(keep))
-    trans = [tuple(map(idx.__getitem__, d.transitions[p])) for p in keep]
-    final = {idx[p] for p in d.final if idx[p] != dead}
-    cls = [1 if p in final else 0 for p in range(n)] + [-1]
+    trans = [[n if q is None else q for q in row] for row in d.transitions]
+    trans.append([n] * nletters)
+    cls = [0] * (n + 1)
+    for p in d.final:
+        cls[p] = 1
     while True:
         sigs: dict[tuple, int] = {}
         of = cls.__getitem__
-        new = [sigs.setdefault((cls[p], *map(of, trans[p])), len(sigs))
-               for p in range(n)] + [-1]
+        new = [sigs.setdefault((c, *map(of, row)), len(sigs))
+               for c, row in zip(cls, trans)]
         if new == cls:
             break
         cls = new
+    start, dead = cls[d.initial], cls[n]
+    if start == dead:
+        return Dfa(d.alphabet, 1, ((None,) * nletters,), 0, frozenset(),
+                   minimal=True)
     rep = {}
-    for p in range(n):
-        rep.setdefault(cls[p], p)
-    order = {cls[idx[d.initial]]: 0}
-    queue = list(order)
+    for p, c in enumerate(cls):
+        rep.setdefault(c, p)
+    order = {start: 0}
+    queue = [start]
     for c in queue:
         for q in trans[rep[c]]:
-            if q != dead and cls[q] not in order:
+            if cls[q] not in order and cls[q] != dead:
                 order[cls[q]] = len(order)
                 queue.append(cls[q])
-    rows = tuple(tuple(None if q == dead else order[cls[q]] for q in trans[rep[c]])
-                 for c in order)
-    fin = frozenset(i for c, i in order.items() if rep[c] in final)
+    rows = tuple(tuple(order.get(cls[q]) for q in trans[rep[c]]) for c in order)
+    fin = frozenset(i for c, i in order.items() if rep[c] in d.final)
     return Dfa(d.alphabet, len(rows), rows, 0, fin, minimal=True)
 
 
@@ -358,8 +338,12 @@ def minimal_dfa(a: Nfa | Dfa) -> Dfa:
 
 
 def member(a: Nfa | Dfa, word) -> bool:
-    """State-set simulation."""
+    """State-set simulation; a letter outside the alphabet is an error."""
     a = as_nfa(a)
+    word = tuple(word)
+    for x in word:
+        if not 0 <= x < a.alphabet.size:
+            raise LanguageError(f"letter {x} out of range")
     core = _core(a)
     mask = _closed(core.close, _mask(a.initial))
     for x in word:
@@ -542,9 +526,12 @@ def involution_image(a: Nfa) -> Nfa:
 def trim(a: Nfa) -> Nfa:
     """Keep only states both reachable and co-accessible."""
     succ: list[list[int]] = [[] for _ in range(a.n_states)]
+    pred: list[list[int]] = [[] for _ in range(a.n_states)]
     for p, _x, q in a.transitions:
         succ[p].append(q)
-    keep = sorted(_live(succ, a.initial, a.final))
+        pred[q].append(p)
+    keep = sorted(_reach(a.initial, succ.__getitem__)
+                  & _reach(a.final, pred.__getitem__))
     if not keep:
         return empty_nfa(a.alphabet)
     idx = {p: i for i, p in enumerate(keep)}

@@ -138,9 +138,6 @@ class FiniteSemigroup:
         except ValueError:
             raise SemigroupError(f"no element labelled {label!r}") from None
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order})"
 
@@ -211,12 +208,6 @@ class GeneratorMap:
         for x in it:
             acc = self.target.mul(acc, self.image[x])
         return acc
-
-    def letter(self, symbol: str) -> int:
-        try:
-            return self.alphabet.index(symbol)
-        except ValueError:
-            raise SemigroupError(f"no generator symbol {symbol!r}") from None
 
 
 def full_generator_map(s: FiniteSemigroup) -> GeneratorMap:

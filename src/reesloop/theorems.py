@@ -51,6 +51,7 @@ from .semigroup import (
     SandwichMatrix,
     SemigroupError,
     ZERO,
+    _fresh_label,
     adjoin_zero,
     all_subsemigroups,
     enumerate_semigroups,
@@ -177,8 +178,8 @@ def _quotient_formula_rhs(gmap: GeneratorMap, ideal, la: LoopAutomaton) -> tuple
     r_nfa = word_set_nfa(big, reps)
     r_bar = involution_image(r_nfa)
     l_1t = right_quotient(l_nfa, r_bar)
-    l_tt = right_quotient(left_quotient(r_nfa, l_nfa), r_bar)
     l_t1 = left_quotient(r_nfa, l_nfa)
+    l_tt = right_quotient(l_t1, r_bar)
     rhs = union(l_nfa, concat(concat(l_1t, star(l_tt)), l_t1))
     ident = {la.identity_state}
     checks = []
@@ -237,17 +238,10 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
                    {"order": s.order, "t_size": len(tset), "weakly_pru": wpru}, t0)
 
 
-def _fresh_symbol(symbols, base: str) -> str:
-    sym = base
-    while sym in symbols:
-        sym += "'"
-    return sym
-
-
 def extend_to_zero(gmap: GeneratorMap) -> GeneratorMap:
     """The unique extension of sigma to S^0, one fresh letter to the zero."""
     s0 = adjoin_zero(gmap.target)
-    z = _fresh_symbol(gmap.alphabet, "z")
+    z = _fresh_label(gmap.alphabet, "z")
     return GeneratorMap(gmap.alphabet + (z,), s0, gmap.image + (s0.zero,))
 
 
@@ -393,7 +387,7 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     tset = frozenset(rho)
     x_symbols: list[str] = []
     for sym in gmap.alphabet:
-        x_symbols.append(_fresh_symbol(m.labels + tuple(x_symbols), sym))
+        x_symbols.append(_fresh_label(m.labels + tuple(x_symbols), sym))
     x_symbols = tuple(x_symbols)
     y_symbols = x_symbols + m.labels
     tau = GeneratorMap(y_symbols, m,

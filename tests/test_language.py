@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from reesloop.language import (
     AlphabetMismatch,
+    Dfa,
     HatAlphabet,
+    LanguageError,
     Nfa,
     concat,
     determinize,
@@ -67,6 +69,14 @@ class TestBasics:
         a = word_set_nfa(X, [(x, xb)])
         assert member(a, (x, xb))
         assert not member(a, (x,))
+
+    @pytest.mark.parametrize("letter", [-1, 2])
+    def test_member_rejects_letters_outside_the_alphabet(self, letter):
+        # -1 would index the last letter of a row, ~x; 2 is past its end
+        a = word_set_nfa(X, [(xb,)])
+        for aut in (a, determinize(a)):
+            with pytest.raises(LanguageError):
+                member(aut, (letter,))
 
     def test_star_idempotent(self):
         a = word_set_nfa(X, [(x,)])
@@ -343,6 +353,70 @@ def test_products_accept_the_reference_words(l, r):
             if any(p2 in l.final and q in r.final
                    for p2, q in ref_pairs(l, r, {(p, q0) for q0 in r.initial}))}
     assert set(enumerate_words(right_quotient(l, r), 5)) == ref_words(l, final=ends)
+
+
+def partial_dfas(draw, alphabet):
+    n = draw(st.integers(1, 6))
+    target = st.none() | st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(*[target] * alphabet.size), min_size=n, max_size=n))
+    initial = draw(st.integers(0, n - 1))
+    final = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    return Dfa(alphabet, n, tuple(rows), initial, final)
+
+
+partial_dfa = st.composite(partial_dfas)(HatAlphabet(("x", "y")))
+
+
+def renumbered(d, perm):
+    rows = [None] * d.n_states
+    for p, row in enumerate(d.transitions):
+        rows[perm[p]] = tuple(None if q is None else perm[q] for q in row)
+    return Dfa(d.alphabet, d.n_states, tuple(rows), perm[d.initial],
+               frozenset(perm[p] for p in d.final))
+
+
+def with_unreachable(draw, d):
+    """d plus one to three states that no state of d moves to."""
+    n = d.n_states + draw(st.integers(1, 3))
+    target = st.none() | st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(*[target] * d.alphabet.size),
+                          min_size=n - d.n_states, max_size=n - d.n_states))
+    final = draw(st.frozensets(st.integers(d.n_states, n - 1)))
+    return Dfa(d.alphabet, n, d.transitions + tuple(extra), d.initial,
+               d.final | final)
+
+
+def reached(d, start, backward=False):
+    edges = {(q, p) if backward else (p, q)
+             for p, row in enumerate(d.transitions) for q in row if q is not None}
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for a, b in edges:
+            if a == p and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_dfa, st.data())
+def test_minimize_partial_dfas(d, data):
+    # partial DFAs with unreachable states, dead ends and empty languages;
+    # up to six states, so a nonempty language has a word of length <= 5
+    m = minimize(d)
+    ref = dfa_words(d)
+    assert dfa_words(m) == ref
+    states = set(range(m.n_states))
+    if ref:
+        assert reached(m, {m.initial}) == states == reached(m, m.final, backward=True)
+    else:
+        assert m == Dfa(d.alphabet, 1, ((None,) * d.alphabet.size,), 0,
+                        frozenset(), minimal=True)
+    perm = data.draw(st.permutations(range(d.n_states)))
+    assert minimize(renumbered(d, perm)) == m
+    assert minimize(data.draw(st.composite(with_unreachable)(d))) == m
 
 
 class TestTextFormat:

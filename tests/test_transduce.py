@@ -4,6 +4,7 @@ import pytest
 
 from reesloop.language import (
     HatAlphabet,
+    LanguageError,
     concat,
     empty_nfa,
     enumerate_words,
@@ -124,6 +125,12 @@ class TestAcceptsPair:
             assert accepts_pair(t, w, w)
             if w:
                 assert not accepts_pair(t, w, ())
+
+    def test_output_letter_outside_the_alphabet(self):
+        # -1 would index the last letter of a row, ~x
+        t = identity_transducer(X)
+        with pytest.raises(LanguageError):
+            accepts_pair(t, (X.letter("~x"),), (-1,))
 
     def test_empty_transducer(self):
         t = transducer(X, Y, 1, [], {0}, set())
