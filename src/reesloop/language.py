@@ -5,6 +5,13 @@ permitted in an Nfa.  State sets are integer bitmasks internally, and each
 operation that simulates an Nfa (determinize, member, enumerate_words)
 closes its epsilon moves once per automaton into successor rows: for each
 state, every letter with the epsilon closure of that letter's successors.
+
+A state is silent when it has no letter move and is not final, as are most
+states of a transducer image, which only pass epsilon moves on.  A silent
+state in a subset changes neither its successors nor its acceptance, so
+determinize(a, keep_silent=False) drops them from every subset; minimal_dfa
+and shortest_separator determinize that way, and their results depend only
+on the language.  Plain determinize keeps the full closed subsets.
 """
 
 from __future__ import annotations
@@ -194,13 +201,15 @@ def _mask(states) -> int:
 
 
 class _Core(NamedTuple):
-    close: list[int]  # close[p]: the epsilon closure of p
+    close: list[int]  # close[p]: epsilon closure of p, less dropped silent states
     rows: list[tuple[int, ...]]  # rows[p][x]: closed successors of p under x
     active: int  # the states with a letter move; rows[p] is () for the rest
     nletters: int
 
 
-def _core(a: Nfa) -> _Core:
+def _core(a: Nfa, keep_silent: bool = True) -> _Core:
+    """The closures and rows of a.  With keep_silent=False each closure
+    drops the silent states, and so does every row built from them."""
     eps = [0] * a.n_states
     step: dict[tuple[int, int], int] = {}
     for p, x, q in a.transitions:
@@ -218,6 +227,11 @@ def _core(a: Nfa) -> _Core:
             mask |= add
             todo |= add
         close.append(mask)
+    active = _mask(p for p, _x in step)
+    if not keep_silent:
+        keep = active | _mask(a.final)
+        if keep != (1 << a.n_states) - 1:
+            close = [c & keep for c in close]
     nletters = a.alphabet.size
     dense: dict[int, list[int]] = {}
     for (p, x), succ in step.items():
@@ -225,7 +239,7 @@ def _core(a: Nfa) -> _Core:
     rows: list[tuple[int, ...]] = [()] * a.n_states
     for p, row in dense.items():
         rows[p] = tuple(row)
-    return _Core(close, rows, _mask(dense), nletters)
+    return _Core(close, rows, active, nletters)
 
 
 def _closed(close: list[int], mask: int) -> int:
@@ -263,9 +277,16 @@ def _reach(start, succ) -> set:
     return seen
 
 
-def determinize(a: Nfa) -> Dfa:
-    """Subset construction over the closed rows; no dead state is kept."""
-    core = _core(a)
+def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
+    """Subset construction over the closed rows; no dead state is kept.
+
+    By default each subset is the full epsilon-closed state set.  With
+    keep_silent=False every subset drops its silent states (no letter move,
+    not final): they change neither a subset's successors nor its
+    acceptance, so the language is the same and there are never more
+    subsets.  The states are masked once per call, in the closures that
+    the start set and the rows are built from."""
+    core = _core(a, keep_silent)
     start = _closed(core.close, _mask(a.initial))
     fmask = _mask(a.final)
     nletters = a.alphabet.size
@@ -334,7 +355,7 @@ def minimize(d: Dfa) -> Dfa:
 
 
 def minimal_dfa(a: Nfa | Dfa) -> Dfa:
-    return minimize(a if isinstance(a, Dfa) else determinize(a))
+    return minimize(a if isinstance(a, Dfa) else determinize(a, keep_silent=False))
 
 
 def member(a: Nfa | Dfa, word) -> bool:
@@ -356,8 +377,8 @@ def member(a: Nfa | Dfa, word) -> bool:
 def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     """Shortest word in the symmetric difference (BFS on the synchronized
     product with implicit dead states), or None when equivalent."""
-    da = a if isinstance(a, Dfa) else determinize(a)
-    db = b if isinstance(b, Dfa) else determinize(b)
+    da = a if isinstance(a, Dfa) else determinize(a, keep_silent=False)
+    db = b if isinstance(b, Dfa) else determinize(b, keep_silent=False)
     if da.alphabet != db.alphabet:
         raise AlphabetMismatch("cannot compare over different alphabets")
     nletters = da.alphabet.size
@@ -613,13 +634,6 @@ def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
     for b in base_symbols:
         out.append(target.letter("~" + b))
     return out
-
-
-def parse_word(alphabet: HatAlphabet, text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if text == "-" or not text:
-        return ()
-    return tuple(alphabet.letter(tok) for tok in text.split())
 
 
 # -- text format --------------------------------------------------------------

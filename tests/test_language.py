@@ -34,6 +34,9 @@ from reesloop.language import (
     universe_nfa,
     word_set_nfa,
 )
+from reesloop.loops import loop_problem
+from reesloop.semigroup import NAMED_SEMIGROUPS, full_generator_map, rees_matrix, sandwich
+from reesloop.transduce import apply, build_rees_transducer
 
 X = HatAlphabet(("x",))
 x = X.letter("x")
@@ -417,6 +420,68 @@ def test_minimize_partial_dfas(d, data):
     perm = data.draw(st.permutations(range(d.n_states)))
     assert minimize(renumbered(d, perm)) == m
     assert minimize(data.draw(st.composite(with_unreachable)(d))) == m
+
+
+# -- subsets without silent states ---------------------------------------------
+
+ROLES = ("silent", "epsilon-final", "dead-end", "letters")
+
+
+def role_nfas(draw, alphabet):
+    """NFAs whose states each take a role: silent (epsilon moves only, not
+    final), final with epsilon moves only, a dead end (no moves, final or
+    not), or with one to three moves of any letter or epsilon."""
+    n = draw(st.integers(1, 7))
+    roles = draw(st.lists(st.sampled_from(ROLES), min_size=n, max_size=n))
+    state = st.integers(0, n - 1)
+    letter = st.sampled_from([None] + list(range(alphabet.size)))
+    trans = set()
+    final = set()
+    for p, role in enumerate(roles):
+        if role in ("silent", "epsilon-final"):
+            trans |= {(p, None, q) for q in draw(st.frozensets(state, max_size=2))}
+        elif role == "letters":
+            moves = draw(st.frozensets(st.tuples(letter, state), min_size=1, max_size=3))
+            trans |= {(p, x, q) for x, q in moves}
+        if role == "epsilon-final" or (role != "silent" and draw(st.booleans())):
+            final.add(p)
+    initial = draw(st.frozensets(state, min_size=1, max_size=2))
+    return Nfa(alphabet, n, frozenset(trans), initial, frozenset(final))
+
+
+role_nfa = st.composite(role_nfas)(HatAlphabet(("x", "y")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(role_nfa)
+def test_dropping_silent_states_keeps_the_minimal_dfa(a):
+    full = determinize(a)
+    cut = determinize(a, keep_silent=False)
+    assert minimize(cut) == minimize(full)
+    assert cut.n_states <= full.n_states
+
+
+@settings(max_examples=200, deadline=None)
+@given(role_nfa, role_nfa)
+def test_nfa_separator_is_the_separator_of_the_full_dfas(a, b):
+    # shortest_separator determinizes NFAs without their silent states; the
+    # full subset automata are the reference
+    assert shortest_separator(a, b) == shortest_separator(determinize(a), determinize(b))
+    assert shortest_separator(a, determinize(a)) is None
+
+
+def test_rees_probe_subsets_with_and_without_silent_states():
+    # star(image) for semitorees c3, I = J = 2, P = g2,g2;g,e: 17 of its 358
+    # states have a letter move and one is final
+    c3 = NAMED_SEMIGROUPS["c3"]()
+    gmap = full_generator_map(c3)
+    p = sandwich([[c3.index(v) for v in row] for row in (("g2", "g2"), ("g", "e"))])
+    m, rs = rees_matrix(c3, 2, 2, p, with_zero=False)
+    trans = build_rees_transducer(gmap, rs, full_generator_map(m))
+    rhs = star(apply(trans, loop_problem(gmap)))
+    assert rhs.n_states == 358
+    assert determinize(rhs).n_states == 1969
+    assert determinize(rhs, keep_silent=False).n_states == 132
 
 
 class TestTextFormat:

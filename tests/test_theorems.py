@@ -308,6 +308,33 @@ class TestFormulaMutations:
         self._fails("subsemigroup", "n2i0:T=s0", 2,
                     theorems.verify_subsemigroup_intersection, "s1.~s1")
 
+    def test_semitoreeszero_needs_the_star_on_ltt(self, monkeypatch):
+        monkeypatch.setattr(theorems, "star", lambda a: a)
+        self._fails("semitoreeszero", "trivial:I1J2:P=e;e", 1,
+                    theorems.verify_semitoreeszero,
+                    "(1,0,1).~(1,e,2).(1,e,1).~(1,e,2).(1,e,1).~(1,0,2)")
+
+    def test_unit_sandwich_needs_the_restriction_to_the_base_letters(self, monkeypatch):
+        monkeypatch.setattr(theorems, "universe_nfa",
+                            lambda alphabet, letters=None: universe_nfa(alphabet))
+        self._fails("unit-sandwich", "c2:I1J1:P=g", 1,
+                    theorems.verify_unit_sandwich, "e.~(1,g,1)")
+
+    def test_czeros_needs_the_star_in_its_semitoreeszero_leg(self, monkeypatch):
+        # the main comparison of czeros still holds; the FAIL line carries
+        # the separator of the semitoreeszero report on the Rees coordinates
+        monkeypatch.setattr(theorems, "star", lambda a: a)
+
+        def leg(s, _gmap):
+            dec = theorems.rees_decompose(s)
+            return theorems.verify_semitoreeszero(
+                dec.group, full_generator_map(dec.group), dec.i_count,
+                dec.j_count, dec.sandwich)
+
+        self._fails("czeros", "b2", 1, leg,
+                    "(1,0,1).~(1,(1,e,1),2).(1,(1,e,1),1).~(1,(1,e,1),2)"
+                    ".(1,(1,e,1),1).~(1,0,2)")
+
 
 class TestReporting:
     def test_result_line_and_format(self):
