@@ -5,6 +5,9 @@ permitted in an Nfa.  State sets are integer bitmasks internally, and each
 operation that simulates an Nfa (determinize, member, enumerate_words)
 closes its epsilon moves once per automaton into successor rows: for each
 state, every letter with the epsilon closure of that letter's successors.
+The rows are indexed in one pass over the transitions; only the states
+with an epsilon move are searched for their closures, and only row entries
+that hold one of them are closed.
 
 A state is silent when it has no letter move and is not final, as are most
 states of a transducer image, which only pass epsilon moves on.  A silent
@@ -182,9 +185,12 @@ def universe_nfa(alphabet, letters=None) -> Nfa:
 #
 # State sets are integer bitmasks.  _core closes an automaton's epsilon moves
 # once per call into successor rows: rows[p][x] is the epsilon closure of the
-# successors of p under letter x.  Closure distributes over union, so the
-# successor of a closed state set under a letter is the OR of its members'
-# rows, and one pass over the set's bits yields every letter's successor.
+# successors of p under letter x.  One pass over the transitions ORs each
+# letter move into its state's row and collects the epsilon moves of the
+# states that have them; the closure search starts only from those states.
+# Closure distributes over union, so the successor of a closed state set
+# under a letter is the OR of its members' rows, and one pass over the set's
+# bits yields every letter's successor.
 
 def _bits(mask: int):
     while mask:
@@ -208,37 +214,44 @@ class _Core(NamedTuple):
 
 
 def _core(a: Nfa, keep_silent: bool = True) -> _Core:
-    """The closures and rows of a.  With keep_silent=False each closure
-    drops the silent states, and so does every row built from them."""
-    eps = [0] * a.n_states
-    step: dict[tuple[int, int], int] = {}
+    """The closures and rows of a, indexed in one pass over its moves.
+    Only the states with an epsilon move (the wide states) are searched;
+    every other state closes to itself, so a row entry that holds no wide
+    state is closed already.  With keep_silent=False each closure drops the
+    silent states, and so does every row built from them."""
+    n = a.n_states
+    nletters = a.alphabet.size
+    dense: dict[int, list[int]] = {}
+    eps: dict[int, int] = {}
     for p, x, q in a.transitions:
         if x is None:
-            eps[p] |= 1 << q
+            eps[p] = eps.get(p, 0) | 1 << q
         else:
-            step[p, x] = step.get((p, x), 0) | 1 << q
-    close = []
-    for p in range(a.n_states):
+            row = dense.get(p)
+            if row is None:
+                row = dense[p] = [0] * nletters
+            row[x] |= 1 << q
+    close = [1 << p for p in range(n)]
+    wide = 0
+    for p in eps:
         mask = todo = 1 << p
         while todo:
             low = todo & -todo
             todo ^= low
-            add = eps[low.bit_length() - 1] & ~mask
+            add = eps.get(low.bit_length() - 1, 0) & ~mask
             mask |= add
             todo |= add
-        close.append(mask)
-    active = _mask(p for p, _x in step)
-    if not keep_silent:
-        keep = active | _mask(a.final)
-        if keep != (1 << a.n_states) - 1:
-            close = [c & keep for c in close]
-    nletters = a.alphabet.size
-    dense: dict[int, list[int]] = {}
-    for (p, x), succ in step.items():
-        dense.setdefault(p, [0] * nletters)[x] = _closed(close, succ)
-    rows: list[tuple[int, ...]] = [()] * a.n_states
+        close[p] = mask
+        wide |= 1 << p
+    active = _mask(dense)
+    everything = (1 << n) - 1
+    keep = everything if keep_silent else active | _mask(a.final)
+    if keep != everything:
+        close = [c & keep for c in close]
+    rows: list[tuple[int, ...]] = [()] * n
     for p, row in dense.items():
-        rows[p] = tuple(row)
+        rows[p] = tuple([_closed(close, m) if m & wide else m & keep
+                         for m in row])
     return _Core(close, rows, active, nletters)
 
 
@@ -511,6 +524,25 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
                       if p in a.final and q in b.final)
     return Nfa(a.alphabet, max(len(ids), 1), frozenset(moves),
                frozenset(range(len(start))), final)
+
+
+def restrict(a: Nfa, letters) -> Nfa:
+    """a without the moves on letters outside the given ones: its epsilon
+    moves and its moves on letters, between the states they reach from
+    a.initial, renumbered in sorted order.  It has the states and moves of
+    intersect(a, universe_nfa(a.alphabet, letters)), without a product walk."""
+    allowed = {None, *letters}
+    succ: list[list[int]] = [[] for _ in range(a.n_states)]
+    for p, x, q in a.transitions:
+        if x in allowed:
+            succ[p].append(q)
+    keep = sorted(_reach(a.initial, succ.__getitem__))
+    idx = {p: i for i, p in enumerate(keep)}
+    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
+             if x in allowed and p in idx}
+    return Nfa(a.alphabet, max(len(keep), 1), frozenset(trans),
+               frozenset(idx[p] for p in a.initial),
+               frozenset(idx[p] for p in a.final if p in idx))
 
 
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:

@@ -26,11 +26,11 @@ from .language import (
     Nfa,
     concat,
     embed_hat,
-    intersect,
     involution_image,
     left_quotient,
     minimal_dfa,
     prefix_closure,
+    restrict,
     right_quotient,
     shortest_separator,
     star,
@@ -38,7 +38,6 @@ from .language import (
     suffix_closure,
     sub_hat_letters,
     union,
-    universe_nfa,
     word_set_nfa,
 )
 from .loops import LoopAutomaton, loop_automaton, loop_problem, non_returning_language, path_language
@@ -233,7 +232,7 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
         raise RestrictionNotOntoT("restricted generators do not generate T") from None
     big = HatAlphabet(tau.alphabet)
     lhs = embed_hat(loop_problem(sigma), big)
-    rhs = intersect(loop_problem(tau), universe_nfa(big, sub_hat_letters(big, x_symbols)))
+    rhs = restrict(loop_problem(tau), sub_hat_letters(big, x_symbols))
     return _finish("subsemigroup", lhs, rhs, [],
                    {"order": s.order, "t_size": len(tset), "weakly_pru": wpru}, t0)
 
@@ -397,7 +396,7 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     lhs_small = lang.relabel(loop_problem(gmap), small,
                              _hat_letter_map(HatAlphabet(gmap.alphabet), small))
     lhs = embed_hat(lhs_small, big)
-    rhs = intersect(loop_problem(tau), universe_nfa(big, sub_hat_letters(big, x_symbols)))
+    rhs = restrict(loop_problem(tau), sub_hat_letters(big, x_symbols))
     return _finish("unit-sandwich", lhs, rhs, [],
                    {"order": s.order, "m_order": m.order,
                     "column": (i0, j0), "weakly_pru": is_weakly_pru(m, tset)}, t0)

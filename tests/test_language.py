@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reesloop.language import (
     AlphabetMismatch,
@@ -25,6 +25,7 @@ from reesloop.language import (
     parse_automaton_text,
     plus,
     prefix_closure,
+    restrict,
     right_quotient,
     shortest_separator,
     star,
@@ -33,6 +34,9 @@ from reesloop.language import (
     union,
     universe_nfa,
     word_set_nfa,
+    _closed,
+    _core,
+    _mask,
 )
 from reesloop.loops import loop_problem
 from reesloop.semigroup import NAMED_SEMIGROUPS, full_generator_map, rees_matrix, sandwich
@@ -482,6 +486,58 @@ def test_rees_probe_subsets_with_and_without_silent_states():
     assert rhs.n_states == 358
     assert determinize(rhs).n_states == 1969
     assert determinize(rhs, keep_silent=False).n_states == 132
+
+
+# -- the one-pass index ---------------------------------------------------------
+
+Y = HatAlphabet(("x", "y"))
+
+
+def without_epsilon(a):
+    return Nfa(a.alphabet, a.n_states,
+               frozenset(t for t in a.transitions if t[1] is not None),
+               a.initial, a.final)
+
+
+any_nfa = st.one_of(eps_nfa, role_nfa, eps_nfa.map(without_epsilon))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_nfa, st.booleans())
+# an epsilon cycle that a letter move leads back into, an epsilon self-loop
+# on a final state with only epsilon moves, and an NFA with no epsilon move
+@example(Nfa(Y, 4, frozenset({(0, None, 1), (1, None, 0), (1, 0, 0), (1, 1, 2),
+                              (2, None, 2), (2, None, 3), (3, None, 1)}),
+             frozenset({0}), frozenset({2})), False)
+@example(Nfa(Y, 3, frozenset({(0, 0, 1), (1, 2, 2), (2, 3, 0)}),
+             frozenset({0}), frozenset({2})), True)
+def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
+    # every row entry is the reference closure of that letter's successors,
+    # less the dropped silent states (no letter move, not final)
+    moves = ref_moves(a)
+    lettered = {p for p, x in moves if x is not None}
+    keep = set(range(a.n_states)) if keep_silent else lettered | a.final
+    core = _core(a, keep_silent)
+    assert core.active == _mask(lettered)
+    assert core.nletters == a.alphabet.size
+    assert _closed(core.close, _mask(a.initial)) == _mask(ref_close(moves, a.initial) & keep)
+    for p in range(a.n_states):
+        assert core.close[p] == _mask(ref_close(moves, {p}) & keep)
+        want = tuple(_mask(ref_close(moves, moves.get((p, x), ())) & keep)
+                     for x in range(a.alphabet.size))
+        assert core.rows[p] == (want if p in lettered else ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps_nfa, st.frozensets(st.integers(0, 3)))
+def test_restrict_is_the_intersection_with_a_universe(a, letters):
+    r = restrict(a, letters)
+    prod = intersect(a, universe_nfa(a.alphabet, letters))
+    def counts(b):
+        return b.n_states, len(b.transitions), len(b.initial), len(b.final)
+    assert counts(r) == counts(prod)
+    assert ref_words(r) == ref_words(prod) == {w for w in ref_words(a)
+                                                if set(w) <= letters}
 
 
 class TestTextFormat:

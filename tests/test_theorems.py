@@ -4,7 +4,7 @@ import pytest
 
 from reesloop import theorems
 from reesloop.cli import iter_instances, run_job
-from reesloop.language import empty_nfa, member, universe_nfa, word_set_nfa
+from reesloop.language import empty_nfa, epsilon_nfa, member, union, word_set_nfa
 from reesloop.semigroup import (
     NotAnIdeal,
     ZERO,
@@ -282,6 +282,7 @@ class TestFormulaMutations:
         rep = verifier(*job[1])
         assert not rep.holds and rep.separator_text() == separator
         assert member(rep.lhs, rep.separator) != member(rep.rhs, rep.separator)
+        return rep
 
     def test_rees_quotient_needs_the_star_on_ltt(self, monkeypatch):
         monkeypatch.setattr(theorems, "star", lambda a: a)
@@ -302,9 +303,18 @@ class TestFormulaMutations:
         self._fails("semitorees", "c2:I1J2:P=e;g", 1,
                     theorems.verify_semitorees, "-")
 
+    def test_semitorees_needs_more_than_one_factor(self, monkeypatch):
+        # with at most one factor of the image, a loop through two Rees
+        # rows is lost; unlike the control above, the separator is nonempty
+        monkeypatch.setattr(theorems, "star",
+                            lambda a: union(epsilon_nfa(a.alphabet), a))
+        rep = self._fails("semitorees", "trivial:I2J1:P=e,e", 1,
+                          theorems.verify_semitorees,
+                          "(1,e,1).~(1,e,1).(2,e,1).~(2,e,1)")
+        assert member(rep.lhs, rep.separator)
+
     def test_subsemigroup_needs_the_restriction_to_x(self, monkeypatch):
-        monkeypatch.setattr(theorems, "universe_nfa",
-                            lambda alphabet, letters=None: universe_nfa(alphabet))
+        monkeypatch.setattr(theorems, "restrict", lambda a, letters: a)
         self._fails("subsemigroup", "n2i0:T=s0", 2,
                     theorems.verify_subsemigroup_intersection, "s1.~s1")
 
@@ -315,8 +325,7 @@ class TestFormulaMutations:
                     "(1,0,1).~(1,e,2).(1,e,1).~(1,e,2).(1,e,1).~(1,0,2)")
 
     def test_unit_sandwich_needs_the_restriction_to_the_base_letters(self, monkeypatch):
-        monkeypatch.setattr(theorems, "universe_nfa",
-                            lambda alphabet, letters=None: universe_nfa(alphabet))
+        monkeypatch.setattr(theorems, "restrict", lambda a, letters: a)
         self._fails("unit-sandwich", "c2:I1J1:P=g", 1,
                     theorems.verify_unit_sandwich, "e.~(1,g,1)")
 
