@@ -3,11 +3,13 @@
 Automata are partial (no explicit dead state); epsilon transitions are
 permitted in an Nfa.  State sets are integer bitmasks internally, and each
 operation that simulates an Nfa (determinize, member, enumerate_words)
-closes its epsilon moves once per automaton into successor rows: for each
-state, every letter with the epsilon closure of that letter's successors.
-The rows are indexed in one pass over the transitions; only the states
-with an epsilon move are searched for their closures, and only row entries
-that hold one of them are closed.
+closes its epsilon moves once per automaton into successor rows: one
+integer per state that packs, letter after letter in chunks of n_states
+bits, the epsilon closure of that letter's successors.  A state set's
+successors under every letter are then one OR of its members' rows.  The
+rows are indexed in one pass over the transitions; only the states with an
+epsilon move are searched for their closures, and only chunks that hold
+one of them are closed.
 
 A state is silent when it has no letter move and is not final, as are most
 states of a transducer image, which only pass epsilon moves on.  A silent
@@ -20,7 +22,6 @@ on the language.  Plain determinize keeps the full closed subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 from typing import NamedTuple
 
 from .semigroup import ParseError
@@ -149,10 +150,6 @@ def empty_nfa(alphabet) -> Nfa:
     return Nfa(alphabet, 1, frozenset(), frozenset({0}), frozenset())
 
 
-def epsilon_nfa(alphabet) -> Nfa:
-    return Nfa(alphabet, 1, frozenset(), frozenset({0}), frozenset({0}))
-
-
 def word_set_nfa(alphabet, words) -> Nfa:
     """Union of finite words as one automaton (a simple chain per word)."""
     trans = set()
@@ -173,24 +170,17 @@ def word_set_nfa(alphabet, words) -> Nfa:
     return Nfa(alphabet, n, frozenset(trans), frozenset({0}), frozenset(final))
 
 
-def universe_nfa(alphabet, letters=None) -> Nfa:
-    """All words over the given letters (default: the whole alphabet)."""
-    if letters is None:
-        letters = range(alphabet.size)
-    trans = {(0, a, 0) for a in letters}
-    return Nfa(alphabet, 1, frozenset(trans), frozenset({0}), frozenset({0}))
-
-
 # -- bitmask core -------------------------------------------------------------
 #
 # State sets are integer bitmasks.  _core closes an automaton's epsilon moves
-# once per call into successor rows: rows[p][x] is the epsilon closure of the
-# successors of p under letter x.  One pass over the transitions ORs each
-# letter move into its state's row and collects the epsilon moves of the
-# states that have them; the closure search starts only from those states.
-# Closure distributes over union, so the successor of a closed state set
-# under a letter is the OR of its members' rows, and one pass over the set's
-# bits yields every letter's successor.
+# once per call into successor rows: rows[p] packs one n-bit chunk per
+# letter, n = a.n_states, and bits x*n .. x*n+n-1 hold the epsilon closure of
+# the successors of p under letter x.  One pass over the transitions ORs each
+# letter move into its state's per-letter masks and collects the epsilon
+# moves of the states that have them; the closure search starts only from
+# those states, and each state's masks are packed once.  Closure distributes
+# over union, so the successors of a closed state set under every letter are
+# one OR of its members' rows, read off chunk by chunk.
 
 def _bits(mask: int):
     while mask:
@@ -208,17 +198,16 @@ def _mask(states) -> int:
 
 class _Core(NamedTuple):
     close: list[int]  # close[p]: epsilon closure of p, less dropped silent states
-    rows: list[tuple[int, ...]]  # rows[p][x]: closed successors of p under x
-    active: int  # the states with a letter move; rows[p] is () for the rest
-    nletters: int
+    rows: list[int]  # rows[p]: closed successors of p, one n-bit chunk per letter
+    active: int  # the states with a letter move; rows[p] is 0 for the rest
 
 
 def _core(a: Nfa, keep_silent: bool = True) -> _Core:
     """The closures and rows of a, indexed in one pass over its moves.
     Only the states with an epsilon move (the wide states) are searched;
-    every other state closes to itself, so a row entry that holds no wide
+    every other state closes to itself, so a chunk that holds no wide
     state is closed already.  With keep_silent=False each closure drops the
-    silent states, and so does every row built from them."""
+    silent states, and so does every chunk of every row."""
     n = a.n_states
     nletters = a.alphabet.size
     dense: dict[int, list[int]] = {}
@@ -248,11 +237,15 @@ def _core(a: Nfa, keep_silent: bool = True) -> _Core:
     keep = everything if keep_silent else active | _mask(a.final)
     if keep != everything:
         close = [c & keep for c in close]
-    rows: list[tuple[int, ...]] = [()] * n
+    rows = [0] * n
     for p, row in dense.items():
-        rows[p] = tuple([_closed(close, m) if m & wide else m & keep
-                         for m in row])
-    return _Core(close, rows, active, nletters)
+        packed = shift = 0
+        for m in row:
+            if m:
+                packed |= (_closed(close, m) if m & wide else m & keep) << shift
+            shift += n
+        rows[p] = packed
+    return _Core(close, rows, active)
 
 
 def _closed(close: list[int], mask: int) -> int:
@@ -262,19 +255,16 @@ def _closed(close: list[int], mask: int) -> int:
     return out
 
 
-def _post(core: _Core, mask: int):
-    """The successor of a closed state set under each letter."""
+def _post(core: _Core, mask: int) -> int:
+    """The successors of a closed state set under every letter, packed as
+    the rows are."""
     rows = core.rows
     mask &= core.active
-    if not mask:
-        return (0,) * core.nletters
-    low = mask & -mask
-    mask ^= low
-    out = rows[low.bit_length() - 1]
+    out = 0
     while mask:
         low = mask & -mask
         mask ^= low
-        out = list(map(or_, out, rows[low.bit_length() - 1]))
+        out |= rows[low.bit_length() - 1]
     return out
 
 
@@ -302,6 +292,8 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
     core = _core(a, keep_silent)
     start = _closed(core.close, _mask(a.initial))
     fmask = _mask(a.final)
+    n = a.n_states
+    full = (1 << n) - 1
     nletters = a.alphabet.size
     ids = {start: 0}
     table = [[None] * nletters]
@@ -313,15 +305,19 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
         if mask & fmask:
             final.add(sid)
         row = table[sid]
-        for x, nxt in enumerate(_post(core, mask)):
-            if not nxt:
-                continue
-            tid = ids.get(nxt)
-            if tid is None:
-                tid = ids[nxt] = len(ids)
-                table.append([None] * nletters)
-                queue.append(nxt)
-            row[x] = tid
+        post = _post(core, mask)
+        x = 0
+        while post:
+            nxt = post & full
+            if nxt:
+                tid = ids.get(nxt)
+                if tid is None:
+                    tid = ids[nxt] = len(ids)
+                    table.append([None] * nletters)
+                    queue.append(nxt)
+                row[x] = tid
+            post >>= n
+            x += 1
     return Dfa(a.alphabet, len(table), tuple(tuple(r) for r in table),
                0, frozenset(final))
 
@@ -379,9 +375,11 @@ def member(a: Nfa | Dfa, word) -> bool:
         if not 0 <= x < a.alphabet.size:
             raise LanguageError(f"letter {x} out of range")
     core = _core(a)
+    n = a.n_states
+    full = (1 << n) - 1
     mask = _closed(core.close, _mask(a.initial))
     for x in word:
-        mask = _post(core, mask)[x]
+        mask = _post(core, mask) >> x * n & full
         if not mask:
             return False
     return bool(mask & _mask(a.final))
@@ -390,10 +388,10 @@ def member(a: Nfa | Dfa, word) -> bool:
 def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     """Shortest word in the symmetric difference (BFS on the synchronized
     product with implicit dead states), or None when equivalent."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch("cannot compare over different alphabets")
     da = a if isinstance(a, Dfa) else determinize(a, keep_silent=False)
     db = b if isinstance(b, Dfa) else determinize(b, keep_silent=False)
-    if da.alphabet != db.alphabet:
-        raise AlphabetMismatch("cannot compare over different alphabets")
     nletters = da.alphabet.size
     start = (da.initial, db.initial)
     seen = {start: None}
@@ -530,7 +528,8 @@ def restrict(a: Nfa, letters) -> Nfa:
     """a without the moves on letters outside the given ones: its epsilon
     moves and its moves on letters, between the states they reach from
     a.initial, renumbered in sorted order.  It has the states and moves of
-    intersect(a, universe_nfa(a.alphabet, letters)), without a product walk."""
+    the product of a with the one-state automaton of all words over letters,
+    without a product walk."""
     allowed = {None, *letters}
     succ: list[list[int]] = [[] for _ in range(a.n_states)]
     for p, x, q in a.transitions:
@@ -624,6 +623,8 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
     a = as_nfa(a)
     core = _core(a)
     fmask = _mask(a.final)
+    n = a.n_states
+    full = (1 << n) - 1
     start = _closed(core.close, _mask(a.initial))
     if not start:
         return []
@@ -635,9 +636,14 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
             if mask & fmask:
                 out.append(word)
             if length < max_len:
-                for x, m in enumerate(_post(core, mask)):
+                post = _post(core, mask)
+                x = 0
+                while post:
+                    m = post & full
                     if m:
                         nxt.append((word + (x,), m))
+                    post >>= n
+                    x += 1
         level = nxt
     return out
 

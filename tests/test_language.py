@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from reesloop.language import (
     determinize,
     empty_nfa,
     enumerate_words,
-    epsilon_nfa,
     equivalent,
     factor_closure,
     format_automaton,
@@ -32,12 +32,12 @@ from reesloop.language import (
     suffix_closure,
     trim,
     union,
-    universe_nfa,
     word_set_nfa,
     _closed,
     _core,
     _mask,
 )
+from reesloop import language
 from reesloop.loops import loop_problem
 from reesloop.semigroup import NAMED_SEMIGROUPS, full_generator_map, rees_matrix, sandwich
 from reesloop.transduce import apply, build_rees_transducer
@@ -125,9 +125,38 @@ class TestBasics:
         with pytest.raises(AlphabetMismatch):
             union(word_set_nfa(X, [(x,)]), word_set_nfa(y, [(0,)]))
 
+    def test_separator_checks_alphabets_before_determinizing(self, monkeypatch):
+        calls = []
+        real = language.determinize
+
+        def counted(a, **kw):
+            calls.append(a)
+            return real(a, **kw)
+
+        monkeypatch.setattr(language, "determinize", counted)
+        a = word_set_nfa(X, [(x,)])
+        with pytest.raises(AlphabetMismatch):
+            shortest_separator(a, word_set_nfa(HatAlphabet(("y",)), [(0,)]))
+        assert calls == []
+        # the counter sees the determinizations of a comparison that runs
+        assert shortest_separator(a, word_set_nfa(X, [(xb,)])) == (x,)
+        assert len(calls) == 2
+
 
 def universe_letter(alpha):
     return word_set_nfa(alpha, [(a,) for a in range(alpha.size)])
+
+
+def universe_nfa(alphabet, letters=None):
+    """All words over the given letters (default: the whole alphabet)."""
+    if letters is None:
+        letters = range(alphabet.size)
+    return Nfa(alphabet, 1, frozenset((0, a, 0) for a in letters),
+               frozenset({0}), frozenset({0}))
+
+
+def epsilon_nfa(alphabet):
+    return Nfa(alphabet, 1, frozenset(), frozenset({0}), frozenset({0}))
 
 
 class TestQuotients:
@@ -474,15 +503,19 @@ def test_nfa_separator_is_the_separator_of_the_full_dfas(a, b):
     assert shortest_separator(a, determinize(a)) is None
 
 
-def test_rees_probe_subsets_with_and_without_silent_states():
-    # star(image) for semitorees c3, I = J = 2, P = g2,g2;g,e: 17 of its 358
-    # states have a letter move and one is final
+def rees_probe_star_image():
+    """star(image) for semitorees c3, I = J = 2, P = g2,g2;g,e."""
     c3 = NAMED_SEMIGROUPS["c3"]()
     gmap = full_generator_map(c3)
     p = sandwich([[c3.index(v) for v in row] for row in (("g2", "g2"), ("g", "e"))])
     m, rs = rees_matrix(c3, 2, 2, p, with_zero=False)
     trans = build_rees_transducer(gmap, rs, full_generator_map(m))
-    rhs = star(apply(trans, loop_problem(gmap)))
+    return star(apply(trans, loop_problem(gmap)))
+
+
+def test_rees_probe_subsets_with_and_without_silent_states():
+    # 17 of the 358 states of star(image) have a letter move and one is final
+    rhs = rees_probe_star_image()
     assert rhs.n_states == 358
     assert determinize(rhs).n_states == 1969
     assert determinize(rhs, keep_silent=False).n_states == 132
@@ -512,20 +545,141 @@ any_nfa = st.one_of(eps_nfa, role_nfa, eps_nfa.map(without_epsilon))
 @example(Nfa(Y, 3, frozenset({(0, 0, 1), (1, 2, 2), (2, 3, 0)}),
              frozenset({0}), frozenset({2})), True)
 def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
-    # every row entry is the reference closure of that letter's successors,
-    # less the dropped silent states (no letter move, not final)
+    # chunk x of row p, bits x*n .. x*n+n-1, is the reference closure of the
+    # successors of p under x, less the dropped silent states (no letter
+    # move, not final); a state without a letter move has the row 0
     moves = ref_moves(a)
     lettered = {p for p, x in moves if x is not None}
     keep = set(range(a.n_states)) if keep_silent else lettered | a.final
     core = _core(a, keep_silent)
+    n = a.n_states
     assert core.active == _mask(lettered)
-    assert core.nletters == a.alphabet.size
     assert _closed(core.close, _mask(a.initial)) == _mask(ref_close(moves, a.initial) & keep)
-    for p in range(a.n_states):
+    for p in range(n):
         assert core.close[p] == _mask(ref_close(moves, {p}) & keep)
-        want = tuple(_mask(ref_close(moves, moves.get((p, x), ())) & keep)
-                     for x in range(a.alphabet.size))
-        assert core.rows[p] == (want if p in lettered else ())
+        row = core.rows[p]
+        if p not in lettered:
+            assert row == 0
+            continue
+        for x in range(a.alphabet.size):
+            want = _mask(ref_close(moves, moves.get((p, x), ())) & keep)
+            assert row >> x * n & (1 << n) - 1 == want
+        assert row >> a.alphabet.size * n == 0
+
+
+# -- the tuple-row reference ------------------------------------------------------
+#
+# The subset construction as it ran on one tuple of per-letter masks per
+# state, kept as the reference for the packed rows: the same closures, the
+# same row entries and the same visiting order, so the two give equal Dfas.
+
+def _tuple_closed(close, mask):
+    out = 0
+    for p in range(len(close)):
+        if mask >> p & 1:
+            out |= close[p]
+    return out
+
+
+def tuple_core(a, keep_silent):
+    n = a.n_states
+    nletters = a.alphabet.size
+    dense, eps = {}, {}
+    for p, x, q in a.transitions:
+        if x is None:
+            eps[p] = eps.get(p, 0) | 1 << q
+        else:
+            dense.setdefault(p, [0] * nletters)[x] |= 1 << q
+    close = [1 << p for p in range(n)]
+    wide = 0
+    for p in eps:
+        mask = todo = 1 << p
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            add = eps.get(low.bit_length() - 1, 0) & ~mask
+            mask |= add
+            todo |= add
+        close[p] = mask
+        wide |= 1 << p
+    active = sum(1 << p for p in dense)
+    everything = (1 << n) - 1
+    keep = everything if keep_silent else active | sum(1 << p for p in a.final)
+    close = [c & keep for c in close]
+    rows = [()] * n
+    for p, row in dense.items():
+        rows[p] = tuple(_tuple_closed(close, m) if m & wide else m & keep for m in row)
+    return close, rows, active
+
+
+def tuple_post(rows, active, mask, nletters):
+    out = [0] * nletters
+    for p in range(len(rows)):
+        if active >> p & mask >> p & 1:
+            out = [o | r for o, r in zip(out, rows[p])]
+    return out
+
+
+def tuple_determinize(a, keep_silent=True):
+    close, rows, active = tuple_core(a, keep_silent)
+    start = _tuple_closed(close, sum(1 << p for p in a.initial))
+    fmask = sum(1 << p for p in a.final)
+    nletters = a.alphabet.size
+    ids = {start: 0}
+    table = [[None] * nletters]
+    final = set()
+    queue = [start]
+    while queue:
+        mask = queue.pop()
+        sid = ids[mask]
+        if mask & fmask:
+            final.add(sid)
+        for x, nxt in enumerate(tuple_post(rows, active, mask, nletters)):
+            if nxt:
+                if nxt not in ids:
+                    ids[nxt] = len(ids)
+                    table.append([None] * nletters)
+                    queue.append(nxt)
+                table[sid][x] = ids[nxt]
+    return Dfa(a.alphabet, len(table), tuple(tuple(r) for r in table),
+               0, frozenset(final))
+
+
+def wide_nfa(seed):
+    """30 to 70 states, so a row spans many 30-bit digits of a Python int,
+    over two or three base symbols with moves only on x, y and ~x: the top
+    letters of the alphabet have none."""
+    rng = random.Random(seed)
+    n = rng.randint(30, 70)
+    alphabet = HatAlphabet(("x", "y", "z")[:rng.randint(2, 3)])
+    used = [0, 1, alphabet.size // 2]  # x, y and ~x
+    trans = set()
+    for _ in range(rng.randint(n, 4 * n)):
+        x = None if rng.random() < 0.3 else rng.choice(used)
+        trans.add((rng.randrange(n), x, rng.randrange(n)))
+    initial = frozenset(rng.sample(range(n), rng.randint(1, 3)))
+    final = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
+    return Nfa(alphabet, n, frozenset(trans), initial, final)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_nfa, st.booleans())
+def test_determinize_matches_the_tuple_row_reference(a, keep_silent):
+    assert determinize(a, keep_silent=keep_silent) == tuple_determinize(a, keep_silent)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_determinize_matches_the_tuple_row_reference_on_wide_nfas(seed):
+    a = wide_nfa(seed)
+    assert a.n_states >= 30
+    for keep_silent in (True, False):
+        assert determinize(a, keep_silent=keep_silent) == tuple_determinize(a, keep_silent)
+
+
+def test_determinize_matches_the_tuple_row_reference_on_the_probe():
+    rhs = rees_probe_star_image()
+    for keep_silent in (True, False):
+        assert determinize(rhs, keep_silent=keep_silent) == tuple_determinize(rhs, keep_silent)
 
 
 @settings(max_examples=200, deadline=None)

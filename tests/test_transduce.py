@@ -5,12 +5,12 @@ import pytest
 from reesloop.language import (
     HatAlphabet,
     LanguageError,
+    Nfa,
     concat,
     empty_nfa,
     enumerate_words,
     equivalent,
     star,
-    universe_nfa,
     word_set_nfa,
 )
 from reesloop.loops import loop_problem
@@ -163,7 +163,9 @@ class TestApply:
     def test_against_bounded_pair_oracle(self):
         # inputs with epsilon moves (star, concat) as well as epsilon-free ones
         x, xb = X.letter("x"), X.letter("~x")
-        inputs = [word_set_nfa(X, [(x,)]), universe_nfa(X),
+        every_word = Nfa(X, 1, frozenset((0, a, 0) for a in range(X.size)),
+                         frozenset({0}), frozenset({0}))
+        inputs = [word_set_nfa(X, [(x,)]), every_word,
                   star(word_set_nfa(X, [(x, xb)])),
                   concat(star(word_set_nfa(X, [(x,)])), word_set_nfa(X, [(xb,)]))]
         rng = random.Random(9)
