@@ -2,21 +2,26 @@
 
 Automata are partial (no explicit dead state); epsilon transitions are
 permitted in an Nfa.  State sets are integer bitmasks internally, and each
-operation that simulates an Nfa (determinize, member, enumerate_words)
-closes its epsilon moves once per automaton into successor rows: one
-integer per state that packs, letter after letter in chunks of n_states
-bits, the epsilon closure of that letter's successors.  A state set's
-successors under every letter are then one OR of its members' rows.  The
-rows are indexed in one pass over the transitions; only the states with an
-epsilon move are searched for their closures, and only chunks that hold
-one of them are closed.
+operation that simulates an Nfa (determinize, member, enumerate_words,
+shortest_separator) closes its epsilon moves once per automaton into
+successor rows: one integer per state that packs, letter after letter in
+chunks of n_states bits, the epsilon closure of that letter's successors.
+A state set's successors under every letter are then one OR of its
+members' rows.  The rows are indexed in one pass over the transitions; only
+the states with an epsilon move are searched for their closures, and only
+chunks that hold one of them are closed.
 
 A state is silent when it has no letter move and is not final, as are most
 states of a transducer image, which only pass epsilon moves on.  A silent
 state in a subset changes neither its successors nor its acceptance, so
 determinize(a, keep_silent=False) drops them from every subset; minimal_dfa
-and shortest_separator determinize that way, and their results depend only
-on the language.  Plain determinize keeps the full closed subsets.
+determinizes that way, and its result depends only on the language.  Plain
+determinize keeps the full closed subsets.
+
+shortest_separator determinizes nothing.  Equal automata have equal
+languages, and it returns None for them at once; otherwise it walks pairs
+of closed state sets breadth-first, reading an Nfa's rows without silent
+states and a Dfa's table packed into rows of the same shape.
 """
 
 from __future__ import annotations
@@ -385,37 +390,72 @@ def member(a: Nfa | Dfa, word) -> bool:
     return bool(mask & _mask(a.final))
 
 
+def _dfa_core(d: Dfa) -> _Core:
+    """The _Core of as_nfa(d), packed straight from the table: a Dfa has no
+    epsilon moves, so every state closes to itself."""
+    n = d.n_states
+    rows = [0] * n
+    active = 0
+    for p, row in enumerate(d.transitions):
+        packed = shift = 0
+        for q in row:
+            if q is not None:
+                packed |= 1 << q + shift
+            shift += n
+        if packed:
+            rows[p] = packed
+            active |= 1 << p
+    return _Core([1 << p for p in range(n)], rows, active)
+
+
+def _walk_side(a: Nfa | Dfa) -> tuple[_Core, int, int]:
+    """The core, closed start set and final mask one side of a walk reads."""
+    if isinstance(a, Dfa):
+        return _dfa_core(a), 1 << a.initial, _mask(a.final)
+    core = _core(a, keep_silent=False)
+    return core, _closed(core.close, _mask(a.initial)), _mask(a.final)
+
+
 def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
-    """Shortest word in the symmetric difference (BFS on the synchronized
-    product with implicit dead states), or None when equivalent."""
+    """The shortlex-least word in the symmetric difference, or None when
+    the languages are equal.  Equal automata return None at once.  Otherwise
+    a breadth-first walk over pairs of closed state sets, one per side,
+    tries the letters in order and stops at the first pair whose acceptance
+    differs; a pair is one int, the first side's set in its low n_a bits.
+    An Nfa side reads its rows without silent states, a Dfa side its table
+    packed the same way, so neither side is determinized."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("cannot compare over different alphabets")
-    da = a if isinstance(a, Dfa) else determinize(a, keep_silent=False)
-    db = b if isinstance(b, Dfa) else determinize(b, keep_silent=False)
-    nletters = da.alphabet.size
-    start = (da.initial, db.initial)
+    if a == b:
+        return None
+    core_a, start_a, final_a = _walk_side(a)
+    core_b, start_b, final_b = _walk_side(b)
+    if bool(start_a & final_a) != bool(start_b & final_b):
+        return ()
+    na, nb = a.n_states, b.n_states
+    full_a, full_b = (1 << na) - 1, (1 << nb) - 1
+    start = start_a | start_b << na
     seen = {start: None}
     queue = [start]
     for pair in queue:
-        p, q = pair
-        ina = p is not None and p in da.final
-        inb = q is not None and q in db.final
-        if ina != inb:
-            word = []
-            cur = pair
-            while seen[cur] is not None:
-                cur, x = seen[cur]
-                word.append(x)
-            return tuple(reversed(word))
-        for x in range(nletters):
-            np = da.transitions[p][x] if p is not None else None
-            nq = db.transitions[q][x] if q is not None else None
-            if np is None and nq is None:
-                continue
-            nxt = (np, nq)
-            if nxt not in seen:
+        post_a = _post(core_a, pair & full_a)
+        post_b = _post(core_b, pair >> na)
+        x = 0
+        while post_a or post_b:
+            ma, mb = post_a & full_a, post_b & full_b
+            nxt = ma | mb << na
+            if nxt and nxt not in seen:
                 seen[nxt] = (pair, x)
+                if bool(ma & final_a) != bool(mb & final_b):
+                    word = []
+                    while seen[nxt] is not None:
+                        nxt, x = seen[nxt]
+                        word.append(x)
+                    return tuple(reversed(word))
                 queue.append(nxt)
+            post_a >>= na
+            post_b >>= nb
+            x += 1
     return None
 
 

@@ -10,6 +10,7 @@ from reesloop.language import (
     HatAlphabet,
     LanguageError,
     Nfa,
+    as_nfa,
     concat,
     determinize,
     empty_nfa,
@@ -21,6 +22,7 @@ from reesloop.language import (
     involution_image,
     left_quotient,
     member,
+    minimal_dfa,
     minimize,
     parse_automaton_text,
     plus,
@@ -35,6 +37,7 @@ from reesloop.language import (
     word_set_nfa,
     _closed,
     _core,
+    _dfa_core,
     _mask,
 )
 from reesloop import language
@@ -126,19 +129,20 @@ class TestBasics:
             union(word_set_nfa(X, [(x,)]), word_set_nfa(y, [(0,)]))
 
     def test_separator_checks_alphabets_before_determinizing(self, monkeypatch):
+        # the walk determinizes nothing; indexing an Nfa side is its first work
         calls = []
-        real = language.determinize
+        real = language._core
 
-        def counted(a, **kw):
+        def counted(a, *args, **kw):
             calls.append(a)
-            return real(a, **kw)
+            return real(a, *args, **kw)
 
-        monkeypatch.setattr(language, "determinize", counted)
+        monkeypatch.setattr(language, "_core", counted)
         a = word_set_nfa(X, [(x,)])
         with pytest.raises(AlphabetMismatch):
             shortest_separator(a, word_set_nfa(HatAlphabet(("y",)), [(0,)]))
         assert calls == []
-        # the counter sees the determinizations of a comparison that runs
+        # the counter sees one core per side of a comparison that runs
         assert shortest_separator(a, word_set_nfa(X, [(xb,)])) == (x,)
         assert len(calls) == 2
 
@@ -497,7 +501,7 @@ def test_dropping_silent_states_keeps_the_minimal_dfa(a):
 @settings(max_examples=200, deadline=None)
 @given(role_nfa, role_nfa)
 def test_nfa_separator_is_the_separator_of_the_full_dfas(a, b):
-    # shortest_separator determinizes NFAs without their silent states; the
+    # the separator walk reads NFA rows without their silent states; the
     # full subset automata are the reference
     assert shortest_separator(a, b) == shortest_separator(determinize(a), determinize(b))
     assert shortest_separator(a, determinize(a)) is None
@@ -680,6 +684,116 @@ def test_determinize_matches_the_tuple_row_reference_on_the_probe():
     rhs = rees_probe_star_image()
     for keep_silent in (True, False):
         assert determinize(rhs, keep_silent=keep_silent) == tuple_determinize(rhs, keep_silent)
+
+
+# -- the separator walk -------------------------------------------------------------
+#
+# The separator as it ran on the DFA product, kept as the reference for the
+# walk over subset pairs: each Nfa side determinized without its silent
+# states, then a breadth-first search of the product of the two DFAs with
+# implicit dead states.
+
+def dfa_product_separator(a, b):
+    da = a if isinstance(a, Dfa) else determinize(a, keep_silent=False)
+    db = b if isinstance(b, Dfa) else determinize(b, keep_silent=False)
+    start = (da.initial, db.initial)
+    seen = {start: None}
+    queue = [start]
+    for pair in queue:
+        p, q = pair
+        if (p is not None and p in da.final) != (q is not None and q in db.final):
+            word = []
+            while seen[pair] is not None:
+                pair, x = seen[pair]
+                word.append(x)
+            return tuple(reversed(word))
+        for x in range(da.alphabet.size):
+            np = da.transitions[p][x] if p is not None else None
+            nq = db.transitions[q][x] if q is not None else None
+            if (np, nq) != (None, None) and (np, nq) not in seen:
+                seen[np, nq] = (pair, x)
+                queue.append((np, nq))
+    return None
+
+
+sep_nfa = st.one_of(eps_nfa, role_nfa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sep_nfa, sep_nfa)
+def test_separator_walk_matches_the_dfa_product_reference(a, b):
+    assert shortest_separator(a, b) == dfa_product_separator(a, b)
+    assert shortest_separator(b, a) == dfa_product_separator(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sep_nfa, sep_nfa)
+def test_separator_walk_on_mixed_and_minimal_operands(a, b):
+    want = dfa_product_separator(a, b)
+    da, mb = determinize(a), minimal_dfa(b)
+    assert shortest_separator(da, b) == dfa_product_separator(da, b) == want
+    assert shortest_separator(a, mb) == dfa_product_separator(a, mb) == want
+    assert shortest_separator(minimal_dfa(a), mb) == want
+    assert shortest_separator(a, da) is None
+    assert shortest_separator(mb, b) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_dfa, partial_dfa)
+def test_separator_walk_on_partial_dfas(a, b):
+    assert shortest_separator(a, b) == dfa_product_separator(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_dfa)
+def test_dfa_core_is_the_core_of_the_dfa_as_an_nfa(d):
+    assert _dfa_core(d) == _core(as_nfa(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sep_nfa, st.data())
+def test_separator_walk_on_shared_transitions(a, data):
+    # path languages and quotients share one transitions object and differ
+    # in their initial or final sets
+    states = st.frozensets(st.integers(0, a.n_states - 1), max_size=a.n_states)
+    initial, final = data.draw(states), data.draw(states)
+    for b in (Nfa(a.alphabet, a.n_states, a.transitions, initial, a.final),
+              Nfa(a.alphabet, a.n_states, a.transitions, a.initial, final),
+              Nfa(a.alphabet, a.n_states, a.transitions, initial, final)):
+        assert shortest_separator(a, b) == dfa_product_separator(a, b)
+        assert shortest_separator(b, a) == dfa_product_separator(b, a)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_separator_walk_on_wide_nfas(seed):
+    a = wide_nfa(seed)
+    b = Nfa(a.alphabet, a.n_states, a.transitions, a.initial,
+            frozenset(random.Random(seed).sample(range(a.n_states), 3)))
+    c = wide_nfa(seed + 100)
+    if c.alphabet != a.alphabet:
+        c = Nfa(a.alphabet, c.n_states, c.transitions, c.initial, c.final)
+    for left, right in ((a, b), (a, c), (determinize(a), b), (minimal_dfa(c), a)):
+        assert shortest_separator(left, right) == dfa_product_separator(left, right)
+
+
+def test_equal_operands_return_none_without_a_core(monkeypatch):
+    a = rees_probe_star_image()
+    # equal, not identical: fresh copies of every field
+    b = Nfa(a.alphabet, a.n_states, frozenset(set(a.transitions)),
+            frozenset(set(a.initial)), frozenset(set(a.final)))
+    ma, mb = minimal_dfa(a), minimize(determinize(b))
+    assert a.transitions is not b.transitions and ma is not mb
+    calls = []
+    for name in ("_core", "_dfa_core"):
+        real = getattr(language, name)
+        monkeypatch.setattr(language, name, lambda aut, *args, real=real, **kw:
+                            calls.append(aut) or real(aut, *args, **kw))
+    assert shortest_separator(a, b) is None
+    assert shortest_separator(ma, mb) is None
+    assert calls == []
+    # an Nfa and a Dfa are never equal, so the walk indexes both sides
+    assert shortest_separator(a, ma) is None
+    assert calls == [a, ma]
 
 
 @settings(max_examples=200, deadline=None)

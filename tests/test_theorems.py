@@ -5,6 +5,7 @@ import pytest
 from reesloop import theorems
 from reesloop.cli import iter_instances, run_job
 from reesloop.language import empty_nfa, member, union, word_set_nfa
+from reesloop.loops import loop_automaton, path_language
 from reesloop.semigroup import (
     NotAnIdeal,
     ZERO,
@@ -288,6 +289,21 @@ class TestFormulaMutations:
         monkeypatch.setattr(theorems, "star", lambda a: a)
         self._fails("rees-quotient", "n2i3:T=s0.s1", 2,
                     theorems.verify_rees_quotient, "s0.~s1.s0.~s1.s0.~s1")
+
+    def test_rees_quotient_side_checks_see_a_wrong_quotient(self, monkeypatch):
+        # without the right quotient by R-bar, L1T is L itself, which has
+        # the moves of path(1,T) but other final states: the automata are
+        # not equal, so the side check walks them and FAILs
+        monkeypatch.setattr(theorems, "right_quotient", lambda l, r: l)
+        jobs = dict(iter_instances("rees-quotient", max_order=2))
+        s, gmap, ideal = jobs["n2i3:T=s0.s1"][1]
+        rep = verify_rees_quotient(s, gmap, ideal)
+        assert ("L1T=path(1,T)", False) in rep.stats["checks"]
+        witness = rep.stats["witnesses"]["L1T=path(1,T)"]
+        assert witness == "-"
+        la = loop_automaton(gmap)
+        path = path_language(la, {la.identity_state}, ideal)
+        assert member(la.nfa, ()) != member(path, ())
 
     def test_adjoin_zero_needs_the_single_letter_loops(self, monkeypatch):
         # the single-letter set is the only word set of more than one word;
