@@ -82,12 +82,15 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
                 base = parse_semigroup_text(path.read_text())
             except OSError as e:
                 raise ParseError(f"cannot read base table: {e}", no) from None
-        elif toks[0] == "i":
-            i_count = int(toks[1])
-        elif toks[0] == "j":
-            j_count = int(toks[1])
-        elif toks[0] == "zero":
-            with_zero = toks[1].lower() in ("true", "yes", "1")
+        elif toks[0] in ("i", "j", "zero"):
+            if len(toks) != 2:
+                raise ParseError(f"{toks[0]} line takes one value", no)
+            if toks[0] == "zero":
+                with_zero = toks[1].lower() in ("true", "yes", "1")
+            elif toks[0] == "i":
+                i_count = _spec_count(toks[1], no)
+            else:
+                j_count = _spec_count(toks[1], no)
         elif toks[0] == "matrix":
             in_matrix = True
         else:
@@ -109,12 +112,14 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
     return ReesSpec(base, i_count, j_count, with_zero, sandwich(entries))
 
 
-def format_rees_spec(spec: ReesSpec, base_path: str) -> str:
-    lines = [f"base {base_path}", f"i {spec.i_count}", f"j {spec.j_count}",
-             f"zero {'true' if spec.with_zero else 'false'}", "matrix"]
-    for row in spec.matrix.entries:
-        lines.append(" ".join("0" if v is None else spec.base.labels[v] for v in row))
-    return "\n".join(lines) + "\n"
+def _spec_count(tok: str, no: int) -> int:
+    try:
+        count = int(tok)
+    except ValueError:
+        raise ParseError(f"expected a count, got {tok!r}", no) from None
+    if count < 1:
+        raise ParseError("count must be positive", no)
+    return count
 
 
 def _load_table(path: str) -> FiniteSemigroup:
@@ -514,6 +519,17 @@ def cmd_corpus(args) -> int:
     return 0 if total_failures == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the corpus sizes: anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="reesloop",
@@ -569,18 +585,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one theorem verifier over its corpus")
     p.add_argument("tag", choices=VERIFY_TAGS)
-    p.add_argument("--max-order", type=int, help="order bound (default 3)")
+    p.add_argument("--max-order", type=_positive_int, help="order bound (default 3)")
     p.add_argument("--base", action="append", dest="bases",
                    choices=sorted(NAMED_SEMIGROUPS), help="base semigroups for Rees tags")
-    p.add_argument("--imax", type=int, help="largest I (default 2)")
-    p.add_argument("--jmax", type=int, help="largest J (default 2)")
+    p.add_argument("--imax", type=_positive_int, help="largest I (default 2)")
+    p.add_argument("--jmax", type=_positive_int, help="largest J (default 2)")
     p.add_argument("--seed", type=int, help="randomized-rerun seed (default 0)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="run every theorem verifier")
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--imax", type=int, default=2)
-    p.add_argument("--jmax", type=int, default=2)
+    p.add_argument("--max-order", type=_positive_int, default=3)
+    p.add_argument("--imax", type=_positive_int, default=2)
+    p.add_argument("--jmax", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_corpus)
 

@@ -20,8 +20,8 @@ determinize keeps the full closed subsets.
 
 shortest_separator determinizes nothing.  Equal automata have equal
 languages, and it returns None for them at once; otherwise it walks pairs
-of closed state sets breadth-first, reading an Nfa's rows without silent
-states and a Dfa's table packed into rows of the same shape.
+of closed state sets breadth-first over the rows of both sides without
+silent states, a Dfa side read as an Nfa.  _core is the only indexer.
 """
 
 from __future__ import annotations
@@ -390,28 +390,8 @@ def member(a: Nfa | Dfa, word) -> bool:
     return bool(mask & _mask(a.final))
 
 
-def _dfa_core(d: Dfa) -> _Core:
-    """The _Core of as_nfa(d), packed straight from the table: a Dfa has no
-    epsilon moves, so every state closes to itself."""
-    n = d.n_states
-    rows = [0] * n
-    active = 0
-    for p, row in enumerate(d.transitions):
-        packed = shift = 0
-        for q in row:
-            if q is not None:
-                packed |= 1 << q + shift
-            shift += n
-        if packed:
-            rows[p] = packed
-            active |= 1 << p
-    return _Core([1 << p for p in range(n)], rows, active)
-
-
-def _walk_side(a: Nfa | Dfa) -> tuple[_Core, int, int]:
+def _walk_side(a: Nfa) -> tuple[_Core, int, int]:
     """The core, closed start set and final mask one side of a walk reads."""
-    if isinstance(a, Dfa):
-        return _dfa_core(a), 1 << a.initial, _mask(a.final)
     core = _core(a, keep_silent=False)
     return core, _closed(core.close, _mask(a.initial)), _mask(a.final)
 
@@ -422,12 +402,13 @@ def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     a breadth-first walk over pairs of closed state sets, one per side,
     tries the letters in order and stops at the first pair whose acceptance
     differs; a pair is one int, the first side's set in its low n_a bits.
-    An Nfa side reads its rows without silent states, a Dfa side its table
-    packed the same way, so neither side is determinized."""
+    Each side is read as an Nfa, through its rows without silent states, so
+    neither side is determinized."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("cannot compare over different alphabets")
     if a == b:
         return None
+    a, b = as_nfa(a), as_nfa(b)
     core_a, start_a, final_a = _walk_side(a)
     core_b, start_b, final_b = _walk_side(b)
     if bool(start_a & final_a) != bool(start_b & final_b):

@@ -11,8 +11,6 @@ from reesloop import theorems
 from reesloop.cli import (
     iter_instances,
     main,
-    parse_rees_spec,
-    format_rees_spec,
     run_corpus,
     worker_count,
 )
@@ -138,13 +136,18 @@ class TestConstructions:
         from reesloop.semigroup import are_isomorphic
         assert are_isomorphic(m, brandt_b2())
 
-    def test_rees_spec_roundtrip(self, tables, tmp_path):
-        spec = parse_rees_spec((tmp_path / "b2.rees").read_text()
-                               if False else open(tables["spec"]).read(),
-                               __import__("pathlib").Path(tables["spec"]).parent)
-        text = format_rees_spec(spec, "triv.tbl")
-        again = parse_rees_spec(text, __import__("pathlib").Path(tables["spec"]).parent)
-        assert again.matrix == spec.matrix and again.with_zero == spec.with_zero
+    @pytest.mark.parametrize("line", ["i", "j", "zero", "i x", "j 2 2", "i 0"])
+    def test_bad_i_j_or_zero_line_is_a_parse_error_at_its_line(
+            self, tables, tmp_path, line, capsys):
+        good = ["base triv.tbl", "i 1", "j 1", "zero false", "matrix", "e"]
+        lines = [line if ln.split()[0] == line.split()[0] else ln for ln in good]
+        spec = tmp_path / "bad.rees"
+        spec.write_text("\n".join(lines) + "\n")
+        assert main(["rees", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        no = lines.index(line) + 1
+        assert captured.err.startswith(f"error: Parse error at line {no}: ")
 
     def test_quotient(self, tables):
         code, out = run_cli("quotient", tables["b2"], "0")
@@ -245,6 +248,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"does not read {argv[1]}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "semitorees", "--imax", "0"),
+        ("verify", "unit-sandwich", "--jmax", "-1"),
+        ("verify", "adjoin-zero", "--max-order", "0"),
+        ("verify", "rees-quotient", "--max-order", "-3"),
+        ("verify", "subsemigroup", "--max-order", "two"),
+        ("corpus", "--imax", "0", "--jmax", "0", "--max-order", "0"),
+    ])
+    def test_size_that_is_not_a_positive_integer_is_a_usage_error(self, argv, capsys):
+        # such a size would check no instance and print PASS
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a positive integer" in captured.err
 
     def test_options_the_tag_reads_are_accepted(self):
         code, out = run_cli("verify", "czeros", "--imax", "1", "--jmax", "1")
