@@ -69,12 +69,12 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
     base = None
     i_count = j_count = None
     with_zero = False
-    matrix_rows: list[list[str]] = []
+    matrix_rows: list[tuple[int, list[str]]] = []
     in_matrix = False
     for no, ln in lines:
         toks = ln.split()
         if in_matrix:
-            matrix_rows.append(toks)
+            matrix_rows.append((no, toks))
             continue
         if toks[0] == "base":
             path = directory / " ".join(toks[1:])
@@ -97,17 +97,20 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
             raise ParseError(f"unexpected line {ln!r}", no)
     if base is None or i_count is None or j_count is None:
         raise ParseError("spec needs base, i, j and matrix lines", 1)
-    if len(matrix_rows) != j_count or any(len(r) != i_count for r in matrix_rows):
+    if len(matrix_rows) != j_count or any(len(r) != i_count for _no, r in matrix_rows):
         raise ParseError(f"matrix must have {j_count} rows of {i_count} entries",
                          lines[-1][0])
     entries = []
-    for row in matrix_rows:
+    for no, row in matrix_rows:
         out = []
         for tok in row:
             if tok == "0" and (with_zero or "0" not in base.labels):
                 out.append(ZERO)
             else:
-                out.append(base.index(tok))
+                try:
+                    out.append(base.index(tok))
+                except SemigroupError as e:
+                    raise ParseError(str(e), no) from None
         entries.append(out)
     return ReesSpec(base, i_count, j_count, with_zero, sandwich(entries))
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .semigroup import ParseError
+from .semigroup import ParseError, _built
 
 
 class LanguageError(ValueError):
@@ -147,8 +147,8 @@ def as_nfa(a: Nfa | Dfa) -> Nfa:
         return a
     trans = {(p, x, q) for p, row in enumerate(a.transitions)
              for x, q in enumerate(row) if q is not None}
-    return Nfa(a.alphabet, a.n_states, frozenset(trans),
-               frozenset({a.initial}), a.final)
+    return _built(Nfa, a.alphabet, a.n_states, frozenset(trans),
+                  frozenset({a.initial}), a.final)
 
 
 def empty_nfa(alphabet) -> Nfa:
@@ -323,8 +323,8 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
                 row[x] = tid
             post >>= n
             x += 1
-    return Dfa(a.alphabet, len(table), tuple(tuple(r) for r in table),
-               0, frozenset(final))
+    return _built(Dfa, a.alphabet, len(table), tuple(tuple(r) for r in table),
+                  0, frozenset(final), False)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -351,8 +351,8 @@ def minimize(d: Dfa) -> Dfa:
         cls = new
     start, dead = cls[d.initial], cls[n]
     if start == dead:
-        return Dfa(d.alphabet, 1, ((None,) * nletters,), 0, frozenset(),
-                   minimal=True)
+        return _built(Dfa, d.alphabet, 1, ((None,) * nletters,), 0,
+                      frozenset(), True)
     rep = {}
     for p, c in enumerate(cls):
         rep.setdefault(c, p)
@@ -365,7 +365,7 @@ def minimize(d: Dfa) -> Dfa:
                 queue.append(cls[q])
     rows = tuple(tuple(order.get(cls[q]) for q in trans[rep[c]]) for c in order)
     fin = frozenset(i for c, i in order.items() if rep[c] in d.final)
-    return Dfa(d.alphabet, len(rows), rows, 0, fin, minimal=True)
+    return _built(Dfa, d.alphabet, len(rows), rows, 0, fin, True)
 
 
 def minimal_dfa(a: Nfa | Dfa) -> Dfa:
@@ -455,19 +455,19 @@ def _require_same(a: Nfa, b: Nfa):
 
 def union(a: Nfa, b: Nfa) -> Nfa:
     _require_same(a, b)
-    return Nfa(a.alphabet, a.n_states + b.n_states,
-               frozenset(a.transitions) | frozenset(_offset(b.transitions, a.n_states)),
-               a.initial | frozenset(q + a.n_states for q in b.initial),
-               a.final | frozenset(q + a.n_states for q in b.final))
+    return _built(Nfa, a.alphabet, a.n_states + b.n_states,
+                  frozenset(a.transitions) | frozenset(_offset(b.transitions, a.n_states)),
+                  a.initial | frozenset(q + a.n_states for q in b.initial),
+                  a.final | frozenset(q + a.n_states for q in b.final))
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
     _require_same(a, b)
     bridge = {(f, None, i + a.n_states) for f in a.final for i in b.initial}
-    return Nfa(a.alphabet, a.n_states + b.n_states,
-               frozenset(a.transitions) | frozenset(_offset(b.transitions, a.n_states)) | frozenset(bridge),
-               a.initial,
-               frozenset(q + a.n_states for q in b.final))
+    return _built(Nfa, a.alphabet, a.n_states + b.n_states,
+                  frozenset(a.transitions) | frozenset(_offset(b.transitions, a.n_states)) | frozenset(bridge),
+                  a.initial,
+                  frozenset(q + a.n_states for q in b.final))
 
 
 def star(a: Nfa) -> Nfa:
@@ -476,14 +476,14 @@ def star(a: Nfa) -> Nfa:
     trans = set(a.transitions)
     trans.update((hub, None, i) for i in a.initial)
     trans.update((f, None, hub) for f in a.final)
-    return Nfa(a.alphabet, a.n_states + 1, frozenset(trans),
-               frozenset({hub}), frozenset({hub}))
+    return _built(Nfa, a.alphabet, a.n_states + 1, frozenset(trans),
+                  frozenset({hub}), frozenset({hub}))
 
 
 def plus(a: Nfa) -> Nfa:
     trans = set(a.transitions)
     trans.update((f, None, i) for f in a.final for i in a.initial)
-    return Nfa(a.alphabet, a.n_states, frozenset(trans), a.initial, a.final)
+    return _built(Nfa, a.alphabet, a.n_states, frozenset(trans), a.initial, a.final)
 
 
 def _moves(a: Nfa, backward: bool = False) -> list[list[tuple]]:
@@ -541,8 +541,8 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     ids, moves = _product(_moves(a), _moves(b), start)
     final = frozenset(i for (p, q), i in ids.items()
                       if p in a.final and q in b.final)
-    return Nfa(a.alphabet, max(len(ids), 1), frozenset(moves),
-               frozenset(range(len(start))), final)
+    return _built(Nfa, a.alphabet, max(len(ids), 1), frozenset(moves),
+                  frozenset(range(len(start))), final)
 
 
 def restrict(a: Nfa, letters) -> Nfa:
@@ -560,9 +560,9 @@ def restrict(a: Nfa, letters) -> Nfa:
     idx = {p: i for i, p in enumerate(keep)}
     trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
              if x in allowed and p in idx}
-    return Nfa(a.alphabet, max(len(keep), 1), frozenset(trans),
-               frozenset(idx[p] for p in a.initial),
-               frozenset(idx[p] for p in a.final if p in idx))
+    return _built(Nfa, a.alphabet, max(len(keep), 1), frozenset(trans),
+                  frozenset(idx[p] for p in a.initial),
+                  frozenset(idx[p] for p in a.final if p in idx))
 
 
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:
@@ -574,8 +574,8 @@ def right_quotient(l: Nfa, r: Nfa) -> Nfa:
     good, _ = _product(_moves(l, backward=True), _moves(r, backward=True),
                        [(p, q) for p in l.final for q in r.final])
     new_final = {p for p, q in good if q in r.initial}
-    return Nfa(l.alphabet, l.n_states, l.transitions, l.initial,
-               frozenset(new_final))
+    return _built(Nfa, l.alphabet, l.n_states, l.transitions, l.initial,
+                  frozenset(new_final))
 
 
 def left_quotient(r: Nfa, l: Nfa) -> Nfa:
@@ -585,15 +585,15 @@ def left_quotient(r: Nfa, l: Nfa) -> Nfa:
     seen, _ = _product(_moves(l), _moves(r),
                        [(p, q) for p in l.initial for q in r.initial])
     new_initial = {p for p, q in seen if q in r.final}
-    return Nfa(l.alphabet, l.n_states, l.transitions,
-               frozenset(new_initial), l.final)
+    return _built(Nfa, l.alphabet, l.n_states, l.transitions,
+                  frozenset(new_initial), l.final)
 
 
 def involution_image(a: Nfa) -> Nfa:
     """w -> w-bar: reverse the automaton and bar each letter."""
     bar = a.alphabet.bar
     trans = {(q, None if x is None else bar(x), p) for p, x, q in a.transitions}
-    return Nfa(a.alphabet, a.n_states, frozenset(trans), a.final, a.initial)
+    return _built(Nfa, a.alphabet, a.n_states, frozenset(trans), a.final, a.initial)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -610,25 +610,25 @@ def trim(a: Nfa) -> Nfa:
     idx = {p: i for i, p in enumerate(keep)}
     trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
              if p in idx and q in idx}
-    return Nfa(a.alphabet, len(keep), frozenset(trans),
-               frozenset(idx[p] for p in a.initial if p in idx),
-               frozenset(idx[p] for p in a.final if p in idx))
+    return _built(Nfa, a.alphabet, len(keep), frozenset(trans),
+                  frozenset(idx[p] for p in a.initial if p in idx),
+                  frozenset(idx[p] for p in a.final if p in idx))
 
 
 def prefix_closure(a: Nfa) -> Nfa:
     t = trim(a)
     if not t.transitions and not t.final:
         return t
-    return Nfa(t.alphabet, t.n_states, t.transitions, t.initial,
-               frozenset(range(t.n_states)))
+    return _built(Nfa, t.alphabet, t.n_states, t.transitions, t.initial,
+                  frozenset(range(t.n_states)))
 
 
 def suffix_closure(a: Nfa) -> Nfa:
     t = trim(a)
     if not t.transitions and not t.final:
         return t
-    return Nfa(t.alphabet, t.n_states, t.transitions,
-               frozenset(range(t.n_states)), t.final)
+    return _built(Nfa, t.alphabet, t.n_states, t.transitions,
+                  frozenset(range(t.n_states)), t.final)
 
 
 def factor_closure(a: Nfa) -> Nfa:
@@ -636,7 +636,7 @@ def factor_closure(a: Nfa) -> Nfa:
     if not t.transitions and not t.final:
         return t
     everything = frozenset(range(t.n_states))
-    return Nfa(t.alphabet, t.n_states, t.transitions, everything, everything)
+    return _built(Nfa, t.alphabet, t.n_states, t.transitions, everything, everything)
 
 
 def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
@@ -714,8 +714,7 @@ def parse_automaton_text(text: str) -> Nfa:
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
     n_states = None
     base: list[str] | None = None
-    initial: list[int] = []
-    final: list[int] = []
+    ends: dict[str, tuple[int, list[int]]] = {}  # initial/final: line, states
     trans_lines = []
     for no, ln in lines:
         toks = ln.split()
@@ -726,10 +725,11 @@ def parse_automaton_text(text: str) -> Nfa:
                 raise ParseError("bad states line", no) from None
         elif toks[0] == "alphabet":
             base = toks[1:]
-        elif toks[0] == "initial":
-            initial = [int(t) for t in toks[1:]]
-        elif toks[0] == "final":
-            final = [int(t) for t in toks[1:]]
+        elif toks[0] in ("initial", "final"):
+            try:
+                ends[toks[0]] = (no, [int(t) for t in toks[1:]])
+            except ValueError:
+                raise ParseError(f"bad state in {toks[0]} line", no) from None
         elif len(toks) == 3:
             trans_lines.append((no, toks))
         else:
@@ -756,9 +756,11 @@ def parse_automaton_text(text: str) -> Nfa:
         if not (0 <= pi < n_states and 0 <= qi < n_states):
             raise ParseError(f"state out of range in {p} {sym} {q}", no)
         trans.add((pi, letter, qi))
-    try:
-        return Nfa(alphabet, n_states, frozenset(trans),
-                   frozenset(initial), frozenset(final))
-    except LanguageError as e:
-        raise ParseError(str(e), lines[0][0] if lines else 1) from None
+    for no, states in ends.values():
+        for q in states:
+            if not 0 <= q < n_states:
+                raise ParseError(f"state {q} out of range", no)
+    initial = frozenset(ends.get("initial", (0, ()))[1])
+    final = frozenset(ends.get("final", (0, ()))[1])
+    return Nfa(alphabet, n_states, frozenset(trans), initial, final)
 

@@ -16,6 +16,7 @@ from .semigroup import (
     GeneratorMap,
     IndexOutOfRange,
     NoIdentity,
+    _built,
     lift_to_monoid,
 )
 
@@ -78,8 +79,8 @@ def monoid_loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
         trans.add((a, x, b))
         trans.add((b, alphabet.bar(x), a))
     ident = gmap.target.identity
-    nfa = Nfa(alphabet, gmap.target.order, frozenset(trans),
-              frozenset({ident}), frozenset({ident}))
+    nfa = _built(Nfa, alphabet, gmap.target.order, frozenset(trans),
+                 frozenset({ident}), frozenset({ident}))
     return LoopAutomaton(nfa, gmap.target, gmap, ident)
 
 
@@ -104,7 +105,7 @@ def path_language(la: LoopAutomaton, sources, targets) -> Nfa:
     for v in src | tgt:
         if not (0 <= v < la.monoid.order):
             raise IndexOutOfRange(f"vertex {v} out of range")
-    return Nfa(la.nfa.alphabet, la.nfa.n_states, la.nfa.transitions, src, tgt)
+    return _built(Nfa, la.nfa.alphabet, la.nfa.n_states, la.nfa.transitions, src, tgt)
 
 
 def non_returning_language(la: LoopAutomaton) -> Nfa:
@@ -116,8 +117,8 @@ def non_returning_language(la: LoopAutomaton) -> Nfa:
     trans = set()
     for p, x, q in la.nfa.transitions:
         trans.add((p, x, sink if q == ident else q))
-    return Nfa(la.nfa.alphabet, sink + 1, frozenset(trans),
-               frozenset({ident}), frozenset({sink}))
+    return _built(Nfa, la.nfa.alphabet, sink + 1, frozenset(trans),
+                  frozenset({ident}), frozenset({sink}))
 
 
 def zigzag_factor(alphabet: HatAlphabet, word) -> list[tuple[int, ...]]:

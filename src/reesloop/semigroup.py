@@ -1,9 +1,11 @@
 """Finite semigroups as multiplication tables.
 
 Elements are dense integer indices; labels are presentation only. All values
-are immutable after construction and every invariant is checked eagerly, so a
-FiniteSemigroup that exists is associative and its designated zero/identity
-obey their laws.
+are immutable.  Public constructors and parsers check every invariant, so a
+FiniteSemigroup is associative and its designated zero/identity obey their
+laws.  Derived constructions (S^1, S^0, quotients, Rees matrix semigroups,
+their maps and automata) are correct once their inputs are: they are trusted
+and build through _built unchecked; tests/test_trusted.py rebuilds them.
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"Parse error at line {line}: {message}")
+
+
+def _built(cls, *values):
+    """An instance of the frozen dataclass cls with the given values of all
+    its fields, in order, made without running __post_init__: only for
+    results whose invariants follow from inputs already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -212,7 +223,7 @@ class GeneratorMap:
 
 def full_generator_map(s: FiniteSemigroup) -> GeneratorMap:
     """One generator per element, named by the element's label."""
-    return GeneratorMap(s.labels, s, tuple(range(s.order)))
+    return _built(GeneratorMap, s.labels, s, tuple(range(s.order)), False)
 
 
 def generator_map(s: FiniteSemigroup, labels) -> GeneratorMap:
@@ -227,8 +238,8 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     rows = [list(row) + [a] for a, row in enumerate(s.table)]
     rows.append(list(range(n + 1)))
     labels = s.labels + (_fresh_label(s.labels, "1"),)
-    return FiniteSemigroup(labels, tuple(tuple(r) for r in rows),
-                           zero=s.zero, identity=n)
+    return _built(FiniteSemigroup, labels, tuple(tuple(r) for r in rows),
+                  s.zero, n)
 
 
 def adjoin_zero(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -238,14 +249,14 @@ def adjoin_zero(s: FiniteSemigroup) -> FiniteSemigroup:
     rows = [list(row) + [n] for row in s.table]
     rows.append([n] * (n + 1))
     labels = s.labels + (_fresh_label(s.labels, "0"),)
-    return FiniteSemigroup(labels, tuple(tuple(r) for r in rows),
-                           zero=n, identity=s.identity)
+    return _built(FiniteSemigroup, labels, tuple(tuple(r) for r in rows),
+                  n, s.identity)
 
 
 def lift_to_monoid(gmap: GeneratorMap) -> GeneratorMap:
     """The unique extension of a semigroup generator choice to S^1."""
-    return GeneratorMap(gmap.alphabet, adjoin_identity(gmap.target),
-                        gmap.image, monoid=True)
+    return _built(GeneratorMap, gmap.alphabet, adjoin_identity(gmap.target),
+                  gmap.image, True)
 
 
 def _check_subset(s: FiniteSemigroup, subset) -> frozenset:
@@ -285,10 +296,8 @@ def subsemigroup(s: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int
     emb = tuple(sorted(sub))
     back = {v: i for i, v in enumerate(emb)}
     table = tuple(tuple(back[s.mul(a, b)] for b in emb) for a in emb)
-    zero = back.get(s.zero) if s.zero in back else None
-    ident = back.get(s.identity) if s.identity in back else None
-    return (FiniteSemigroup(tuple(s.labels[v] for v in emb), table,
-                            zero=zero, identity=ident), emb)
+    return (_built(FiniteSemigroup, tuple(s.labels[v] for v in emb), table,
+                   back.get(s.zero), back.get(s.identity)), emb)
 
 
 def rees_quotient(s: FiniteSemigroup, ideal, gmap: GeneratorMap | None = None):
@@ -309,20 +318,16 @@ def rees_quotient(s: FiniteSemigroup, ideal, gmap: GeneratorMap | None = None):
     for i, a in enumerate(survivors):
         for j, b in enumerate(survivors):
             rows[i][j] = proj[s.mul(a, b)]
-    ident = None
-    if s.identity is not None and s.identity not in t:
-        ident = proj[s.identity]
-    q = FiniteSemigroup(labels, tuple(tuple(r) for r in rows),
-                        zero=zero_idx, identity=ident)
-    for a in range(s.order):
-        for b in range(s.order):
-            if q.mul(proj[a], proj[b]) != proj[s.mul(a, b)]:
-                raise SemigroupError("projection is not a morphism")
+    ident = None if s.identity is None or s.identity in t else proj[s.identity]
+    q = _built(FiniteSemigroup, labels, tuple(tuple(r) for r in rows),
+               zero_idx, ident)
     proj_t = tuple(proj)
     if gmap is None:
         return q, proj_t
-    induced = GeneratorMap(gmap.alphabet, q, tuple(proj[v] for v in gmap.image))
-    return q, proj_t, induced
+    image = tuple(proj[v] for v in gmap.image)
+    if gmap.monoid:  # without the identity its images may not generate S/T
+        return q, proj_t, GeneratorMap(gmap.alphabet, q, image)
+    return q, proj_t, _built(GeneratorMap, gmap.alphabet, q, image, False)
 
 
 ZERO = None  # sandwich-matrix mark for the absent entry
@@ -443,8 +448,8 @@ def rees_matrix(s: FiniteSemigroup, i_count: int, j_count: int,
         for a in range(n):
             rows[a][zero] = zero
             rows[zero][a] = zero
-    m = FiniteSemigroup(tuple(labels), tuple(tuple(r) for r in rows),
-                        zero=zero, identity=None)
+    m = _built(FiniteSemigroup, tuple(labels), tuple(tuple(r) for r in rows),
+               zero, None)
     return m, rs
 
 
@@ -509,9 +514,7 @@ def group_of_units(m: FiniteSemigroup):
             if m.mul(g, h) == e and m.mul(h, g) == e:
                 inverse[g] = h
                 break
-    grp, emb = subsemigroup(m, frozenset(inverse))
-    grp = FiniteSemigroup(grp.labels, grp.table, zero=grp.zero,
-                          identity=emb.index(e))
+    grp, emb = subsemigroup(m, frozenset(inverse))  # its identity is e's index
     return grp, emb, inverse
 
 
@@ -521,8 +524,8 @@ def maximal_subgroup(s: FiniteSemigroup, e: int):
         raise NotIdempotent(f"element {e} is not idempotent")
     local = sorted({s.mul(e, s.mul(x, e)) for x in range(s.order)})
     loc, emb = subsemigroup(s, frozenset(local))
-    loc = FiniteSemigroup(loc.labels, loc.table, zero=loc.zero,
-                          identity=emb.index(e))
+    loc = _built(FiniteSemigroup, loc.labels, loc.table, loc.zero,
+                 emb.index(e))
     grp, emb2, _ = group_of_units(loc)
     return grp, tuple(emb[v] for v in emb2)
 
@@ -588,18 +591,18 @@ def is_pseudo_right_unitary(s: FiniteSemigroup, t) -> bool:
 
 def is_weakly_pru(s: FiniteSemigroup, t) -> bool:
     """For every a and pair x, y in T with ax in T, some b in T has
-    bx = ax and by = ay."""
+    bx = ax and by = ay: (ax, ay) is one of the pairs (bx, by) for x, y."""
     sub = _check_subset(s, t)
     if not is_subsemigroup(s, sub):
         raise NotASubsemigroup(f"{sorted(sub)} is not a subsemigroup")
-    for a in range(s.order):
-        for x in sub:
-            if s.mul(a, x) not in sub:
-                continue
-            for y in sub:
-                if not any(s.mul(b, x) == s.mul(a, x) and s.mul(b, y) == s.mul(a, y)
-                           for b in sub):
-                    return False
+    rows = s.table
+    t_rows = [rows[b] for b in sub]
+    for x in sub:
+        kept = [row for row in rows if row[x] in sub]
+        for y in sub:
+            pairs = {(row[x], row[y]) for row in t_rows}
+            if any((row[x], row[y]) not in pairs for row in kept):
+                return False
     return True
 
 

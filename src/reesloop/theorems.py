@@ -49,6 +49,7 @@ from .semigroup import (
     SandwichMatrix,
     SemigroupError,
     ZERO,
+    _built,
     _fresh_label,
     adjoin_zero,
     all_subsemigroups,
@@ -223,7 +224,9 @@ def extend_to_zero(gmap: GeneratorMap) -> GeneratorMap:
     """The unique extension of sigma to S^0, one fresh letter to the zero."""
     s0 = adjoin_zero(gmap.target)
     z = _fresh_label(gmap.alphabet, "z")
-    return GeneratorMap(gmap.alphabet + (z,), s0, gmap.image + (s0.zero,))
+    args = (gmap.alphabet + (z,), s0, gmap.image + (s0.zero,))
+    # without the identity the images of a monoid map may not generate S^0
+    return GeneratorMap(*args) if gmap.monoid else _built(GeneratorMap, *args, False)
 
 
 def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationReport:

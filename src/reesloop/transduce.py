@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .language import (AlphabetMismatch, HatAlphabet, LanguageError, Nfa, _moves,
                        _product, member, word_set_nfa)
-from .semigroup import GeneratorMap, ReesStructure, SemigroupError
+from .semigroup import GeneratorMap, ReesStructure, SemigroupError, _built
 
 
 class HasZero(SemigroupError):
@@ -72,8 +72,8 @@ def normalize(t: Transducer) -> Transducer:
                        v[k:k + 1],
                        nxt))
             prev = nxt
-    return Transducer(t.in_alphabet, t.out_alphabet, n, frozenset(edges),
-                      t.initial, t.final)
+    return _built(Transducer, t.in_alphabet, t.out_alphabet, n,
+                  frozenset(edges), t.initial, t.final)
 
 
 def accepts_pair(t: Transducer, u, v) -> bool:
@@ -96,8 +96,8 @@ def apply(t: Transducer, l: Nfa) -> Nfa:
     ids, moves = _product(_moves(l), t_moves, start)
     final = frozenset(i for (p, s), i in ids.items()
                       if p in l.final and s in nt.final)
-    return Nfa(t.out_alphabet, max(len(ids), 1), frozenset(moves),
-               frozenset(range(len(start))), final)
+    return _built(Nfa, t.out_alphabet, max(len(ids), 1), frozenset(moves),
+                  frozenset(range(len(start))), final)
 
 
 def choose_words(gmap: GeneratorMap, rng: random.Random | None = None) -> dict[int, tuple[int, ...]]:

@@ -149,6 +149,17 @@ class TestConstructions:
         no = lines.index(line) + 1
         assert captured.err.startswith(f"error: Parse error at line {no}: ")
 
+    def test_unknown_matrix_label_is_a_parse_error_at_its_line(
+            self, tables, tmp_path, capsys):
+        spec = tmp_path / "bad.rees"
+        spec.write_text("base triv.tbl\ni 2\nj 2\nzero true\nmatrix\n"
+                        "e 0\n\n0 q\n")
+        assert main(["rees", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Parse error at line 8: "
+                                "no element labelled 'q'\n")
+
     def test_quotient(self, tables):
         code, out = run_cli("quotient", tables["b2"], "0")
         assert code == 0

@@ -41,7 +41,8 @@ from reesloop.language import (
 )
 from reesloop import language
 from reesloop.loops import loop_problem
-from reesloop.semigroup import NAMED_SEMIGROUPS, full_generator_map, rees_matrix, sandwich
+from reesloop.semigroup import (NAMED_SEMIGROUPS, ParseError, full_generator_map,
+                                rees_matrix, sandwich)
 from reesloop.transduce import apply, build_rees_transducer
 
 X = HatAlphabet(("x",))
@@ -820,6 +821,21 @@ class TestTextFormat:
         a = parse_automaton_text(text)
         assert member(a, ())
         assert member(a, (a.alphabet.letter("~x"),))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("states 2\ninitial x\nfinal 1\n", 2, "bad state in initial line"),
+        ("states 2\ninitial 0\n\nfinal 1 y\n", 4, "bad state in final line"),
+        ("states 2\ninitial 0\nfinal 5\n", 3, "state 5 out of range"),
+        ("initial 2\nstates 2\nfinal 1\n", 1, "state 2 out of range"),
+        ("states 2\nalphabet x\n\ninitial -1\n0 x 1\n", 4,
+         "state -1 out of range"),
+    ])
+    def test_bad_initial_or_final_line_is_a_parse_error_at_its_line(
+            self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_automaton_text(text)
+        assert err.value.line == line
+        assert str(err.value) == f"Parse error at line {line}: {message}"
 
     def test_trim_keeps_language(self):
         a = Nfa(X, 4, frozenset({(0, x, 1), (2, x, 3)}),

@@ -61,6 +61,20 @@ def all_subsemigroups(s):
                 yield fs
 
 
+def reference_weakly_pru(s, t):
+    """The definition read literally: for every a and x, y in T with ax in
+    T, some b in T has bx = ax and by = ay."""
+    for a in range(s.order):
+        for x in t:
+            if s.mul(a, x) not in t:
+                continue
+            for y in t:
+                if not any(s.mul(b, x) == s.mul(a, x) and s.mul(b, y) == s.mul(a, y)
+                           for b in t):
+                    return False
+    return True
+
+
 class TestMakeSemigroup:
     def test_trivial(self):
         s = make_semigroup(["e"], [[0]])
@@ -368,6 +382,12 @@ class TestUnitaryPredicates:
                     if ru:
                         assert is_pseudo_right_unitary(s, t)
                         assert is_weakly_pru(s, t)
+
+    def test_weakly_pru_matches_the_definition_up_to_order_four(self):
+        verdicts = [is_weakly_pru(s, t) == reference_weakly_pru(s, t)
+                    for n in range(1, 5) for s in enumerate_semigroups(n)
+                    for t in all_subsemigroups(s)]
+        assert len(verdicts) == 34019 and all(verdicts)
 
     def test_pseudo_does_not_imply_weakly(self):
         s = make_semigroup(None, ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
