@@ -97,6 +97,8 @@ class Nfa:
     final: frozenset[int]
 
     def __post_init__(self):
+        if self.n_states < 0:
+            raise LanguageError("state count must be non-negative")
         for q in self.initial | self.final:
             if not (0 <= q < self.n_states):
                 raise LanguageError(f"state {q} out of range")
@@ -709,6 +711,13 @@ def format_automaton(a: Nfa | Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _symbols_at(symbols, no: int):
+    try:
+        _check_symbols(symbols)
+    except LanguageError as e:
+        raise ParseError(str(e), no) from None
+
+
 def parse_automaton_text(text: str) -> Nfa:
     raw = text.splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
@@ -723,8 +732,11 @@ def parse_automaton_text(text: str) -> Nfa:
                 n_states = int(toks[1])
             except (IndexError, ValueError):
                 raise ParseError("bad states line", no) from None
+            if n_states < 0:
+                raise ParseError("state count must be non-negative", no)
         elif toks[0] == "alphabet":
             base = toks[1:]
+            _symbols_at(base, no)
         elif toks[0] in ("initial", "final"):
             try:
                 ends[toks[0]] = (no, [int(t) for t in toks[1:]])
@@ -738,11 +750,12 @@ def parse_automaton_text(text: str) -> Nfa:
         raise ParseError("missing states line", 1)
     if base is None:
         seen = []
-        for _no, (_p, sym, _q) in trans_lines:
+        for no, (_p, sym, _q) in trans_lines:
             if sym == "-":
                 continue
             b = sym[1:] if sym.startswith("~") else sym
             if b not in seen:
+                _symbols_at((b,), no)
                 seen.append(b)
         base = sorted(seen)
     alphabet = HatAlphabet(tuple(base))
@@ -752,7 +765,10 @@ def parse_automaton_text(text: str) -> Nfa:
             pi, qi = int(p), int(q)
         except ValueError:
             raise ParseError(f"bad state in transition {p} {sym} {q}", no) from None
-        letter = None if sym == "-" else alphabet.letter(sym)
+        try:
+            letter = None if sym == "-" else alphabet.letter(sym)
+        except LanguageError as e:
+            raise ParseError(str(e), no) from None
         if not (0 <= pi < n_states and 0 <= qi < n_states):
             raise ParseError(f"state out of range in {p} {sym} {q}", no)
         trans.add((pi, letter, qi))

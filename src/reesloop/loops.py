@@ -71,17 +71,22 @@ def cayley_graph(gmap: GeneratorMap) -> CayleyGraph:
 
 
 def monoid_loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
-    """Loop automaton of a monoid with its own designated identity."""
-    cg = cayley_graph(gmap)
+    """Loop automaton of a monoid with its own designated identity, read off
+    the table: a --x--> b and b --x-bar--> a whenever a.(x sigma) = b."""
+    m = gmap.target
+    if m.identity is None or not gmap.monoid:
+        raise NoIdentity("cayley_graph needs a monoid generator map")
     alphabet = HatAlphabet(tuple(gmap.alphabet))
+    k = len(gmap.alphabet)
     trans = set()
-    for a, x, b in cg.edges:
-        trans.add((a, x, b))
-        trans.add((b, alphabet.bar(x), a))
-    ident = gmap.target.identity
-    nfa = _built(Nfa, alphabet, gmap.target.order, frozenset(trans),
+    for a, row in enumerate(m.table):
+        for x, g in enumerate(gmap.image):
+            trans.add((a, x, row[g]))
+            trans.add((row[g], x + k, a))
+    ident = m.identity
+    nfa = _built(Nfa, alphabet, m.order, frozenset(trans),
                  frozenset({ident}), frozenset({ident}))
-    return LoopAutomaton(nfa, gmap.target, gmap, ident)
+    return LoopAutomaton(nfa, m, gmap, ident)
 
 
 def loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:

@@ -276,9 +276,10 @@ def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
 
 def all_subsemigroups(s: FiniteSemigroup) -> list[frozenset[int]]:
     """Every subsemigroup, by size and then lexicographically."""
+    rows = s.table
     subsets = (frozenset(sub) for r in range(1, s.order + 1)
                for sub in itertools.combinations(range(s.order), r))
-    return [t for t in subsets if is_subsemigroup(s, t)]
+    return [t for t in subsets if all(rows[a][b] in t for a in t for b in t)]
 
 
 def is_ideal(s: FiniteSemigroup, subset) -> bool:
@@ -531,12 +532,12 @@ def maximal_subgroup(s: FiniteSemigroup, e: int):
 
 
 def principal_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    """S^1 a S^1 = {a} | aS | Sa | SaS."""
-    n = s.order
-    out = {a}
-    out.update(s.mul(a, x) for x in range(n))
-    out.update(s.mul(x, a) for x in range(n))
-    out.update(s.mul(x, s.mul(a, y)) for x in range(n) for y in range(n))
+    """S^1 a S^1 = {a} | aS | Sa | (Sa)S, read off the table rows."""
+    rows = s.table
+    sa = {row[a] for row in rows}
+    out = {a, *rows[a], *sa}
+    for b in sa:
+        out.update(rows[b])
     return frozenset(out)
 
 
@@ -597,8 +598,11 @@ def is_weakly_pru(s: FiniteSemigroup, t) -> bool:
         raise NotASubsemigroup(f"{sorted(sub)} is not a subsemigroup")
     rows = s.table
     t_rows = [rows[b] for b in sub]
+    outside = [row for a, row in enumerate(rows) if a not in sub]  # a in T is its own b
     for x in sub:
-        kept = [row for row in rows if row[x] in sub]
+        kept = [row for row in outside if row[x] in sub]
+        if not kept:
+            continue
         for y in sub:
             pairs = {(row[x], row[y]) for row in t_rows}
             if any((row[x], row[y]) not in pairs for row in kept):
@@ -616,20 +620,25 @@ def enumerate_semigroups(n: int):
     table = [[-1] * n for _ in range(n)]
     rng = range(n)
 
-    def ok_so_far() -> bool:
-        for a in rng:
+    def consistent(i: int, j: int) -> bool:
+        """Associativity on the defined triples that read cell (i, j): no other changed."""
+        ti = table[i]
+        for b in rng:  # (ib)c against i(bc), where b = j or bc = j
+            ib, tb = ti[b], table[b]
+            if ib >= 0:
+                tib = table[ib]
+                for c in rng:
+                    bc = tb[c]
+                    if (b == j or bc == j) and bc >= 0 and 0 <= tib[c] != ti[bc] >= 0:
+                        return False
+        for a in rng:  # (ab)j against a(bj), where b = i or ab = i
             ta = table[a]
             for b in rng:
                 ab = ta[b]
-                if ab < 0:
-                    continue
-                for c in rng:
-                    bc = table[b][c]
-                    abc1 = table[ab][c]
-                    if bc >= 0:
-                        abc2 = ta[bc]
-                        if abc1 >= 0 and abc2 >= 0 and abc1 != abc2:
-                            return False
+                if (b == i or ab == i) and ab >= 0:
+                    bj = table[b][j]
+                    if bj >= 0 and 0 <= table[ab][j] != ta[bj] >= 0:
+                        return False
         return True
 
     def fill(k: int):
@@ -639,7 +648,7 @@ def enumerate_semigroups(n: int):
         i, j = cells[k]
         for v in rng:
             table[i][j] = v
-            if ok_so_far():
+            if consistent(i, j):
                 yield from fill(k + 1)
         table[i][j] = -1
 

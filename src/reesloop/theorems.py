@@ -1,6 +1,7 @@
 """One executable verifier per language identity: each builds the left- and
 right-hand languages independently and decides equality of minimal DFAs,
-reporting a shortest separating word on failure.
+reporting a shortest separating word on failure; two sides built as the
+same automaton are minimized once.
 
 Two fine points of the identities, both forced by exhaustive small-order
 checking:
@@ -132,7 +133,7 @@ def _finish(tag: str, lhs_nfa: Nfa, rhs_nfa: Nfa, extra_checks, stats, t0) -> Ve
     minimal DFAs are canonical, so == decides the main comparison; only
     when they differ is the separator found, by walking the two NFAs."""
     lhs = minimal_dfa(lhs_nfa)
-    rhs = minimal_dfa(rhs_nfa)
+    rhs = lhs if rhs_nfa == lhs_nfa else minimal_dfa(rhs_nfa)
     sep = None if lhs == rhs else shortest_separator(lhs_nfa, rhs_nfa)
     checks = [("main", sep is None, _render(lhs.alphabet, sep))] + list(extra_checks)
     holds = all(ok for _n, ok, _s in checks)

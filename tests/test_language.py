@@ -837,6 +837,26 @@ class TestTextFormat:
         assert err.value.line == line
         assert str(err.value) == f"Parse error at line {line}: {message}"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("states 2\nalphabet x\ninitial 0\nfinal 1\n0 x 1\n\n1 q 0\n", 7,
+         "unknown symbol 'q'"),
+        ("states 2\nalphabet x\n1 ~q 0\n", 3, "unknown symbol 'q'"),
+        ("states 2\n\nalphabet x y x\n0 x 1\n", 3,
+         "alphabet symbols must be distinct"),
+        ("states -1\nalphabet x\n", 1, "state count must be non-negative"),
+        ("alphabet x\n\nstates -3\n", 3, "state count must be non-negative"),
+    ])
+    def test_bad_alphabet_symbol_or_state_count_is_a_parse_error_at_its_line(
+            self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_automaton_text(text)
+        assert err.value.line == line
+        assert str(err.value) == f"Parse error at line {line}: {message}"
+
+    def test_negative_state_count_is_rejected(self):
+        with pytest.raises(LanguageError, match="state count must be non-negative"):
+            Nfa(X, -1, frozenset(), frozenset(), frozenset())
+
     def test_trim_keeps_language(self):
         a = Nfa(X, 4, frozenset({(0, x, 1), (2, x, 3)}),
                 frozenset({0}), frozenset({1}))

@@ -2,21 +2,25 @@ import itertools
 
 import pytest
 
-from reesloop.language import HatAlphabet, enumerate_words, equivalent, member, prefix_closure
+from reesloop.language import HatAlphabet, Nfa, enumerate_words, equivalent, member, prefix_closure
 from reesloop.loops import (
     EmptyVertexSet,
+    LoopAutomaton,
     NotInLoopProblem,
     cayley_dot,
     cayley_graph,
     loop_automaton,
     loop_automaton_dot,
     loop_problem,
+    monoid_loop_automaton,
     non_returning_language,
     path_language,
     zigzag_factor,
     zigzag_witness,
 )
 from reesloop.semigroup import (
+    FiniteSemigroup,
+    GeneratorMap,
     NoIdentity,
     adjoin_zero,
     cyclic_group,
@@ -49,6 +53,31 @@ def bfs_words(transitions, n_states, initial, final, alphabet_size, max_len):
         if not level:
             break
     return out
+
+
+def cayley_loop_automaton(gmap):
+    """The loop automaton doubled from the edges of the Cayley graph."""
+    cg = cayley_graph(gmap)
+    alphabet = HatAlphabet(tuple(gmap.alphabet))
+    trans = set()
+    for a, x, b in cg.edges:
+        trans.add((a, x, b))
+        trans.add((b, alphabet.bar(x), a))
+    ident = gmap.target.identity
+    nfa = Nfa(alphabet, gmap.target.order, frozenset(trans),
+              frozenset({ident}), frozenset({ident}))
+    return LoopAutomaton(nfa, gmap.target, gmap, ident)
+
+
+def own_identity_map(s):
+    """The full monoid generator map of s at an identity of its own, or
+    None when s has none."""
+    n = s.order
+    for e in range(n):
+        if all(s.mul(e, a) == a == s.mul(a, e) for a in range(n)):
+            m = FiniteSemigroup(s.labels, s.table, identity=e)
+            return GeneratorMap(s.labels, m, tuple(range(n)), monoid=True)
+    return None
 
 
 class TestCayley:
@@ -105,6 +134,29 @@ class TestLoopAutomaton:
         s = cyclic_group(3)
         la = loop_automaton(full_generator_map(s))
         assert len(la.nfa.transitions) == 2 * 3 * (s.order + 1)
+
+    def test_equals_the_cayley_graph_doubling_up_to_order_four(self):
+        own = 0
+        for n in range(1, 5):
+            for s in enumerate_semigroups(n):
+                gmap = full_generator_map(s)
+                lifted = lift_to_monoid(gmap)
+                want = cayley_loop_automaton(lifted)
+                assert loop_automaton(gmap) == want
+                assert monoid_loop_automaton(lifted) == want
+                monoid = own_identity_map(s)
+                if monoid is not None:
+                    own += 1
+                    assert monoid_loop_automaton(monoid) == cayley_loop_automaton(monoid)
+        assert own > 0
+
+    def test_needs_a_monoid_map(self):
+        for gmap in (full_generator_map(cyclic_group(2)),
+                     full_generator_map(lift_to_monoid(full_generator_map(
+                         cyclic_group(2))).target)):
+            with pytest.raises(NoIdentity) as err:
+                monoid_loop_automaton(gmap)
+            assert str(err.value) == "cayley_graph needs a monoid generator map"
 
     def test_doubling_is_exact(self):
         la = loop_automaton(generator_map(cyclic_group(2), ["g"]))

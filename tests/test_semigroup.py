@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from reesloop import semigroup
 from reesloop.semigroup import (
     BadIdentity,
     BadZero,
@@ -73,6 +74,45 @@ def reference_weakly_pru(s, t):
                            for b in t):
                     return False
     return True
+
+
+def reference_enumerate_tables(n):
+    """The backtracking enumerator that rechecks every defined triple after
+    each cell is set."""
+    table = [[-1] * n for _ in range(n)]
+    rng = range(n)
+
+    def ok_so_far():
+        for a in rng:
+            for b in rng:
+                ab = table[a][b]
+                if ab < 0:
+                    continue
+                for c in rng:
+                    bc = table[b][c]
+                    if bc >= 0 and 0 <= table[ab][c] != table[a][bc] >= 0:
+                        return False
+        return True
+
+    def fill(k):
+        if k == n * n:
+            yield tuple(tuple(r) for r in table)
+            return
+        i, j = divmod(k, n)
+        for v in rng:
+            table[i][j] = v
+            if ok_so_far():
+                yield from fill(k + 1)
+        table[i][j] = -1
+
+    yield from fill(0)
+
+
+def reference_principal_ideal(s, a):
+    n = s.order
+    return frozenset({a} | {s.mul(a, x) for x in range(n)}
+                     | {s.mul(x, a) for x in range(n)}
+                     | {s.mul(x, s.mul(a, y)) for x in range(n) for y in range(n)})
 
 
 class TestMakeSemigroup:
@@ -325,9 +365,9 @@ class TestCompletelyZeroSimple:
         assert is_completely_zero_simple(b2)
 
     def test_all_ideals_matches_brute_force(self):
-        for s in (brandt_b2(), adjoin_zero(cyclic_group(2)), null_semigroup(3)):
-            assert sorted(map(sorted, all_ideals(s))) == \
-                sorted(map(sorted, self.brute_force_ideals(s)))
+        for s in (brandt_b2(), adjoin_zero(cyclic_group(2)), null_semigroup(3),
+                  *(s for n in range(1, 5) for s in enumerate_semigroups(n))):
+            assert all_ideals(s) == self.brute_force_ideals(s)
 
     def test_null_semigroup_fails_square_clause(self):
         assert not is_completely_zero_simple(null_semigroup(2))
@@ -420,6 +460,27 @@ class TestEnumeration:
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             next(enumerate_semigroups(5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_tables_in_the_same_order_as_the_full_recheck(self, n):
+        assert [s.table for s in enumerate_semigroups(n)] == \
+            list(reference_enumerate_tables(n))
+
+
+class TestIdealsAndSubsemigroupsUpToOrderFour:
+    @pytest.fixture(scope="class")
+    def semigroups(self):
+        return [s for n in range(1, 5) for s in enumerate_semigroups(n)]
+
+    def test_principal_ideals(self, semigroups):
+        for s in semigroups:
+            for a in range(s.order):
+                assert semigroup.principal_ideal(s, a) == reference_principal_ideal(s, a)
+
+    def test_all_subsemigroups(self, semigroups):
+        found = [semigroup.all_subsemigroups(s) for s in semigroups]
+        assert found == [list(all_subsemigroups(s)) for s in semigroups]
+        assert sum(map(len, found)) == 34019
 
 
 class TestGeneratorMaps:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -404,3 +405,78 @@ class TestReporting:
         line = result_line(rep, "bad")
         assert line.startswith("RESULT subsemigroup bad FAIL ")
         assert len(line.split()) == 5
+
+
+def two_call_finish(tag, lhs_nfa, rhs_nfa, extra_checks, stats, t0):
+    """_finish as it was before equal sides were minimized once: both sides
+    go through minimal_dfa."""
+    lhs = theorems.minimal_dfa(lhs_nfa)
+    rhs = theorems.minimal_dfa(rhs_nfa)
+    sep = None if lhs == rhs else theorems.shortest_separator(lhs_nfa, rhs_nfa)
+    checks = [("main", sep is None, theorems._render(lhs.alphabet, sep))] + list(extra_checks)
+    stats = dict(stats)
+    stats["lhs_states"] = lhs.n_states
+    stats["rhs_states"] = rhs.n_states
+    stats["checks"] = tuple((n, ok) for n, ok, _s in checks)
+    failed = {n: text for n, ok, text in checks if not ok and text is not None}
+    if failed:
+        stats["witnesses"] = failed
+    stats["elapsed"] = round(time.perf_counter() - t0, 6)
+    return theorems.VerificationReport(tag, all(ok for _n, ok, _s in checks),
+                                       lhs, rhs, sep, stats)
+
+
+class TestMinimizeOnce:
+    """Two sides built as the same automaton are minimized once, and the
+    report is the one both minimizations give."""
+
+    @staticmethod
+    def _run(monkeypatch, verify, *args):
+        calls = []
+        real = theorems.minimal_dfa
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(theorems, "minimal_dfa", counted)
+        report = verify(*args)
+        count = len(calls)
+        monkeypatch.setattr(theorems, "_finish", two_call_finish)
+        reference = verify(*args)
+        assert len(calls) == count + 2
+        return report, reference, count
+
+    @staticmethod
+    def _same_report(report, reference):
+        assert report.tag == reference.tag
+        assert report.holds == reference.holds
+        assert report.lhs == reference.lhs
+        assert report.rhs == reference.rhs
+        assert report.separator == reference.separator
+        drop = {"elapsed"}
+        assert {k: v for k, v in report.stats.items() if k not in drop} == \
+            {k: v for k, v in reference.stats.items() if k not in drop}
+
+    def test_remove_zero_minimizes_once(self, monkeypatch):
+        tau = extend_to_zero(full_generator_map(cyclic_group(3)))
+        report, reference, calls = self._run(
+            monkeypatch, verify_subsemigroup_intersection,
+            tau.target, tau, frozenset(range(3)), tau.alphabet[:-1])
+        assert calls == 1 and report.holds
+        self._same_report(report, reference)
+
+    def test_subsemigroup_with_equal_sides_minimizes_once(self, monkeypatch):
+        s = make_semigroup(None, ((0, 0), (1, 1)))  # left zero
+        tau = full_generator_map(s)
+        report, reference, calls = self._run(
+            monkeypatch, verify_subsemigroup_intersection, s, tau, {1}, ("s1",))
+        assert calls == 1 and report.holds
+        self._same_report(report, reference)
+
+    def test_adjoin_zero_minimizes_both_sides(self, monkeypatch):
+        s = cyclic_group(2)
+        report, reference, calls = self._run(
+            monkeypatch, verify_adjoin_zero, s, full_generator_map(s))
+        assert calls == 2 and report.holds
+        self._same_report(report, reference)
