@@ -86,6 +86,8 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
             if len(toks) != 2:
                 raise ParseError(f"{toks[0]} line takes one value", no)
             if toks[0] == "zero":
+                if toks[1].lower() not in ("true", "yes", "1", "false", "no", "0"):
+                    raise ParseError(f"zero takes true or false, got {toks[1]!r}", no)
                 with_zero = toks[1].lower() in ("true", "yes", "1")
             elif toks[0] == "i":
                 i_count = _spec_count(toks[1], no)
@@ -104,8 +106,10 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
     for no, row in matrix_rows:
         out = []
         for tok in row:
-            if tok == "0" and (with_zero or "0" not in base.labels):
+            if tok == "0" and with_zero:
                 out.append(ZERO)
+            elif tok == "0" and "0" not in base.labels:
+                raise ParseError("a 0 entry needs zero true", no)
             else:
                 try:
                     out.append(base.index(tok))

@@ -207,6 +207,8 @@ class _Core(NamedTuple):
     close: list[int]  # close[p]: epsilon closure of p, less dropped silent states
     rows: list[int]  # rows[p]: closed successors of p, one n-bit chunk per letter
     active: int  # the states with a letter move; rows[p] is 0 for the rest
+    start: int  # the closure of the initial states, less dropped silent states
+    final: int  # the final states
 
 
 def _core(a: Nfa, keep_silent: bool = True) -> _Core:
@@ -240,8 +242,9 @@ def _core(a: Nfa, keep_silent: bool = True) -> _Core:
         close[p] = mask
         wide |= 1 << p
     active = _mask(dense)
+    final = _mask(a.final)
     everything = (1 << n) - 1
-    keep = everything if keep_silent else active | _mask(a.final)
+    keep = everything if keep_silent else active | final
     if keep != everything:
         close = [c & keep for c in close]
     rows = [0] * n
@@ -252,7 +255,7 @@ def _core(a: Nfa, keep_silent: bool = True) -> _Core:
                 packed |= (_closed(close, m) if m & wide else m & keep) << shift
             shift += n
         rows[p] = packed
-    return _Core(close, rows, active)
+    return _Core(close, rows, active, _closed(close, _mask(a.initial)), final)
 
 
 def _closed(close: list[int], mask: int) -> int:
@@ -297,8 +300,7 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
     subsets.  The states are masked once per call, in the closures that
     the start set and the rows are built from."""
     core = _core(a, keep_silent)
-    start = _closed(core.close, _mask(a.initial))
-    fmask = _mask(a.final)
+    start, fmask = core.start, core.final
     n = a.n_states
     full = (1 << n) - 1
     nletters = a.alphabet.size
@@ -384,18 +386,12 @@ def member(a: Nfa | Dfa, word) -> bool:
     core = _core(a)
     n = a.n_states
     full = (1 << n) - 1
-    mask = _closed(core.close, _mask(a.initial))
+    mask = core.start
     for x in word:
         mask = _post(core, mask) >> x * n & full
         if not mask:
             return False
-    return bool(mask & _mask(a.final))
-
-
-def _walk_side(a: Nfa) -> tuple[_Core, int, int]:
-    """The core, closed start set and final mask one side of a walk reads."""
-    core = _core(a, keep_silent=False)
-    return core, _closed(core.close, _mask(a.initial)), _mask(a.final)
+    return bool(mask & core.final)
 
 
 def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
@@ -411,13 +407,13 @@ def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     if a == b:
         return None
     a, b = as_nfa(a), as_nfa(b)
-    core_a, start_a, final_a = _walk_side(a)
-    core_b, start_b, final_b = _walk_side(b)
-    if bool(start_a & final_a) != bool(start_b & final_b):
+    core_a, core_b = _core(a, keep_silent=False), _core(b, keep_silent=False)
+    final_a, final_b = core_a.final, core_b.final
+    if bool(core_a.start & final_a) != bool(core_b.start & final_b):
         return ()
     na, nb = a.n_states, b.n_states
     full_a, full_b = (1 << na) - 1, (1 << nb) - 1
-    start = start_a | start_b << na
+    start = core_a.start | core_b.start << na
     seen = {start: None}
     queue = [start]
     for pair in queue:
@@ -536,15 +532,31 @@ def _product(a_moves, b_moves, start) -> tuple[dict, list]:
     return ids, moves
 
 
+def _product_nfa(alphabet: HatAlphabet, a: Nfa, b_moves, b_initial, b_final) -> Nfa:
+    """The product of a and the move table b_moves, as an Nfa over alphabet."""
+    start = [(p, q) for p in a.initial for q in b_initial]
+    ids, moves = _product(_moves(a), b_moves, start)
+    final = frozenset(i for (p, q), i in ids.items()
+                      if p in a.final and q in b_final)
+    return _built(Nfa, alphabet, max(len(ids), 1), frozenset(moves),
+                  frozenset(range(len(start))), final)
+
+
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product construction; epsilon moves advance one side at a time."""
     _require_same(a, b)
-    start = [(p, q) for p in a.initial for q in b.initial]
-    ids, moves = _product(_moves(a), _moves(b), start)
-    final = frozenset(i for (p, q), i in ids.items()
-                      if p in a.final and q in b.final)
-    return _built(Nfa, a.alphabet, max(len(ids), 1), frozenset(moves),
-                  frozenset(range(len(start))), final)
+    return _product_nfa(a.alphabet, a, _moves(b), b.initial, b.final)
+
+
+def _induced(a: Nfa, keep, allowed=None) -> Nfa:
+    """a on the sorted states keep, renumbered in that order, with the moves
+    between them on the allowed letters (on any letter when None)."""
+    idx = {p: i for i, p in enumerate(keep)}
+    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
+             if (allowed is None or x in allowed) and p in idx and q in idx}
+    return _built(Nfa, a.alphabet, max(len(keep), 1), frozenset(trans),
+                  frozenset(idx[p] for p in a.initial if p in idx),
+                  frozenset(idx[p] for p in a.final if p in idx))
 
 
 def restrict(a: Nfa, letters) -> Nfa:
@@ -558,13 +570,7 @@ def restrict(a: Nfa, letters) -> Nfa:
     for p, x, q in a.transitions:
         if x in allowed:
             succ[p].append(q)
-    keep = sorted(_reach(a.initial, succ.__getitem__))
-    idx = {p: i for i, p in enumerate(keep)}
-    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
-             if x in allowed and p in idx}
-    return _built(Nfa, a.alphabet, max(len(keep), 1), frozenset(trans),
-                  frozenset(idx[p] for p in a.initial),
-                  frozenset(idx[p] for p in a.final if p in idx))
+    return _induced(a, sorted(_reach(a.initial, succ.__getitem__)), allowed)
 
 
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:
@@ -607,48 +613,39 @@ def trim(a: Nfa) -> Nfa:
         pred[q].append(p)
     keep = sorted(_reach(a.initial, succ.__getitem__)
                   & _reach(a.final, pred.__getitem__))
-    if not keep:
-        return empty_nfa(a.alphabet)
-    idx = {p: i for i, p in enumerate(keep)}
-    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
-             if p in idx and q in idx}
-    return _built(Nfa, a.alphabet, len(keep), frozenset(trans),
-                  frozenset(idx[p] for p in a.initial if p in idx),
-                  frozenset(idx[p] for p in a.final if p in idx))
+    return _induced(a, keep) if keep else empty_nfa(a.alphabet)
+
+
+def _trimmed_closure(a: Nfa, initial: bool, final: bool) -> Nfa:
+    """trim(a) with every state made initial, final or both; the empty
+    language stays as trim leaves it."""
+    t = trim(a)
+    if not t.transitions and not t.final:
+        return t
+    every = frozenset(range(t.n_states))
+    return _built(Nfa, t.alphabet, t.n_states, t.transitions,
+                  every if initial else t.initial, every if final else t.final)
 
 
 def prefix_closure(a: Nfa) -> Nfa:
-    t = trim(a)
-    if not t.transitions and not t.final:
-        return t
-    return _built(Nfa, t.alphabet, t.n_states, t.transitions, t.initial,
-                  frozenset(range(t.n_states)))
+    return _trimmed_closure(a, initial=False, final=True)
 
 
 def suffix_closure(a: Nfa) -> Nfa:
-    t = trim(a)
-    if not t.transitions and not t.final:
-        return t
-    return _built(Nfa, t.alphabet, t.n_states, t.transitions,
-                  frozenset(range(t.n_states)), t.final)
+    return _trimmed_closure(a, initial=True, final=False)
 
 
 def factor_closure(a: Nfa) -> Nfa:
-    t = trim(a)
-    if not t.transitions and not t.final:
-        return t
-    everything = frozenset(range(t.n_states))
-    return _built(Nfa, t.alphabet, t.n_states, t.transitions, everything, everything)
+    return _trimmed_closure(a, initial=True, final=True)
 
 
 def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
     """All accepted words of length <= max_len in length-lex order."""
     a = as_nfa(a)
     core = _core(a)
-    fmask = _mask(a.final)
+    start, fmask = core.start, core.final
     n = a.n_states
     full = (1 << n) - 1
-    start = _closed(core.close, _mask(a.initial))
     if not start:
         return []
     out = []

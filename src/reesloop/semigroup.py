@@ -6,6 +6,8 @@ FiniteSemigroup is associative and its designated zero/identity obey their
 laws.  Derived constructions (S^1, S^0, quotients, Rees matrix semigroups,
 their maps and automata) are correct once their inputs are: they are trusted
 and build through _built unchecked; tests/test_trusted.py rebuilds them.
+Subset and morphism checks live in one gate each: _subsemigroup_set and
+_is_morphism.
 """
 
 from __future__ import annotations
@@ -274,6 +276,21 @@ def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
     return all(s.mul(a, b) in sub for a in sub for b in sub)
 
 
+def _subsemigroup_set(s: FiniteSemigroup, subset) -> frozenset:
+    """The subset as a frozenset, once is_subsemigroup finds it closed."""
+    sub = frozenset(subset)
+    if not is_subsemigroup(s, sub):
+        raise NotASubsemigroup(f"{sorted(sub)} is not a subsemigroup")
+    return sub
+
+
+def _is_morphism(src: FiniteSemigroup, dst: FiniteSemigroup, phi) -> bool:
+    """phi(a) phi(b) = phi(ab) in dst for all a, b of src."""
+    rows, out = src.table, dst.table
+    return all(out[phi[a]][phi[b]] == phi[rows[a][b]]
+               for a in range(src.order) for b in range(src.order))
+
+
 def all_subsemigroups(s: FiniteSemigroup) -> list[frozenset[int]]:
     """Every subsemigroup, by size and then lexicographically."""
     rows = s.table
@@ -291,10 +308,7 @@ def is_ideal(s: FiniteSemigroup, subset) -> bool:
 
 def subsemigroup(s: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int, ...]]:
     """The subsemigroup on `subset` as its own table, plus the embedding."""
-    sub = _check_subset(s, subset)
-    if not is_subsemigroup(s, sub):
-        raise NotASubsemigroup(f"{sorted(sub)} is not closed under multiplication")
-    emb = tuple(sorted(sub))
+    emb = tuple(sorted(_subsemigroup_set(s, subset)))
     back = {v: i for i, v in enumerate(emb)}
     table = tuple(tuple(back[s.mul(a, b)] for b in emb) for a in emb)
     return (_built(FiniteSemigroup, tuple(s.labels[v] for v in emb), table,
@@ -304,7 +318,7 @@ def subsemigroup(s: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int
 def rees_quotient(s: FiniteSemigroup, ideal, gmap: GeneratorMap | None = None):
     """S/T: collapse an ideal to a zero.  Returns (quotient, projection) and,
     when a generator map is supplied, (quotient, projection, induced map)."""
-    t = _check_subset(s, ideal)
+    t = frozenset(ideal)
     if not is_ideal(s, t):
         raise NotAnIdeal(f"{sorted(t)} is not an ideal")
     survivors = [v for v in range(s.order) if v not in t]
@@ -570,9 +584,7 @@ def is_completely_zero_simple(s: FiniteSemigroup) -> bool:
 
 def is_right_unitary(s: FiniteSemigroup, t) -> bool:
     """x in T and ax in T together force a in T."""
-    sub = _check_subset(s, t)
-    if not is_subsemigroup(s, sub):
-        raise NotASubsemigroup(f"{sorted(sub)} is not a subsemigroup")
+    sub = _subsemigroup_set(s, t)
     return all(a in sub
                for a in range(s.order) for x in sub if s.mul(a, x) in sub)
 
@@ -580,9 +592,7 @@ def is_right_unitary(s: FiniteSemigroup, t) -> bool:
 def is_pseudo_right_unitary(s: FiniteSemigroup, t) -> bool:
     """For every a some b in T agrees with a's left action on each x in T
     that a keeps inside T."""
-    sub = _check_subset(s, t)
-    if not is_subsemigroup(s, sub):
-        raise NotASubsemigroup(f"{sorted(sub)} is not a subsemigroup")
+    sub = _subsemigroup_set(s, t)
     for a in range(s.order):
         kept = [x for x in sub if s.mul(a, x) in sub]
         if not any(all(s.mul(b, x) == s.mul(a, x) for x in kept) for b in sub):
@@ -593,9 +603,7 @@ def is_pseudo_right_unitary(s: FiniteSemigroup, t) -> bool:
 def is_weakly_pru(s: FiniteSemigroup, t) -> bool:
     """For every a and pair x, y in T with ax in T, some b in T has
     bx = ax and by = ay: (ax, ay) is one of the pairs (bx, by) for x, y."""
-    sub = _check_subset(s, t)
-    if not is_subsemigroup(s, sub):
-        raise NotASubsemigroup(f"{sorted(sub)} is not a subsemigroup")
+    sub = _subsemigroup_set(s, t)
     rows = s.table
     t_rows = [rows[b] for b in sub]
     outside = [row for a, row in enumerate(rows) if a not in sub]  # a in T is its own b
@@ -696,12 +704,8 @@ def isomorphism(s1: FiniteSemigroup, s2: FiniteSemigroup):
             image[k] = -1
         return False
 
-    if not extend(0):
+    if not extend(0) or not _is_morphism(s1, s2, image):
         return None
-    for a in range(n):
-        for b in range(n):
-            if s2.mul(image[a], image[b]) != image[s1.mul(a, b)]:
-                return None
     return tuple(image)
 
 

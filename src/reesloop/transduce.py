@@ -7,8 +7,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .language import (AlphabetMismatch, HatAlphabet, LanguageError, Nfa, _moves,
-                       _product, member, word_set_nfa)
+from .language import (AlphabetMismatch, HatAlphabet, LanguageError, Nfa,
+                       _product_nfa, member, word_set_nfa)
 from .semigroup import GeneratorMap, ReesStructure, SemigroupError, _built
 
 
@@ -92,12 +92,7 @@ def apply(t: Transducer, l: Nfa) -> Nfa:
     t_moves: list[list[tuple]] = [[] for _ in range(nt.n_states)]
     for p, u, v, q in nt.edges:
         t_moves[p].append((u[0] if u else None, v[0] if v else None, q))
-    start = [(p, s) for p in l.initial for s in nt.initial]
-    ids, moves = _product(_moves(l), t_moves, start)
-    final = frozenset(i for (p, s), i in ids.items()
-                      if p in l.final and s in nt.final)
-    return _built(Nfa, t.out_alphabet, max(len(ids), 1), frozenset(moves),
-                  frozenset(range(len(start))), final)
+    return _product_nfa(t.out_alphabet, l, t_moves, nt.initial, nt.final)
 
 
 def choose_words(gmap: GeneratorMap, rng: random.Random | None = None) -> dict[int, tuple[int, ...]]:

@@ -160,6 +160,27 @@ class TestConstructions:
         assert captured.err == ("error: Parse error at line 8: "
                                 "no element labelled 'q'\n")
 
+    def test_zero_line_takes_only_a_truth_value(self, tables, tmp_path, capsys):
+        spec = tmp_path / "bad.rees"
+        spec.write_text("base triv.tbl\ni 1\nj 1\nzero maybe\nmatrix\ne\n")
+        assert main(["rees", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Parse error at line 4: "
+                                "zero takes true or false, got 'maybe'\n")
+
+    def test_zero_entry_without_zero_is_a_parse_error_at_its_line(
+            self, tables, tmp_path, capsys):
+        # the base has no element labelled 0, so a 0 entry needs zero true
+        spec = tmp_path / "bad.rees"
+        spec.write_text("base triv.tbl\ni 2\nj 2\nzero false\nmatrix\n"
+                        "e e\n\ne 0\n")
+        assert main(["rees", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Parse error at line 8: "
+                                "a 0 entry needs zero true\n")
+
     def test_quotient(self, tables):
         code, out = run_cli("quotient", tables["b2"], "0")
         assert code == 0

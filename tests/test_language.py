@@ -558,7 +558,9 @@ def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
     core = _core(a, keep_silent)
     n = a.n_states
     assert core.active == _mask(lettered)
-    assert _closed(core.close, _mask(a.initial)) == _mask(ref_close(moves, a.initial) & keep)
+    assert core.start == _closed(core.close, _mask(a.initial)) \
+        == _mask(ref_close(moves, a.initial) & keep)
+    assert core.final == _mask(a.final)
     for p in range(n):
         assert core.close[p] == _mask(ref_close(moves, {p}) & keep)
         row = core.rows[p]
@@ -800,6 +802,91 @@ def test_restrict_is_the_intersection_with_a_universe(a, letters):
     assert counts(r) == counts(prod)
     assert ref_words(r) == ref_words(prod) == {w for w in ref_words(a)
                                                 if set(w) <= letters}
+
+
+# -- the cut, closure and product references ----------------------------------
+#
+# restrict, trim, the three closures and the tail of intersect as each was
+# written out before they shared _induced, one closure helper and
+# _product_nfa.  Product states are numbered in the order frozensets
+# iterate, which may change from one process to the next, so each pin
+# compares the two in the same process.
+
+def ref_restrict(a, letters):
+    allowed = {None, *letters}
+    succ = [[] for _ in range(a.n_states)]
+    for p, x, q in a.transitions:
+        if x in allowed:
+            succ[p].append(q)
+    keep = sorted(language._reach(a.initial, succ.__getitem__))
+    idx = {p: i for i, p in enumerate(keep)}
+    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
+             if x in allowed and p in idx}
+    return Nfa(a.alphabet, max(len(keep), 1), frozenset(trans),
+               frozenset(idx[p] for p in a.initial),
+               frozenset(idx[p] for p in a.final if p in idx))
+
+
+def ref_trim(a):
+    succ = [[] for _ in range(a.n_states)]
+    pred = [[] for _ in range(a.n_states)]
+    for p, _x, q in a.transitions:
+        succ[p].append(q)
+        pred[q].append(p)
+    keep = sorted(language._reach(a.initial, succ.__getitem__)
+                  & language._reach(a.final, pred.__getitem__))
+    if not keep:
+        return empty_nfa(a.alphabet)
+    idx = {p: i for i, p in enumerate(keep)}
+    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
+             if p in idx and q in idx}
+    return Nfa(a.alphabet, len(keep), frozenset(trans),
+               frozenset(idx[p] for p in a.initial if p in idx),
+               frozenset(idx[p] for p in a.final if p in idx))
+
+
+def ref_prefix_closure(a):
+    t = ref_trim(a)
+    if not t.transitions and not t.final:
+        return t
+    return Nfa(t.alphabet, t.n_states, t.transitions, t.initial,
+               frozenset(range(t.n_states)))
+
+
+def ref_suffix_closure(a):
+    t = ref_trim(a)
+    if not t.transitions and not t.final:
+        return t
+    return Nfa(t.alphabet, t.n_states, t.transitions,
+               frozenset(range(t.n_states)), t.final)
+
+
+def ref_factor_closure(a):
+    t = ref_trim(a)
+    if not t.transitions and not t.final:
+        return t
+    everything = frozenset(range(t.n_states))
+    return Nfa(t.alphabet, t.n_states, t.transitions, everything, everything)
+
+
+def ref_intersect(a, b):
+    start = [(p, q) for p in a.initial for q in b.initial]
+    ids, moves = language._product(language._moves(a), language._moves(b), start)
+    final = frozenset(i for (p, q), i in ids.items()
+                      if p in a.final and q in b.final)
+    return Nfa(a.alphabet, max(len(ids), 1), frozenset(moves),
+               frozenset(range(len(start))), final)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_nfa, any_nfa, st.frozensets(st.integers(0, 3)))
+def test_cuts_closures_and_products_equal_their_references(a, b, letters):
+    assert restrict(a, letters) == ref_restrict(a, letters)
+    assert trim(a) == ref_trim(a)
+    assert prefix_closure(a) == ref_prefix_closure(a)
+    assert suffix_closure(a) == ref_suffix_closure(a)
+    assert factor_closure(a) == ref_factor_closure(a)
+    assert intersect(a, b) == ref_intersect(a, b)
 
 
 class TestTextFormat:

@@ -7,6 +7,7 @@ from reesloop.semigroup import (
     BadIdentity,
     BadZero,
     EmptySubset,
+    IndexOutOfRange,
     NonAssociative,
     NotASubsemigroup,
     NotGenerating,
@@ -35,6 +36,7 @@ from reesloop.semigroup import (
     is_right_unitary,
     is_subsemigroup,
     is_weakly_pru,
+    isomorphism,
     left_zero,
     make_semigroup,
     maximal_subgroup,
@@ -529,3 +531,64 @@ class TestTextFormat:
         with pytest.raises(ParseError) as exc:
             parse_semigroup_text("2\na b\na c\nb a\n")
         assert exc.value.line == 3
+
+
+def reference_is_morphism(src, dst, phi):
+    for a in range(src.order):
+        for b in range(src.order):
+            if dst.mul(phi[a], phi[b]) != phi[src.mul(a, b)]:
+                return False
+    return True
+
+
+def break_morphism_check(monkeypatch, module):
+    """Make module's _is_morphism judge, in place of the map it is handed
+    (which must be a morphism), that map with one image changed: the first
+    change the brute-force reference rejects.  Returns the maps handed in."""
+    real = semigroup._is_morphism
+    handed = []
+
+    def check(src, dst, phi):
+        assert reference_is_morphism(src, dst, phi)
+        handed.append(tuple(phi))
+        for a, v in itertools.product(range(src.order), range(dst.order)):
+            bad = list(phi)
+            bad[a] = v
+            if not reference_is_morphism(src, dst, bad):
+                return real(src, dst, bad)
+        raise AssertionError("no single change breaks the map")
+
+    monkeypatch.setattr(module, "_is_morphism", check)
+    return handed
+
+
+class TestGates:
+    def test_is_morphism_is_the_brute_force_check_on_every_self_map(self):
+        checked = 0
+        for n in (1, 2, 3):
+            for s in enumerate_semigroups(n):
+                for phi in itertools.product(range(n), repeat=n):
+                    assert (semigroup._is_morphism(s, s, phi)
+                            == reference_is_morphism(s, s, phi))
+                    checked += 1
+        assert checked == 1 + 8 * 4 + 113 * 27
+
+    def test_isomorphism_rejects_a_broken_map(self, monkeypatch):
+        c3 = cyclic_group(3)
+        assert isomorphism(c3, c3) is not None
+        handed = break_morphism_check(monkeypatch, semigroup)
+        assert isomorphism(c3, c3) is None
+        assert len(handed) == 1
+
+    @pytest.mark.parametrize("gate", [subsemigroup, is_right_unitary,
+                                      is_pseudo_right_unitary, is_weakly_pru])
+    def test_every_subset_taker_raises_the_three_subset_errors(self, gate):
+        b2 = brandt_b2()
+        nilpotent = next(x for x in range(b2.order)
+                         if x != b2.zero and b2.mul(x, x) == b2.zero)
+        with pytest.raises(EmptySubset):
+            gate(b2, set())
+        with pytest.raises(IndexOutOfRange):
+            gate(b2, {b2.zero, b2.order})
+        with pytest.raises(NotASubsemigroup, match=r"^\[\d\] is not a subsemigroup$"):
+            gate(b2, {nilpotent})

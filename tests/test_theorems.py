@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from reesloop import theorems
+from reesloop import semigroup, theorems
 from reesloop.cli import iter_instances, run_job
 from reesloop.language import empty_nfa, member, union, word_set_nfa
 from reesloop.loops import loop_automaton, path_language
@@ -42,6 +42,7 @@ from reesloop.theorems import (
 )
 
 from test_language import dfa_product_separator
+from test_semigroup import break_morphism_check
 
 
 class TestReesQuotient:
@@ -159,7 +160,16 @@ class TestSemitoreesZero:
                                     2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
         assert rep.holds
         names = dict(rep.stats["checks"])
-        assert names["T-is-ideal"] and names["quotient-iso-M0"]
+        assert names["quotient-iso-M0"]
+
+    def test_the_rees_quotient_is_the_ideal_check(self, monkeypatch):
+        # T = I x {0} x J is checked once, by rees_quotient: a T it does
+        # not take for an ideal raises, so no recorded check could read False
+        monkeypatch.setattr(semigroup, "is_ideal", lambda s, t: False)
+        with pytest.raises(NotAnIdeal):
+            verify_semitoreeszero(trivial_semigroup(),
+                                  full_generator_map(trivial_semigroup()),
+                                  2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
 
     def test_all_zero_matrix(self):
         rep = verify_semitoreeszero(trivial_semigroup(),
@@ -480,3 +490,43 @@ class TestMinimizeOnce:
             monkeypatch, verify_adjoin_zero, s, full_generator_map(s))
         assert calls == 2 and report.holds
         self._same_report(report, reference)
+
+
+class TestGates:
+    def test_semitoreeszero_records_a_broken_quotient_map(self, monkeypatch):
+        handed = break_morphism_check(monkeypatch, theorems)
+        rep = verify_semitoreeszero(trivial_semigroup(),
+                                    full_generator_map(trivial_semigroup()),
+                                    2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
+        assert len(handed) == 1
+        assert not rep.holds and not dict(rep.stats["checks"])["quotient-iso-M0"]
+
+    def test_unit_sandwich_rejects_a_broken_column_embedding(self, monkeypatch):
+        handed = break_morphism_check(monkeypatch, theorems)
+        with pytest.raises(theorems.InternalError,
+                           match="column embedding is not a morphism"):
+            verify_unit_sandwich(cyclic_group(2), full_generator_map(cyclic_group(2)),
+                                 2, 2, sandwich([[0, ZERO], [1, 0]]))
+        assert len(handed) == 1
+
+    def test_rees_decompose_rejects_a_broken_decomposition_map(self, monkeypatch):
+        handed = break_morphism_check(monkeypatch, theorems)
+        with pytest.raises(theorems.InternalError,
+                           match="decomposition map is not a morphism"):
+            rees_decompose(brandt_b2())
+        assert len(handed) == 1
+
+    def test_subset_checks_per_verdict(self, monkeypatch):
+        # is_weakly_pru and subsemigroup check T once each; the Rees
+        # quotient leaves its one check to is_ideal
+        real = semigroup._check_subset
+        calls = []
+        monkeypatch.setattr(semigroup, "_check_subset",
+                            lambda s, subset: calls.append(1) or real(s, subset))
+        s = adjoin_zero(cyclic_group(2))
+        tau = full_generator_map(s)
+        assert verify_subsemigroup_intersection(s, tau, {0, 1}, ("e", "g")).holds
+        assert len(calls) == 2
+        calls.clear()
+        assert verify_rees_quotient(s, tau, {s.zero}).holds
+        assert len(calls) == 1

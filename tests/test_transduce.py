@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reesloop import language
 from reesloop.language import (
     HatAlphabet,
     LanguageError,
@@ -32,6 +34,8 @@ from reesloop.transduce import (
     normalize,
     transducer,
 )
+
+from test_language import eps_nfas
 
 X = HatAlphabet(("x",))
 Y = HatAlphabet(("p", "q"))
@@ -278,3 +282,54 @@ class TestBuildReesTransducer:
         b = build_rees_transducer(full_generator_map(c2), rs, full_generator_map(m))
         assert a == b
 
+
+
+# -- the product reference ---------------------------------------------------
+#
+# The tail of apply as it was written out before apply and intersect shared
+# _product_nfa.  Product states are numbered in the order frozensets iterate,
+# which may change from one process to the next, so the pins compare the two
+# in the same process.
+
+def ref_apply(t, l):
+    nt = normalize(t)
+    t_moves = [[] for _ in range(nt.n_states)]
+    for p, u, v, q in nt.edges:
+        t_moves[p].append((u[0] if u else None, v[0] if v else None, q))
+    start = [(p, s) for p in l.initial for s in nt.initial]
+    ids, moves = language._product(language._moves(l), t_moves, start)
+    final = frozenset(i for (p, s), i in ids.items()
+                      if p in l.final and s in nt.final)
+    return Nfa(t.out_alphabet, max(len(ids), 1), frozenset(moves),
+               frozenset(range(len(start))), final)
+
+
+@st.composite
+def xy_transducers(draw):
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    edge = st.tuples(state, st.lists(st.integers(0, X.size - 1), max_size=2),
+                     st.lists(st.integers(0, Y.size - 1), max_size=2), state)
+    return transducer(X, Y, n, draw(st.lists(edge, max_size=8)),
+                      draw(st.frozensets(state, min_size=1)),
+                      draw(st.frozensets(state)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy_transducers(), st.composite(eps_nfas)(X))
+def test_apply_equals_the_product_reference(t, l):
+    assert apply(t, l) == ref_apply(t, l)
+
+
+def test_apply_equals_the_product_reference_on_rees_images():
+    rng = random.Random(13)
+    for base in (trivial_semigroup(), cyclic_group(2), cyclic_group(3)):
+        gmap = full_generator_map(base)
+        l = loop_problem(gmap)
+        for ic, jc in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for entries in ([[0] * ic] * jc,
+                            [[rng.randrange(base.order) for _ in range(ic)]
+                             for _ in range(jc)]):
+                m, rs = rees_matrix(base, ic, jc, sandwich(entries), False)
+                t = build_rees_transducer(gmap, rs, full_generator_map(m))
+                assert apply(t, l) == ref_apply(t, l)
