@@ -420,11 +420,7 @@ def cmd_cayley(args) -> int:
         gmap = GeneratorMap(gmap.alphabet, s, gmap.image, monoid=True)
     else:
         gmap = lift_to_monoid(gmap)
-    dot = cayley_dot(cayley_graph(gmap))
-    if args.dot:
-        Path(args.dot).write_text(dot)
-        return 0
-    _emit(dot, args.output)
+    _emit(cayley_dot(cayley_graph(gmap)), args.output)
     return 0
 
 
@@ -563,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("generators", nargs="*", metavar="LABEL")
     p.add_argument("--monoid", action="store_true",
                    help="use the designated identity instead of adjoining one")
-    p.add_argument("--dot", help="write the DOT graph to a file")
 
     p = sub.add_parser("rees", help="build a Rees matrix semigroup from a spec file")
     p.add_argument("spec")

@@ -122,7 +122,6 @@ class Dfa:
     transitions: tuple[tuple[int | None, ...], ...]
     initial: int
     final: frozenset[int]
-    minimal: bool = False
 
     def __post_init__(self):
         if not (0 <= self.initial < self.n_states):
@@ -141,7 +140,7 @@ class Dfa:
                 raise LanguageError("final state out of range")
 
     def __repr__(self):
-        return f"Dfa(states={self.n_states}, minimal={self.minimal})"
+        return f"Dfa(states={self.n_states})"
 
 
 def as_nfa(a: Nfa | Dfa) -> Nfa:
@@ -328,7 +327,7 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
             post >>= n
             x += 1
     return _built(Dfa, a.alphabet, len(table), tuple(tuple(r) for r in table),
-                  0, frozenset(final), False)
+                  0, frozenset(final))
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -355,8 +354,7 @@ def minimize(d: Dfa) -> Dfa:
         cls = new
     start, dead = cls[d.initial], cls[n]
     if start == dead:
-        return _built(Dfa, d.alphabet, 1, ((None,) * nletters,), 0,
-                      frozenset(), True)
+        return _built(Dfa, d.alphabet, 1, ((None,) * nletters,), 0, frozenset())
     rep = {}
     for p, c in enumerate(cls):
         rep.setdefault(c, p)
@@ -369,7 +367,7 @@ def minimize(d: Dfa) -> Dfa:
                 queue.append(cls[q])
     rows = tuple(tuple(order.get(cls[q]) for q in trans[rep[c]]) for c in order)
     fin = frozenset(i for c, i in order.items() if rep[c] in d.final)
-    return _built(Dfa, d.alphabet, len(rows), rows, 0, fin, True)
+    return _built(Dfa, d.alphabet, len(rows), rows, 0, fin)
 
 
 def minimal_dfa(a: Nfa | Dfa) -> Dfa:
@@ -675,17 +673,11 @@ def relabel(a: Nfa, target: HatAlphabet, letter_map) -> Nfa:
     return Nfa(target, a.n_states, frozenset(trans), a.initial, a.final)
 
 
-def embed_hat(a: Nfa, target: HatAlphabet) -> Nfa:
-    """Embed an automaton over a hat sub-alphabet into a larger hat alphabet,
-    matching letters by symbol name and bar sign."""
-    lm = {}
-    for x in range(a.alphabet.size):
-        lm[x] = target.letter(a.alphabet.name(x))
-    return relabel(a, target, lm)
-
-
 def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
-    """The letters of target covering the hat alphabet of the given base."""
+    """The letters of target for the given base symbols, by name, then for
+    their bars.  The list is indexed by the letters of HatAlphabet(base
+    symbols), so it is both relabel's letter map from that alphabet into
+    target and restrict's letter set."""
     out = []
     for b in base_symbols:
         out.append(target.letter(b))

@@ -207,9 +207,9 @@ def zigzag_witness(la: LoopAutomaton, word) -> tuple[int, ...]:
 
 # -- DOT export ---------------------------------------------------------------
 
-def cayley_dot(cg: CayleyGraph, name: str = "cayley") -> str:
+def cayley_dot(cg: CayleyGraph) -> str:
     m = cg.monoid
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph cayley {", "  rankdir=LR;"]
     for v in range(m.order):
         shape = "doublecircle" if v == m.identity else "circle"
         lines.append(f'  v{v} [label="{m.labels[v]}", shape={shape}];')
@@ -219,11 +219,11 @@ def cayley_dot(cg: CayleyGraph, name: str = "cayley") -> str:
     return "\n".join(lines) + "\n"
 
 
-def loop_automaton_dot(la: LoopAutomaton, name: str = "loops") -> str:
+def loop_automaton_dot(la: LoopAutomaton) -> str:
     """Positive edges solid, inverse edges dashed, identity double-circled."""
     m = la.monoid
     alpha = la.alphabet
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph loops {", "  rankdir=LR;"]
     for v in range(m.order):
         shape = "doublecircle" if v == la.identity_state else "circle"
         lines.append(f'  v{v} [label="{m.labels[v]}", shape={shape}];')

@@ -704,9 +704,7 @@ def isomorphism(s1: FiniteSemigroup, s2: FiniteSemigroup):
             image[k] = -1
         return False
 
-    if not extend(0) or not _is_morphism(s1, s2, image):
-        return None
-    return tuple(image)
+    return tuple(image) if extend(0) else None
 
 
 def are_isomorphic(s1: FiniteSemigroup, s2: FiniteSemigroup) -> bool:

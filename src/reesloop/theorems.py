@@ -20,17 +20,16 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import language as lang
 from .language import (
     Dfa,
     HatAlphabet,
     Nfa,
     concat,
-    embed_hat,
     involution_image,
     left_quotient,
     minimal_dfa,
     prefix_closure,
+    relabel,
     restrict,
     right_quotient,
     shortest_separator,
@@ -215,8 +214,9 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
     except NotGenerating:
         raise RestrictionNotOntoT("restricted generators do not generate T") from None
     big = HatAlphabet(tau.alphabet)
-    lhs = embed_hat(loop_problem(sigma), big)
-    rhs = restrict(loop_problem(tau), sub_hat_letters(big, x_symbols))
+    letters = sub_hat_letters(big, x_symbols)
+    lhs = relabel(loop_problem(sigma), big, letters)
+    rhs = restrict(loop_problem(tau), letters)
     return _finish("subsemigroup", lhs, rhs, [],
                    {"order": s.order, "t_size": len(tset), "weakly_pru": wpru}, t0)
 
@@ -238,11 +238,10 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     lhs = loop_problem(tau)
     big = HatAlphabet(tau.alphabet)
     z_letter = big.letter(tau.alphabet[-1])
-    l_small = loop_problem(gmap)
-    l_big = embed_hat(l_small, big)
+    l_big = relabel(loop_problem(gmap), big, sub_hat_letters(big, gmap.alphabet))
     z_nfa = word_set_nfa(big, [(z_letter,)])
     zbar_nfa = word_set_nfa(big, [(big.bar(z_letter),)])
-    bracketed = concat(concat(zbar_nfa, embed_hat(factor_closure(l_small), big)), z_nfa)
+    bracketed = concat(concat(zbar_nfa, factor_closure(l_big)), z_nfa)
     one_letter = word_set_nfa(big, [(x,) for x in range(big.size)])
     middle = star(union(bracketed, one_letter))
     rhs = union(l_big, concat(concat(concat(concat(
@@ -370,19 +369,13 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     y_symbols = x_symbols + m.labels
     tau = GeneratorMap(y_symbols, m,
                        tuple(rho[v] for v in gmap.image) + tuple(range(m.order)))
-    big = HatAlphabet(y_symbols)  # x_symbols is a prefix of y_symbols
-    lhs = lang.relabel(loop_problem(gmap), big,
-                       _hat_letter_map(HatAlphabet(gmap.alphabet), big))
-    rhs = restrict(loop_problem(tau), sub_hat_letters(big, x_symbols))
+    big = HatAlphabet(y_symbols)
+    letters = sub_hat_letters(big, x_symbols)
+    lhs = relabel(loop_problem(gmap), big, letters)
+    rhs = restrict(loop_problem(tau), letters)
     return _finish("unit-sandwich", lhs, rhs, [],
                    {"order": s.order, "m_order": m.order,
                     "column": (i0, j0), "weakly_pru": is_weakly_pru(m, tset)}, t0)
-
-
-def _hat_letter_map(src: HatAlphabet, dst: HatAlphabet) -> dict[int, int]:
-    """Positional letter map into a hat alphabet whose base extends src's."""
-    k = len(src.base)
-    return {x: (x if x < k else len(dst.base) + (x - k)) for x in range(src.size)}
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,19 @@ class TestConstructions:
         code, out = run_cli("cayley", tables["c2"], "g")
         assert code == 0 and "digraph" in out
 
+    def test_cayley_output_file_holds_what_stdout_prints(self, tables, tmp_path):
+        code, out = run_cli("cayley", tables["b2"])
+        assert code == 0
+        dot = tmp_path / "cayley.dot"
+        code, printed = run_cli("cayley", tables["b2"], "-o", str(dot))
+        assert code == 0 and printed == ""
+        assert dot.read_text() == out
+
+    def test_cayley_monoid_needs_a_designated_identity(self, tables, capsys):
+        code = main(["cayley", "--monoid", tables["b2"]])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --monoid needs a designated identity\n"
+
 
 class TestChecks:
     def test_check_ideal(self, tables):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -573,12 +574,33 @@ class TestGates:
                     checked += 1
         assert checked == 1 + 8 * 4 + 113 * 27
 
-    def test_isomorphism_rejects_a_broken_map(self, monkeypatch):
-        c3 = cyclic_group(3)
-        assert isomorphism(c3, c3) is not None
-        handed = break_morphism_check(monkeypatch, semigroup)
-        assert isomorphism(c3, c3) is None
-        assert len(handed) == 1
+    def test_isomorphism_is_the_brute_force_search_up_to_order_three(self):
+        pairs = found = 0
+        for n in (1, 2, 3):
+            tables = list(enumerate_semigroups(n))
+            perms = list(itertools.permutations(range(n)))
+            for s1, s2 in itertools.product(tables, repeat=2):
+                iso = isomorphism(s1, s2)
+                assert (iso is not None) == any(reference_is_morphism(s1, s2, p)
+                                                for p in perms)
+                if iso is not None:
+                    assert sorted(iso) == list(range(n))
+                    assert reference_is_morphism(s1, s2, iso)
+                    found += 1
+                pairs += 1
+        assert (pairs, found) == (1 + 8 * 8 + 113 * 113, 620)
+
+    def test_isomorphism_finds_a_random_relabelling_of_each_order_four_table(self):
+        rng = random.Random(4)
+        for s in enumerate_semigroups(4):
+            perm = rng.sample(range(4), 4)
+            table = [[0] * 4 for _ in range(4)]
+            for a, b in itertools.product(range(4), repeat=2):
+                table[perm[a]][perm[b]] = perm[s.mul(a, b)]
+            t = make_semigroup(None, table)
+            iso = isomorphism(s, t)
+            assert iso is not None and sorted(iso) == [0, 1, 2, 3]
+            assert reference_is_morphism(s, t, iso)
 
     @pytest.mark.parametrize("gate", [subsemigroup, is_right_unitary,
                                       is_pseudo_right_unitary, is_weakly_pru])

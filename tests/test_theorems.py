@@ -4,16 +4,19 @@ import time
 import pytest
 
 from reesloop import semigroup, theorems
-from reesloop.cli import iter_instances, run_job
-from reesloop.language import empty_nfa, member, union, word_set_nfa
-from reesloop.loops import loop_automaton, path_language
+from reesloop.cli import DEFAULT_BASES, iter_instances, run_job
+from reesloop.language import (HatAlphabet, empty_nfa, factor_closure, member,
+                               relabel, sub_hat_letters, union, word_set_nfa)
+from reesloop.loops import loop_automaton, loop_problem, path_language
 from reesloop.semigroup import (
     NotAnIdeal,
     ZERO,
     adjoin_zero,
+    all_subsemigroups,
     are_isomorphic,
     brandt_b2,
     cyclic_group,
+    enumerate_semigroups,
     full_generator_map,
     is_completely_zero_simple,
     is_weakly_pru,
@@ -21,6 +24,7 @@ from reesloop.semigroup import (
     null_semigroup,
     rees_matrix,
     sandwich,
+    subsemigroup,
     trivial_semigroup,
 )
 from reesloop.theorems import (
@@ -131,6 +135,64 @@ class TestAdjoinZero:
         z = a.letter(tau.alphabet[-1])
         assert member(lp, (z, z, a.bar(z)))
         assert member(lp, (z, a.letter("e"), a.bar(z)))
+
+
+def embed_hat(a, target):
+    """The former by-name embedding, kept as a reference: each letter of a's
+    hat alphabet goes to the letter of target with the same name."""
+    return relabel(a, target, {x: target.letter(a.alphabet.name(x))
+                               for x in range(a.alphabet.size)})
+
+
+def _hat_letter_map(src, dst):
+    """The former positional letter map, kept as a reference; it is right
+    only while src's base is a prefix of dst's."""
+    k = len(src.base)
+    return {x: (x if x < k else len(dst.base) + (x - k)) for x in range(src.size)}
+
+
+class TestHatLetterMap:
+    """sub_hat_letters is the one map that moves a loop language into a
+    larger hat alphabet; it agrees with both maps it replaced."""
+
+    def test_relabel_by_sub_hat_letters_is_the_by_name_embedding(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for s in enumerate_semigroups(n):
+                big = HatAlphabet(s.labels)
+                for tset in all_subsemigroups(s):
+                    tsub, _emb = subsemigroup(s, tset)
+                    l = loop_problem(full_generator_map(tsub))
+                    letters = sub_hat_letters(big, tsub.labels)
+                    assert relabel(l, big, letters) == embed_hat(l, big)
+                    checked += 1
+        assert checked == 34019
+
+    def test_unit_sandwich_letters_are_the_positional_map(self, monkeypatch):
+        seen = []
+        real = theorems.sub_hat_letters
+        monkeypatch.setattr(theorems, "sub_hat_letters",
+                            lambda big, syms: seen.append((big, syms)) or real(big, syms))
+        # each czeros instance runs the unit-sandwich verifier and, through
+        # semitoreeszero, the adjoin-zero one, whose letters extend by z
+        for tag in ("unit-sandwich", "czeros"):
+            for item in iter_instances(tag, bases=DEFAULT_BASES[tag]):
+                assert run_job(item)[1]
+        assert len(seen) == 386 + 2 * 59
+        for big, syms in seen:
+            small = HatAlphabet(syms)
+            positional = _hat_letter_map(small, big)
+            assert real(big, syms) == [positional[x] for x in range(small.size)]
+
+    def test_factor_closure_commutes_with_the_embedding(self):
+        checked = 0
+        for _iid, (_tag, (_s, gmap)) in iter_instances("adjoin-zero", max_order=4):
+            big = HatAlphabet(extend_to_zero(gmap).alphabet)
+            l_small = loop_problem(gmap)
+            l_big = relabel(l_small, big, sub_hat_letters(big, gmap.alphabet))
+            assert factor_closure(l_big) == embed_hat(factor_closure(l_small), big)
+            checked += 1
+        assert checked == 1 + 8 + 113 + 3492
 
 
 class TestSemitorees:
