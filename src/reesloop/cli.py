@@ -30,6 +30,7 @@ from .semigroup import (
     SandwichMatrix,
     SemigroupError,
     ZERO,
+    _weakly_pru,
     adjoin_identity,
     adjoin_zero,
     all_ideals,
@@ -204,10 +205,12 @@ def _ideal_instances(max_order: int, **_):
 
 
 def _subsemigroup_instances(max_order: int, **_):
+    """The weakly pseudo-right-unitary pairs; all_subsemigroups yields closed
+    sets, so the kernel runs without the subsemigroup gate."""
     for sid, s in _semigroups(max_order):
         tau = full_generator_map(s)
         for tset in all_subsemigroups(s):
-            if is_weakly_pru(s, tset):
+            if _weakly_pru(s.table, tset):
                 labels = tuple(s.labels[v] for v in sorted(tset))
                 yield f"{sid}:T=" + ".".join(labels), (s, tau, tset, labels)
 
@@ -294,12 +297,15 @@ VERIFY_TAGS = tuple(REGISTRY)
 DEFAULT_BASES = {tag: v.bases for tag, v in REGISTRY.items()}
 
 
-def iter_instances(tag: str, max_order: int = 3, bases=("trivial", "c2", "c3"),
+def iter_instances(tag: str, max_order: int = 3, bases=None,
                    imax: int = 2, jmax: int = 2, seed: int = 0):
     """Lazily yield (instance_id, job) pairs for one theorem tag, where job
-    is the picklable pair (tag, args) that `run_job` decides."""
+    is the picklable pair (tag, args) that `run_job` decides.  `bases`
+    defaults to the tag's registry bases; a base named twice runs once, in
+    the order first named."""
     if tag not in REGISTRY:
         raise ValueError(f"unknown theorem tag {tag!r}")
+    bases = tuple(dict.fromkeys(REGISTRY[tag].bases if bases is None else bases))
     for iid, args in REGISTRY[tag].instances(max_order=max_order, bases=bases,
                                              imax=imax, jmax=jmax, seed=seed):
         yield iid, (tag, args)
@@ -484,13 +490,6 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _run_tag(tag: str, bases=None, **sizes) -> int:
-    """Run one tag's corpus; return its failures.  A base named twice runs
-    once, in the order first named."""
-    bases = tuple(dict.fromkeys(bases or DEFAULT_BASES[tag]))
-    return run_corpus(iter_instances(tag, bases=bases, **sizes))
-
-
 # verify's corpus options: the generator parameter each sets, and its flag
 _VERIFY_OPTIONS = {"max_order": "--max-order", "bases": "--base",
                    "imax": "--imax", "jmax": "--jmax", "seed": "--seed"}
@@ -498,7 +497,8 @@ _VERIFY_OPTIONS = {"max_order": "--max-order", "bases": "--base",
 
 def cmd_verify(args) -> int:
     """Run one tag's corpus; an option its instance generator does not read
-    is a usage error, and an option not given takes iter_instances' default."""
+    is a usage error, and an option not given takes iter_instances' default
+    (for --base, the tag's registry bases)."""
     given = {name: getattr(args, name) for name in _VERIFY_OPTIONS
              if getattr(args, name) is not None}
     reads = inspect.signature(REGISTRY[args.tag].instances).parameters
@@ -508,15 +508,15 @@ def cmd_verify(args) -> int:
         print(f"error: verify {args.tag} does not read {' '.join(unread)} "
               f"(it reads {known})", file=sys.stderr)
         return 2
-    failures = _run_tag(args.tag, **given)
+    failures = run_corpus(iter_instances(args.tag, **given))
     print(f"{'PASS' if failures == 0 else 'FAIL'} ({args.tag})")
     return 0 if failures == 0 else 1
 
 
 def cmd_corpus(args) -> int:
     total_failures = sum(
-        _run_tag(tag, max_order=args.max_order, imax=args.imax, jmax=args.jmax,
-                 seed=args.seed)
+        run_corpus(iter_instances(tag, max_order=args.max_order, imax=args.imax,
+                                  jmax=args.jmax, seed=args.seed))
         for tag in VERIFY_TAGS)
     print("PASS" if total_failures == 0 else f"FAIL ({total_failures} instances)")
     return 0 if total_failures == 0 else 1

@@ -336,7 +336,9 @@ def minimize(d: Dfa) -> Dfa:
     state is one more block: state n, non-final, the target of its own
     moves and of every None move of d.  States with an empty future refine
     into its block, which the renumbering never emits, and unreachable
-    states are never reached, so there is no trim pass."""
+    states are never reached, so there is no trim pass.  Each round refines
+    the last, so a round that keeps the block count keeps the partition, and
+    refinement stops there or once every state is a block of its own."""
     n = d.n_states
     nletters = d.alphabet.size
     trans = [[n if q is None else q for q in row] for row in d.transitions]
@@ -344,14 +346,15 @@ def minimize(d: Dfa) -> Dfa:
     cls = [0] * (n + 1)
     for p in d.final:
         cls[p] = 1
-    while True:
+    blocks = 2 if d.final else 1
+    while blocks <= n:
         sigs: dict[tuple, int] = {}
         of = cls.__getitem__
-        new = [sigs.setdefault((c, *map(of, row)), len(sigs))
+        cls = [sigs.setdefault((c, *map(of, row)), len(sigs))
                for c, row in zip(cls, trans)]
-        if new == cls:
+        if len(sigs) == blocks:
             break
-        cls = new
+        blocks = len(sigs)
     start, dead = cls[d.initial], cls[n]
     if start == dead:
         return _built(Dfa, d.alphabet, 1, ((None,) * nletters,), 0, frozenset())
@@ -365,7 +368,8 @@ def minimize(d: Dfa) -> Dfa:
             if cls[q] not in order and cls[q] != dead:
                 order[cls[q]] = len(order)
                 queue.append(cls[q])
-    rows = tuple(tuple(order.get(cls[q]) for q in trans[rep[c]]) for c in order)
+    new_id = [order.get(c) for c in cls]
+    rows = tuple(tuple(map(new_id.__getitem__, trans[rep[c]])) for c in order)
     fin = frozenset(i for c, i in order.items() if rep[c] in d.final)
     return _built(Dfa, d.alphabet, len(rows), rows, 0, fin)
 

@@ -7,11 +7,16 @@ laws.  Derived constructions (S^1, S^0, quotients, Rees matrix semigroups,
 their maps and automata) are correct once their inputs are: they are trusted
 and build through _built unchecked; tests/test_trusted.py rebuilds them.
 Subset and morphism checks live in one gate each: _subsemigroup_set and
-_is_morphism.
+_is_morphism.  The gate stays at the boundary: is_weakly_pru runs it before
+the _weakly_pru kernel, while the corpus listings trust all_subsemigroups,
+whose sets are closed by construction, and call the kernel directly.  Those
+sets are the shared frozensets of _subsets, one table per order, and are
+tested for closure as bitmasks over the table rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -273,7 +278,8 @@ def _check_subset(s: FiniteSemigroup, subset) -> frozenset:
 
 def is_subsemigroup(s: FiniteSemigroup, subset) -> bool:
     sub = _check_subset(s, subset)
-    return all(s.mul(a, b) in sub for a in sub for b in sub)
+    rows = s.table
+    return all(rows[a][b] in sub for a in sub for b in sub)
 
 
 def _subsemigroup_set(s: FiniteSemigroup, subset) -> frozenset:
@@ -291,12 +297,21 @@ def _is_morphism(src: FiniteSemigroup, dst: FiniteSemigroup, phi) -> bool:
                for a in range(src.order) for b in range(src.order))
 
 
+@functools.lru_cache(maxsize=8)
+def _subsets(n: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    """(mask, set) for every nonempty subset of range(n), by size and then
+    lexicographically; one table per order, shared by every semigroup of it."""
+    return tuple((sum(1 << v for v in sub), frozenset(sub))
+                 for r in range(1, n + 1)
+                 for sub in itertools.combinations(range(n), r))
+
+
 def all_subsemigroups(s: FiniteSemigroup) -> list[frozenset[int]]:
-    """Every subsemigroup, by size and then lexicographically."""
+    """Every subsemigroup, by size and then lexicographically, as the shared
+    frozensets of _subsets."""
     rows = s.table
-    subsets = (frozenset(sub) for r in range(1, s.order + 1)
-               for sub in itertools.combinations(range(s.order), r))
-    return [t for t in subsets if all(rows[a][b] in t for a in t for b in t)]
+    return [t for mask, t in _subsets(s.order)
+            if all(mask >> rows[a][b] & 1 for a in t for b in t)]
 
 
 def is_ideal(s: FiniteSemigroup, subset) -> bool:
@@ -602,9 +617,14 @@ def is_pseudo_right_unitary(s: FiniteSemigroup, t) -> bool:
 
 def is_weakly_pru(s: FiniteSemigroup, t) -> bool:
     """For every a and pair x, y in T with ax in T, some b in T has
-    bx = ax and by = ay: (ax, ay) is one of the pairs (bx, by) for x, y."""
-    sub = _subsemigroup_set(s, t)
-    rows = s.table
+    bx = ax and by = ay."""
+    return _weakly_pru(s.table, _subsemigroup_set(s, t))
+
+
+def _weakly_pru(rows, sub: frozenset) -> bool:
+    """is_weakly_pru on table rows and a set already known to be closed:
+    (ax, ay) is one of the pairs (bx, by), packed as bit bx*n + by."""
+    n = len(rows)
     t_rows = [rows[b] for b in sub]
     outside = [row for a, row in enumerate(rows) if a not in sub]  # a in T is its own b
     for x in sub:
@@ -612,9 +632,12 @@ def is_weakly_pru(s: FiniteSemigroup, t) -> bool:
         if not kept:
             continue
         for y in sub:
-            pairs = {(row[x], row[y]) for row in t_rows}
-            if any((row[x], row[y]) not in pairs for row in kept):
-                return False
+            pairs = 0
+            for row in t_rows:
+                pairs |= 1 << (row[x] * n + row[y])
+            for row in kept:
+                if not pairs >> (row[x] * n + row[y]) & 1:
+                    return False
     return True
 
 

@@ -52,6 +52,7 @@ from .semigroup import (
     _built,
     _fresh_label,
     _is_morphism,
+    _weakly_pru,
     adjoin_zero,
     all_subsemigroups,
     enumerate_semigroups,
@@ -482,7 +483,7 @@ def negative_control_search(max_order: int = 3, limit: int | None = None):
         for s in enumerate_semigroups(n):
             tau = full_generator_map(s)
             for tset in all_subsemigroups(s):
-                if is_weakly_pru(s, tset):
+                if _weakly_pru(s.table, tset):  # tset is closed: no gate
                     continue
                 checked += 1
                 rep = verify_subsemigroup_intersection(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reesloop import theorems
+from reesloop import cli, theorems
 from reesloop.cli import (
     iter_instances,
     main,
@@ -279,6 +279,18 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith("RESULT")]
         # P = e, P = g and one randomized rerun
         assert len(lines) == 3 and len(set(lines)) == 3
+
+    @pytest.mark.parametrize("tag,count", [("unit-sandwich", 386),
+                                           ("semitoreeszero", 128)])
+    def test_library_default_bases_are_the_verify_corpus(self, tag, count,
+                                                        monkeypatch):
+        # `reesloop verify TAG` prints one RESULT line per instance it
+        # hands to run_corpus, and its --base defaults to the registry's
+        listed = []
+        monkeypatch.setattr(cli, "run_corpus",
+                            lambda instances: listed.extend(instances) or 0)
+        assert run_cli("verify", tag)[0] == 0
+        assert list(iter_instances(tag)) == listed and len(listed) == count
 
     def test_unknown_tag_usage_error(self):
         assert main(["verify", "not-a-tag"]) == 2

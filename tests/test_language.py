@@ -688,6 +688,80 @@ def test_determinize_matches_the_tuple_row_reference_on_the_probe():
         assert determinize(rhs, keep_silent=keep_silent) == tuple_determinize(rhs, keep_silent)
 
 
+# -- Moore refinement ----------------------------------------------------------------
+#
+# minimize as it ran before it stopped on a stable block count: refinement
+# until a round reproduces the label list, and a generator per renumbered row.
+
+def reference_minimize(d):
+    n = d.n_states
+    nletters = d.alphabet.size
+    trans = [[n if q is None else q for q in row] for row in d.transitions]
+    trans.append([n] * nletters)
+    cls = [0] * (n + 1)
+    for p in d.final:
+        cls[p] = 1
+    while True:
+        sigs = {}
+        of = cls.__getitem__
+        new = [sigs.setdefault((c, *map(of, row)), len(sigs))
+               for c, row in zip(cls, trans)]
+        if new == cls:
+            break
+        cls = new
+    start, dead = cls[d.initial], cls[n]
+    if start == dead:
+        return Dfa(d.alphabet, 1, ((None,) * nletters,), 0, frozenset())
+    rep = {}
+    for p, c in enumerate(cls):
+        rep.setdefault(c, p)
+    order = {start: 0}
+    queue = [start]
+    for c in queue:
+        for q in trans[rep[c]]:
+            if cls[q] not in order and cls[q] != dead:
+                order[cls[q]] = len(order)
+                queue.append(cls[q])
+    rows = tuple(tuple(order.get(cls[q]) for q in trans[rep[c]]) for c in order)
+    fin = frozenset(i for c, i in order.items() if rep[c] in d.final)
+    return Dfa(d.alphabet, len(rows), rows, 0, fin)
+
+
+def random_dfa(rng, kind):
+    """A partial DFA of one to eight states: `final` has some final states,
+    `no-final` none, and `empty-future` only final states that no state
+    moves to, so every state the initial one reaches has an empty future."""
+    n = rng.randint(1, 8)
+    alphabet = HatAlphabet(("x", "y")[:rng.randint(1, 2)])
+    none_share = rng.random()
+    if kind == "empty-future":
+        live = rng.randint(1, n)  # states >= live are final and unreachable
+        targets = range(live)
+        final = frozenset(range(live, n))
+    else:
+        live, targets = n, range(n)
+        final = (frozenset(rng.sample(range(n), rng.randint(1, n)))
+                 if kind == "final" else frozenset())
+    rows = tuple(tuple(None if rng.random() < none_share else rng.choice(targets)
+                       for _ in range(alphabet.size)) for _ in range(n))
+    return Dfa(alphabet, n, rows, rng.randrange(live), final)
+
+
+@pytest.mark.parametrize("kind", ["final", "no-final", "empty-future"])
+def test_minimize_matches_the_full_refinement_reference(kind):
+    rng = random.Random(kind)
+    for _ in range(300):
+        d = random_dfa(rng, kind)
+        assert minimize(d) == reference_minimize(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(eps_nfa, role_nfa), st.booleans())
+def test_minimize_matches_the_full_refinement_reference_on_subset_dfas(a, keep_silent):
+    d = determinize(a, keep_silent=keep_silent)
+    assert minimize(d) == reference_minimize(d)
+
+
 # -- the separator walk -------------------------------------------------------------
 #
 # The separator as it ran on the DFA product, kept as the reference for the

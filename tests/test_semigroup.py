@@ -4,6 +4,7 @@ import random
 import pytest
 
 from reesloop import semigroup
+from reesloop.cli import iter_instances
 from reesloop.semigroup import (
     BadIdentity,
     BadZero,
@@ -58,6 +59,8 @@ def brute_force_associative(table):
 
 
 def all_subsemigroups(s):
+    """The listing as it ran before subset masks: a frozenset of its own for
+    every subset, tested for closure element by element."""
     for r in range(1, s.order + 1):
         for sub in itertools.combinations(range(s.order), r):
             fs = frozenset(sub)
@@ -76,6 +79,24 @@ def reference_weakly_pru(s, t):
                 if not any(s.mul(b, x) == s.mul(a, x) and s.mul(b, y) == s.mul(a, y)
                            for b in t):
                     return False
+    return True
+
+
+def pair_set_weakly_pru(s, t):
+    """is_weakly_pru as it ran before its pairs were packed into an int:
+    the gate, then a set of (bx, by) tuples for each x, y in T."""
+    sub = semigroup._subsemigroup_set(s, t)
+    rows = s.table
+    t_rows = [rows[b] for b in sub]
+    outside = [row for a, row in enumerate(rows) if a not in sub]
+    for x in sub:
+        kept = [row for row in outside if row[x] in sub]
+        if not kept:
+            continue
+        for y in sub:
+            pairs = {(row[x], row[y]) for row in t_rows}
+            if any((row[x], row[y]) not in pairs for row in kept):
+                return False
     return True
 
 
@@ -427,10 +448,15 @@ class TestUnitaryPredicates:
                         assert is_weakly_pru(s, t)
 
     def test_weakly_pru_matches_the_definition_up_to_order_four(self):
-        verdicts = [is_weakly_pru(s, t) == reference_weakly_pru(s, t)
+        # the gated predicate, its kernel and the tuple-set form agree with
+        # the definition on every pair
+        verdicts = [(reference_weakly_pru(s, t), is_weakly_pru(s, t),
+                     semigroup._weakly_pru(s.table, t), pair_set_weakly_pru(s, t))
                     for n in range(1, 5) for s in enumerate_semigroups(n)
                     for t in all_subsemigroups(s)]
-        assert len(verdicts) == 34019 and all(verdicts)
+        assert len(verdicts) == 34019
+        assert all(len(set(v)) == 1 for v in verdicts)
+        assert sum(v[0] for v in verdicts) == 26056
 
     def test_pseudo_does_not_imply_weakly(self):
         s = make_semigroup(None, ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
@@ -484,6 +510,45 @@ class TestIdealsAndSubsemigroupsUpToOrderFour:
         found = [semigroup.all_subsemigroups(s) for s in semigroups]
         assert found == [list(all_subsemigroups(s)) for s in semigroups]
         assert sum(map(len, found)) == 34019
+
+    def test_all_subsemigroups_of_the_order_four_monoids_and_zero_extensions(
+            self, semigroups):
+        for s in semigroups[-3492:]:
+            for ext in (adjoin_identity(s), adjoin_zero(s)):
+                assert semigroup.all_subsemigroups(ext) == list(all_subsemigroups(ext))
+
+    def test_all_subsemigroups_of_the_default_corpus_rees_matrix_semigroups(self):
+        # one Rees matrix semigroup for each base, I x J, zero and zero
+        # pattern of P in the default semitorees, semitoreeszero and
+        # unit-sandwich corpora; orders 1 to 13
+        seen = set()
+        for tag, zero in (("semitorees", False), ("semitoreeszero", True),
+                          ("unit-sandwich", True)):
+            for _iid, (_tag, (s, _g, ic, jc, p, *_)) in iter_instances(tag):
+                key = (s.labels, ic, jc, zero,
+                       tuple(v is None for row in p.entries for v in row))
+                if key not in seen:
+                    seen.add(key)
+                    m, _ = rees_matrix(s, ic, jc, p, zero)
+                    assert semigroup.all_subsemigroups(m) == list(all_subsemigroups(m))
+        assert len(seen) == 86
+
+    def test_one_subset_is_one_frozenset_across_the_semigroups_of_an_order(
+            self, semigroups):
+        first, second = (semigroup.all_subsemigroups(s) for s in semigroups[-2:])
+        by_value = {t: t for t in first}
+        common = [u for u in second if u in by_value]
+        assert common and all(by_value[u] is u for u in common)
+
+    def test_listing_the_subsemigroup_corpus_runs_no_gate(self, monkeypatch):
+        calls = []
+        gate = semigroup._subsemigroup_set
+        monkeypatch.setattr(semigroup, "_subsemigroup_set",
+                            lambda s, t: calls.append(t) or gate(s, t))
+        assert sum(1 for _ in iter_instances("subsemigroup", max_order=3)) > 0
+        assert calls == []
+        is_weakly_pru(cyclic_group(2), {0})  # the gate is still at the boundary
+        assert calls == [{0}]
 
 
 class TestGeneratorMaps:
@@ -608,9 +673,9 @@ class TestGates:
         b2 = brandt_b2()
         nilpotent = next(x for x in range(b2.order)
                          if x != b2.zero and b2.mul(x, x) == b2.zero)
-        with pytest.raises(EmptySubset):
+        with pytest.raises(EmptySubset, match=r"^subset is empty$"):
             gate(b2, set())
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"^subset element 5 out of range$"):
             gate(b2, {b2.zero, b2.order})
         with pytest.raises(NotASubsemigroup, match=r"^\[\d\] is not a subsemigroup$"):
             gate(b2, {nilpotent})

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from reesloop import semigroup, theorems
-from reesloop.cli import DEFAULT_BASES, iter_instances, run_job
+from reesloop.cli import iter_instances, run_job
 from reesloop.language import (HatAlphabet, empty_nfa, factor_closure, member,
                                relabel, sub_hat_letters, union, word_set_nfa)
 from reesloop.loops import loop_automaton, loop_problem, path_language
@@ -176,7 +176,7 @@ class TestHatLetterMap:
         # each czeros instance runs the unit-sandwich verifier and, through
         # semitoreeszero, the adjoin-zero one, whose letters extend by z
         for tag in ("unit-sandwich", "czeros"):
-            for item in iter_instances(tag, bases=DEFAULT_BASES[tag]):
+            for item in iter_instances(tag):
                 assert run_job(item)[1]
         assert len(seen) == 386 + 2 * 59
         for big, syms in seen:
