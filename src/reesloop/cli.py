@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import theorems
 from .language import format_automaton, minimal_dfa
-from .loops import cayley_dot, cayley_graph, loop_automaton, loop_automaton_dot
+from .loops import cayley_dot, loop_automaton, loop_automaton_dot
 from .semigroup import (
     FiniteSemigroup,
     GeneratorMap,
@@ -426,7 +426,7 @@ def cmd_cayley(args) -> int:
         gmap = GeneratorMap(gmap.alphabet, s, gmap.image, monoid=True)
     else:
         gmap = lift_to_monoid(gmap)
-    _emit(cayley_dot(cayley_graph(gmap)), args.output)
+    _emit(cayley_dot(gmap), args.output)
     return 0
 
 

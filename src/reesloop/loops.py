@@ -34,19 +34,6 @@ class NotInLoopProblem(LoopError):
 
 
 @dataclass(frozen=True)
-class CayleyGraph:
-    """Right Cayley graph: an edge a --x--> b exactly when a.(x sigma) = b."""
-
-    monoid: FiniteSemigroup
-    gen_map: GeneratorMap
-    edges: tuple[tuple[int, int, int], ...]  # (a, letter, b)
-
-    @property
-    def vertex_count(self) -> int:
-        return self.monoid.order
-
-
-@dataclass(frozen=True)
 class LoopAutomaton:
     """Doubled Cayley graph of a monoid, accepting loops at the identity."""
 
@@ -60,22 +47,12 @@ class LoopAutomaton:
         return self.nfa.alphabet
 
 
-def cayley_graph(gmap: GeneratorMap) -> CayleyGraph:
-    """Cayley graph of a monoid generator choice."""
-    m = gmap.target
-    if m.identity is None or not gmap.monoid:
-        raise NoIdentity("cayley_graph needs a monoid generator map")
-    edges = tuple((a, x, m.mul(a, gmap.image[x]))
-                  for a in range(m.order) for x in range(len(gmap.alphabet)))
-    return CayleyGraph(m, gmap, edges)
-
-
 def monoid_loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
     """Loop automaton of a monoid with its own designated identity, read off
     the table: a --x--> b and b --x-bar--> a whenever a.(x sigma) = b."""
     m = gmap.target
     if m.identity is None or not gmap.monoid:
-        raise NoIdentity("cayley_graph needs a monoid generator map")
+        raise NoIdentity("monoid_loop_automaton needs a monoid generator map")
     alphabet = HatAlphabet(tuple(gmap.alphabet))
     k = len(gmap.alphabet)
     trans = set()
@@ -207,28 +184,31 @@ def zigzag_witness(la: LoopAutomaton, word) -> tuple[int, ...]:
 
 # -- DOT export ---------------------------------------------------------------
 
-def cayley_dot(cg: CayleyGraph) -> str:
-    m = cg.monoid
-    lines = ["digraph cayley {", "  rankdir=LR;"]
+def _dot(name: str, m: FiniteSemigroup, edges) -> str:
+    """DOT digraph on the elements of m, identity double-circled, edges (a, b, attributes)."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for v in range(m.order):
         shape = "doublecircle" if v == m.identity else "circle"
         lines.append(f'  v{v} [label="{m.labels[v]}", shape={shape}];')
-    for a, x, b in cg.edges:
-        lines.append(f'  v{a} -> v{b} [label="{cg.gen_map.alphabet[x]}"];')
+    lines.extend(f"  v{a} -> v{b} [{attrs}];" for a, b, attrs in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def cayley_dot(gmap: GeneratorMap) -> str:
+    """Right Cayley graph of a monoid generator choice: an edge a --x--> b
+    exactly when a.(x sigma) = b."""
+    m = gmap.target
+    return _dot("cayley", m, ((a, row[g], f'label="{x}"')
+                              for a, row in enumerate(m.table)
+                              for x, g in zip(gmap.alphabet, gmap.image)))
 
 
 def loop_automaton_dot(la: LoopAutomaton) -> str:
     """Positive edges solid, inverse edges dashed, identity double-circled."""
-    m = la.monoid
     alpha = la.alphabet
-    lines = ["digraph loops {", "  rankdir=LR;"]
-    for v in range(m.order):
-        shape = "doublecircle" if v == la.identity_state else "circle"
-        lines.append(f'  v{v} [label="{m.labels[v]}", shape={shape}];')
+    edges = []
     for p, x, q in sorted(la.nfa.transitions):
         style = "solid" if alpha.is_positive(x) else "dashed"
-        lines.append(f'  v{p} -> v{q} [label="{alpha.name(x)}", style={style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        edges.append((p, q, f'label="{alpha.name(x)}", style={style}'))
+    return _dot("loops", la.monoid, edges)

@@ -509,27 +509,18 @@ def _partition_by(keys: list) -> tuple[frozenset[int], ...]:
 
 
 def green_classes(s: FiniteSemigroup) -> GreenClasses:
-    """Green's relations from principal one-sided ideals (a S^1, S^1 a)."""
+    """Green's relations from principal one-sided ideals (a S^1, S^1 a).
+    D is taken as J, which it equals in a finite semigroup: a D b exactly
+    when S^1 a S^1 = S^1 b S^1, and S^1 a S^1 is the union of S^1 r over r
+    in a S^1."""
     n = s.order
     right = [frozenset({a} | {s.mul(a, b) for b in range(n)}) for a in range(n)]
     left = [frozenset({a} | {s.mul(b, a) for b in range(n)}) for a in range(n)]
     r = _partition_by(right)
     l = _partition_by(left)
     h = _partition_by([(right[a], left[a]) for a in range(n)])
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cls in itertools.chain(r, l):
-        it = iter(sorted(cls))
-        root = find(next(it))
-        for x in it:
-            parent[find(x)] = root
-    d = _partition_by([find(x) for x in range(n)])
+    d = _partition_by([frozenset().union(*(left[b] for b in right[a]))
+                       for a in range(n)])
     return GreenClasses(r, l, h, d)
 
 
@@ -687,47 +678,13 @@ def enumerate_semigroups(n: int):
 
 
 def isomorphism(s1: FiniteSemigroup, s2: FiniteSemigroup):
-    """A table isomorphism s1 -> s2 as an index tuple, or None."""
-    n = s1.order
-    if n != s2.order:
+    """The lexicographically least table isomorphism s1 -> s2 as an index
+    tuple, or None.  The search is exhaustive over the n! bijections; every
+    caller in the package passes order at most 4."""
+    if s1.order != s2.order:
         return None
-
-    def profile(s, x):
-        row = s.table[x]
-        col = tuple(s.table[y][x] for y in range(s.order))
-        return (s.mul(x, x) == x, len(set(row)), len(set(col)))
-
-    p1 = [profile(s1, x) for x in range(n)]
-    p2 = [profile(s2, x) for x in range(n)]
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        for v in range(n):
-            if used[v] or p1[k] != p2[v]:
-                continue
-            image[k] = v
-            used[v] = True
-            good = True
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    c = s1.mul(a, b)
-                    if c <= k:
-                        if s2.mul(image[a], image[b]) != image[c]:
-                            good = False
-                            break
-                    # product outside the placed prefix: checked later
-                if not good:
-                    break
-            if good and extend(k + 1):
-                return True
-            used[v] = False
-            image[k] = -1
-        return False
-
-    return tuple(image) if extend(0) else None
+    return next((phi for phi in itertools.permutations(range(s1.order))
+                 if _is_morphism(s1, s2, phi)), None)
 
 
 def are_isomorphic(s1: FiniteSemigroup, s2: FiniteSemigroup) -> bool:

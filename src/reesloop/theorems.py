@@ -40,7 +40,7 @@ from .language import (
     union,
     word_set_nfa,
 )
-from .loops import LoopAutomaton, loop_automaton, loop_problem, non_returning_language, path_language
+from .loops import loop_automaton, loop_problem, non_returning_language, path_language
 from .semigroup import (
     FiniteSemigroup,
     GeneratorMap,
@@ -152,10 +152,11 @@ def result_line(report: VerificationReport, instance_id: str) -> str:
     return f"RESULT {report.tag} {instance_id} {report.verdict()}"
 
 
-def _quotient_formula_rhs(gmap: GeneratorMap, ideal, la: LoopAutomaton) -> tuple[Nfa, list]:
+def _quotient_formula_rhs(gmap: GeneratorMap, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
     representative words of the ideal, plus the three path-language
     cross-checks."""
+    la = loop_automaton(gmap)
     big = la.alphabet
     l_nfa = la.nfa
     words = choose_words(gmap)
@@ -184,8 +185,7 @@ def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> Verif
     tset = frozenset(ideal)
     _q, _proj, q_gmap = rees_quotient(s, tset, gmap)
     lhs = loop_problem(q_gmap)
-    la = loop_automaton(gmap)
-    rhs, checks = _quotient_formula_rhs(gmap, tset, la)
+    rhs, checks = _quotient_formula_rhs(gmap, tset)
     return _finish("rees-quotient", lhs, rhs, checks,
                    {"order": s.order, "ideal_size": len(tset)}, t0)
 
@@ -309,8 +309,7 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     phi[quotient.zero] = rs0.zero_index
     iso_ok = sorted(phi) == list(range(m0.order)) and _is_morphism(quotient, m0, phi)
     checks.append(("quotient-iso-M0", iso_ok, None))
-    la_prime = loop_automaton(tau_prime)
-    rhs, cross = _quotient_formula_rhs(tau_prime, t_ideal, la_prime)
+    rhs, cross = _quotient_formula_rhs(tau_prime, t_ideal)
     checks.extend(cross)
     tau_m0 = GeneratorMap(tau_q.alphabet, m0, tuple(phi[v] for v in tau_q.image))
     lhs = loop_problem(tau_m0)

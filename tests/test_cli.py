@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -31,6 +32,7 @@ from reesloop.semigroup import (
 SRC = Path(theorems.__file__).resolve().parents[1]  # the imported reesloop
 CORPUS_REFERENCE = (Path(__file__).resolve().parents[1]
                     / "perfbench" / "data" / "corpus_w2.stdout")
+STREAM_DIGESTS = Path(__file__).resolve().parent / "data" / "streams.sha256"
 
 
 @pytest.fixture
@@ -227,6 +229,31 @@ class TestConstructions:
         code, printed = run_cli("cayley", tables["b2"], "-o", str(dot))
         assert code == 0 and printed == ""
         assert dot.read_text() == out
+
+    def test_cli_file_outputs_match_their_digests(self, tmp_path, monkeypatch):
+        # the tables and commands of the CI step "CLI file outputs"
+        monkeypatch.chdir(tmp_path)
+        Path("c3.tbl").write_text("3\ne g g2\ne g g2\ng g2 e\ng2 e g\nidentity e\n")
+        Path("b2.tbl").write_text("5\na b c d 0\na b 0 0 0\n0 0 a b 0\n"
+                                  "c d 0 0 0\n0 0 c d 0\n0 0 0 0 0\nzero 0\n")
+        for out, argv in (("loop b2.tbl", ["loop", "b2.tbl", "--dot", "loop b2.tbl --dot"]),
+                          ("cayley b2.tbl", ["cayley", "b2.tbl"]),
+                          ("cayley --monoid c3.tbl g", ["cayley", "--monoid", "c3.tbl", "g"])):
+            assert main(argv + ["-o", out]) == 0
+        want = {}
+        for line in STREAM_DIGESTS.read_text().splitlines():
+            digest, name = line.split("  ", 1)
+            if name.startswith(("loop ", "cayley ")):
+                want[name] = digest
+        assert len(want) == 4
+        for name, digest in want.items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
+
+    def test_cayley_prints_labels_a_hat_alphabet_rejects(self, tmp_path, capsys):
+        tilde = tmp_path / "tilde.tbl"
+        tilde.write_text("1\n~a\n~a\n")
+        assert main(["cayley", str(tilde)]) == 0
+        assert 'v0 -> v0 [label="~a"];' in capsys.readouterr().out
 
     def test_cayley_monoid_needs_a_designated_identity(self, tables, capsys):
         code = main(["cayley", "--monoid", tables["b2"]])

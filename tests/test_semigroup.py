@@ -139,6 +139,96 @@ def reference_principal_ideal(s, a):
                      | {s.mul(x, s.mul(a, y)) for x in range(n) for y in range(n)})
 
 
+def reference_green_classes(s):
+    """green_classes as it ran before D was read off S^1 a S^1: D is the
+    union-find join of the R- and L-classes."""
+    n = s.order
+
+    def partition(keys):
+        groups = {}
+        for x, k in enumerate(keys):
+            groups.setdefault(k, []).append(x)
+        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+
+    right = [frozenset({a} | {s.mul(a, b) for b in range(n)}) for a in range(n)]
+    left = [frozenset({a} | {s.mul(b, a) for b in range(n)}) for a in range(n)]
+    r = partition(right)
+    l = partition(left)
+    h = partition([(right[a], left[a]) for a in range(n)])
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for cls in itertools.chain(r, l):
+        it = iter(sorted(cls))
+        root = find(next(it))
+        for x in it:
+            parent[find(x)] = root
+    d = partition([find(x) for x in range(n)])
+    return semigroup.GreenClasses(r, l, h, d)
+
+
+def reference_isomorphism(s1, s2):
+    """isomorphism as it ran before the exhaustive search: backtracking over
+    images pruned by an (idempotent, row size, column size) profile."""
+    n = s1.order
+    if n != s2.order:
+        return None
+
+    def profile(s, x):
+        row = s.table[x]
+        col = tuple(s.table[y][x] for y in range(s.order))
+        return (s.mul(x, x) == x, len(set(row)), len(set(col)))
+
+    p1 = [profile(s1, x) for x in range(n)]
+    p2 = [profile(s2, x) for x in range(n)]
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(k):
+        if k == n:
+            return True
+        for v in range(n):
+            if used[v] or p1[k] != p2[v]:
+                continue
+            image[k] = v
+            used[v] = True
+            good = True
+            for a in range(k + 1):
+                for b in range(k + 1):
+                    c = s1.mul(a, b)
+                    if c <= k and s2.mul(image[a], image[b]) != image[c]:
+                        good = False
+                        break
+                if not good:
+                    break
+            if good and extend(k + 1):
+                return True
+            used[v] = False
+            image[k] = -1
+        return False
+
+    return tuple(image) if extend(0) else None
+
+
+def corpus_rees_semigroups():
+    """Every distinct Rees matrix semigroup that the default semitorees,
+    semitoreeszero, unit-sandwich, czeros and decompose-roundtrip corpora
+    build or decide, with the three czeros bases b2, C2^0 and C3^0."""
+    found = []
+    for tag, zero in (("semitorees", False), ("semitoreeszero", True),
+                      ("unit-sandwich", True)):
+        for _iid, (_tag, (s, _g, ic, jc, p, *_)) in iter_instances(tag):
+            found.append(rees_matrix(s, ic, jc, p, zero)[0])
+    for tag in ("czeros", "decompose-roundtrip"):
+        found.extend(m for _iid, (_tag, (m, *_)) in iter_instances(tag))
+    return list(dict.fromkeys(found))
+
+
 class TestMakeSemigroup:
     def test_trivial(self):
         s = make_semigroup(["e"], [[0]])
@@ -533,6 +623,21 @@ class TestIdealsAndSubsemigroupsUpToOrderFour:
                     assert semigroup.all_subsemigroups(m) == list(all_subsemigroups(m))
         assert len(seen) == 86
 
+    def test_green_classes_are_the_union_find_classes(self, semigroups):
+        # every table of order <= 4, its S^1 and S^0, and the corpus Rees
+        # matrix semigroups (orders 1 to 13)
+        rees = corpus_rees_semigroups()
+        assert len(rees) == 550
+        checked = 0
+        for s in semigroups:
+            for t in (s, adjoin_identity(s), adjoin_zero(s)):
+                assert green_classes(t) == reference_green_classes(t)
+                checked += 1
+        for m in rees:
+            assert green_classes(m) == reference_green_classes(m)
+            checked += 1
+        assert checked == 3 * 3614 + 550
+
     def test_one_subset_is_one_frozenset_across_the_semigroups_of_an_order(
             self, semigroups):
         first, second = (semigroup.all_subsemigroups(s) for s in semigroups[-2:])
@@ -666,6 +771,18 @@ class TestGates:
             iso = isomorphism(s, t)
             assert iso is not None and sorted(iso) == [0, 1, 2, 3]
             assert reference_is_morphism(s, t, iso)
+            assert iso == reference_isomorphism(s, t)
+
+    def test_isomorphism_is_the_backtracking_search_up_to_order_three(self):
+        # every ordered pair of tables of orders 1 to 3, mixed orders included
+        tables = [s for n in (1, 2, 3) for s in enumerate_semigroups(n)]
+        pairs = found = 0
+        for s1, s2 in itertools.product(tables, repeat=2):
+            iso = isomorphism(s1, s2)
+            assert iso == reference_isomorphism(s1, s2)
+            found += iso is not None
+            pairs += 1
+        assert (pairs, found) == (122 * 122, 620)
 
     @pytest.mark.parametrize("gate", [subsemigroup, is_right_unitary,
                                       is_pseudo_right_unitary, is_weakly_pru])
