@@ -78,11 +78,14 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
             matrix_rows.append((no, toks))
             continue
         if toks[0] == "base":
-            path = directory / " ".join(toks[1:])
+            name = " ".join(toks[1:])
             try:
-                base = parse_semigroup_text(path.read_text())
+                base = parse_semigroup_text((directory / name).read_text())
             except OSError as e:
                 raise ParseError(f"cannot read base table: {e}", no) from None
+            except ParseError as e:
+                raise ParseError(f"base table {name}, line {e.line}: {e.message}",
+                                 no) from None
         elif toks[0] in ("i", "j", "zero"):
             if len(toks) != 2:
                 raise ParseError(f"{toks[0]} line takes one value", no)
@@ -490,17 +493,26 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-# verify's corpus options: the generator parameter each sets, and its flag
+# the corpus options: the generator parameter each sets, and its flag
 _VERIFY_OPTIONS = {"max_order": "--max-order", "bases": "--base",
                    "imax": "--imax", "jmax": "--jmax", "seed": "--seed"}
+# corpus shows iter_instances' own defaults to readers of its parsed options
+_CORPUS_DEFAULTS = {name: param.default for name, param
+                    in inspect.signature(iter_instances).parameters.items()
+                    if name in _VERIFY_OPTIONS}
+
+
+def _given_options(args) -> dict:
+    """The corpus options given; the rest take iter_instances' defaults."""
+    return {name: getattr(args, name) for name in _VERIFY_OPTIONS
+            if getattr(args, name) is not None}
 
 
 def cmd_verify(args) -> int:
     """Run one tag's corpus; an option its instance generator does not read
     is a usage error, and an option not given takes iter_instances' default
     (for --base, the tag's registry bases)."""
-    given = {name: getattr(args, name) for name in _VERIFY_OPTIONS
-             if getattr(args, name) is not None}
+    given = _given_options(args)
     reads = inspect.signature(REGISTRY[args.tag].instances).parameters
     unread = [_VERIFY_OPTIONS[name] for name in given if name not in reads]
     if unread:
@@ -514,10 +526,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    total_failures = sum(
-        run_corpus(iter_instances(tag, max_order=args.max_order, imax=args.imax,
-                                  jmax=args.jmax, seed=args.seed))
-        for tag in VERIFY_TAGS)
+    given = _given_options(args)
+    total_failures = sum(run_corpus(iter_instances(tag, **given)) for tag in VERIFY_TAGS)
     print("PASS" if total_failures == 0 else f"FAIL ({total_failures} instances)")
     return 0 if total_failures == 0 else 1
 
@@ -596,11 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="run every theorem verifier")
-    p.add_argument("--max-order", type=_positive_int, default=3)
-    p.add_argument("--imax", type=_positive_int, default=2)
-    p.add_argument("--jmax", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_corpus)
+    p.add_argument("--max-order", type=_positive_int, help="order bound (default %(default)s)")
+    p.add_argument("--imax", type=_positive_int, help="largest I (default %(default)s)")
+    p.add_argument("--jmax", type=_positive_int, help="largest J (default %(default)s)")
+    p.add_argument("--seed", type=int, help="randomized-rerun seed (default %(default)s)")
+    p.set_defaults(fn=cmd_corpus, **_CORPUS_DEFAULTS)
 
     return ap
 

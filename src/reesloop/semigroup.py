@@ -80,10 +80,11 @@ class NotGenerating(SemigroupError):
 
 
 class ParseError(ValueError):
-    """Error in one of the text formats, with a 1-based line number."""
+    """Error in one of the text formats, with a 1-based line number and the
+    bare message."""
 
     def __init__(self, message: str, line: int):
-        self.line = line
+        self.line, self.message = line, message
         super().__init__(f"Parse error at line {line}: {message}")
 
 
@@ -511,16 +512,14 @@ def _partition_by(keys: list) -> tuple[frozenset[int], ...]:
 def green_classes(s: FiniteSemigroup) -> GreenClasses:
     """Green's relations from principal one-sided ideals (a S^1, S^1 a).
     D is taken as J, which it equals in a finite semigroup: a D b exactly
-    when S^1 a S^1 = S^1 b S^1, and S^1 a S^1 is the union of S^1 r over r
-    in a S^1."""
+    when S^1 a S^1 = S^1 b S^1, the principal ideal of a."""
     n = s.order
     right = [frozenset({a} | {s.mul(a, b) for b in range(n)}) for a in range(n)]
     left = [frozenset({a} | {s.mul(b, a) for b in range(n)}) for a in range(n)]
     r = _partition_by(right)
     l = _partition_by(left)
     h = _partition_by([(right[a], left[a]) for a in range(n)])
-    d = _partition_by([frozenset().union(*(left[b] for b in right[a]))
-                       for a in range(n)])
+    d = _partition_by([principal_ideal(s, a) for a in range(n)])
     return GreenClasses(r, l, h, d)
 
 

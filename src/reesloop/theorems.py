@@ -1,7 +1,9 @@
 """One executable verifier per language identity: each builds the left- and
-right-hand languages independently and decides equality of minimal DFAs,
-reporting a shortest separating word on failure; two sides built as the
-same automaton are minimized once.
+right-hand languages independently and decides equality of minimal DFAs;
+two sides built as the same automaton are minimized once.  A report holds
+its outcome once, as named checks with witnesses: the main comparison and
+its shortest separating word first, then side checks, among them nested
+verifiers' reports, each handing on its own witness.
 
 Two fine points of the identities, both forced by exhaustive small-order
 checking:
@@ -93,30 +95,32 @@ class InternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """`separator` is a shortest word in the symmetric difference of the two
-    compared languages (letters of lhs.alphabet); it is absent whenever the
-    main comparison agrees, in particular whenever holds is true.  Failures
-    of named side checks are recorded in stats["checks"], with any witness
-    already rendered to text."""
+    """The outcome is held once, in `checks`: one (name, ok, witness) per
+    named check, the main comparison ("main") first, each witness already
+    rendered to text or None.  `separator` is the main comparison's
+    shortest word in the symmetric difference of the two compared languages
+    (letters of lhs.alphabet), None when they agree.  `stats` holds only
+    measurements and instance parameters."""
 
     tag: str
-    holds: bool
     lhs: Dfa
     rhs: Dfa
     separator: tuple[int, ...] | None
+    checks: tuple[tuple[str, bool, str | None], ...]
     stats: dict = field(default_factory=dict, compare=False)
 
-    def separator_text(self) -> str | None:
-        return _render(self.lhs.alphabet, self.separator)
+    @property
+    def holds(self) -> bool:
+        return all(ok for _n, ok, _w in self.checks)
+
+    def witness(self) -> str | None:
+        """The witness of the first failing check that has one."""
+        return next((w for _n, ok, w in self.checks if not ok and w is not None), None)
 
     def verdict(self) -> str:
-        """PASS or FAIL, followed on FAIL by the separator or, failing that,
-        the first side-check witness."""
-        out = "PASS" if self.holds else "FAIL"
-        sep = self.separator_text()
-        if sep is None and not self.holds:
-            sep = next(iter(self.stats.get("witnesses", {}).values()), None)
-        return out if sep is None else f"{out} {sep}"
+        """PASS or FAIL, followed by the witness, if any."""
+        out, w = "PASS" if self.holds else "FAIL", self.witness()
+        return out if w is None else f"{out} {w}"
 
 
 def _render(alphabet, word) -> str | None:
@@ -128,24 +132,17 @@ def _render(alphabet, word) -> str | None:
 
 
 def _finish(tag: str, lhs_nfa: Nfa, rhs_nfa: Nfa, extra_checks, stats, t0) -> VerificationReport:
-    """Minimize both sides, compare, and fold in the extra named checks;
-    extra checks carry their witnesses as already rendered text.  The
-    minimal DFAs are canonical, so == decides the main comparison; only
-    when they differ is the separator found, by walking the two NFAs."""
+    """Minimize both sides, compare, and put the main comparison ahead of
+    the extra named checks.  The minimal DFAs are canonical, so == decides
+    the main comparison; only when they differ is the separator found, by
+    walking the two NFAs."""
     lhs = minimal_dfa(lhs_nfa)
     rhs = lhs if rhs_nfa == lhs_nfa else minimal_dfa(rhs_nfa)
     sep = None if lhs == rhs else shortest_separator(lhs_nfa, rhs_nfa)
-    checks = [("main", sep is None, _render(lhs.alphabet, sep))] + list(extra_checks)
-    holds = all(ok for _n, ok, _s in checks)
-    stats = dict(stats)
-    stats["lhs_states"] = lhs.n_states
-    stats["rhs_states"] = rhs.n_states
-    stats["checks"] = tuple((n, ok) for n, ok, _s in checks)
-    failed = {n: text for n, ok, text in checks if not ok and text is not None}
-    if failed:
-        stats["witnesses"] = failed
-    stats["elapsed"] = round(time.perf_counter() - t0, 6)
-    return VerificationReport(tag, holds, lhs, rhs, sep, stats)
+    checks = (("main", sep is None, _render(lhs.alphabet, sep)), *extra_checks)
+    stats = {**stats, "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
+             "elapsed": round(time.perf_counter() - t0, 6)}
+    return VerificationReport(tag, lhs, rhs, sep, checks, stats)
 
 
 def result_line(report: VerificationReport, instance_id: str) -> str:
@@ -296,8 +293,6 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     tau_prime = full_generator_map(m_prime)
     t_ideal = frozenset(rs_prime.encode(i, s0.zero, j)
                         for i in range(i_count) for j in range(j_count))
-    checks = [("via-adjoin-zero", rep_zero.holds, rep_zero.separator_text()),
-              ("via-semitorees", rep_rees.holds, rep_rees.separator_text())]
     quotient, proj, tau_q = rees_quotient(m_prime, t_ideal, tau_prime)
     m0, rs0 = rees_matrix(s, i_count, j_count, p, with_zero=True)
     phi = [None] * quotient.order
@@ -308,12 +303,13 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
         phi[proj[mp]] = rs0.encode(i, g, j)
     phi[quotient.zero] = rs0.zero_index
     iso_ok = sorted(phi) == list(range(m0.order)) and _is_morphism(quotient, m0, phi)
-    checks.append(("quotient-iso-M0", iso_ok, None))
     rhs, cross = _quotient_formula_rhs(tau_prime, t_ideal)
-    checks.extend(cross)
     tau_m0 = GeneratorMap(tau_q.alphabet, m0, tuple(phi[v] for v in tau_q.image))
     lhs = loop_problem(tau_m0)
-    return _finish("semitoreeszero", lhs, rhs, checks,
+    return _finish("semitoreeszero", lhs, rhs,
+                   [("via-adjoin-zero", rep_zero.holds, rep_zero.witness()),
+                    ("via-semitorees", rep_rees.holds, rep_rees.witness()),
+                    ("quotient-iso-M0", iso_ok, None), *cross],
                    {"order": s.order, "m0_order": m0.order}, t0)
 
 
@@ -343,18 +339,12 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     if s.identity is None:
         raise NoIdentity("the base of the unit-sandwich theorem is a monoid")
     _grp, _emb, inverse = group_of_units(s)
-    loc = None
-    for i in range(i_count):
-        for j in range(j_count):
-            v = p.entry(j, i)
-            if v is not None and v in inverse:
-                loc = (i, j, v)
-                break
-        if loc:
-            break
+    loc = next(((i, j) for i in range(i_count) for j in range(j_count)
+                if p.entry(j, i) in inverse), None)  # a ZERO entry reads None
     if loc is None:
         raise NoUnitInP("sandwich matrix has no unit entry")
-    i0, j0, pji = loc
+    i0, j0 = loc
+    pji = p.entry(j0, i0)
     with_zero = p.has_zero_entry
     m, rs = rees_matrix(s, i_count, j_count, p, with_zero)
     pinv = inverse[pji]
@@ -373,9 +363,9 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     letters = sub_hat_letters(big, x_symbols)
     lhs = relabel(loop_problem(gmap), big, letters)
     rhs = restrict(loop_problem(tau), letters)
-    return _finish("unit-sandwich", lhs, rhs, [],
-                   {"order": s.order, "m_order": m.order,
-                    "column": (i0, j0), "weakly_pru": is_weakly_pru(m, tset)}, t0)
+    return _finish("unit-sandwich", lhs, rhs,
+                   [("column-weakly-pru", is_weakly_pru(m, tset), None)],
+                   {"order": s.order, "m_order": m.order, "column": (i0, j0)}, t0)
 
 
 @dataclass(frozen=True)
@@ -458,7 +448,6 @@ def verify_czeros(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationReport:
     sigma_g = full_generator_map(dec.group)
     rep42 = verify_semitoreeszero(dec.group, sigma_g, dec.i_count, dec.j_count,
                                   dec.sandwich)
-    checks = [("via-semitoreeszero", rep42.holds, rep42.separator_text())]
     tau_m = full_generator_map(dec.rees_semigroup)
     tau_s = GeneratorMap(tau_m.alphabet, s,
                          tuple(dec.isomorphism[v] for v in tau_m.image))
@@ -466,8 +455,9 @@ def verify_czeros(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationReport:
     rhs = loop_problem(tau_m)
     rep53 = verify_unit_sandwich(dec.group, sigma_g, dec.i_count, dec.j_count,
                                  dec.sandwich)
-    checks.append(("via-unit-sandwich", rep53.holds, rep53.separator_text()))
-    return _finish("czeros", lhs, rhs, checks,
+    return _finish("czeros", lhs, rhs,
+                   [("via-semitoreeszero", rep42.holds, rep42.witness()),
+                    ("via-unit-sandwich", rep53.holds, rep53.witness())],
                    {"order": s.order, "group_order": dec.group.order,
                     "i_count": dec.i_count, "j_count": dec.j_count}, t0)
 

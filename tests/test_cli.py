@@ -162,6 +162,17 @@ class TestConstructions:
         assert captured.err == ("error: Parse error at line 8: "
                                 "no element labelled 'q'\n")
 
+    def test_base_table_error_is_raised_at_the_base_line(self, tmp_path, capsys):
+        # line 4 of the base table is short; line 4 of the spec is `matrix`
+        (tmp_path / "bad.tbl").write_text("2\na b\na b\nb\n")
+        spec = tmp_path / "bad.rees"
+        spec.write_text("base bad.tbl\ni 1\nj 1\nmatrix\na\n")
+        assert main(["rees", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Parse error at line 1: base table bad.tbl, "
+                                "line 4: expected 2 entries, got 1\n")
+
     def test_zero_line_takes_only_a_truth_value(self, tables, tmp_path, capsys):
         spec = tmp_path / "bad.rees"
         spec.write_text("base triv.tbl\ni 1\nj 1\nzero maybe\nmatrix\ne\n")

@@ -68,7 +68,7 @@ class TestReesQuotient:
     def test_cross_oracles_present(self):
         s = adjoin_zero(cyclic_group(2))
         rep = verify_rees_quotient(s, full_generator_map(s), {s.zero})
-        names = [n for n, _ok in rep.stats["checks"]]
+        names = [n for n, _ok, _w in rep.checks]
         assert "L1T=path(1,T)" in names and "LTT=path(T,T)" in names
 
 
@@ -200,7 +200,7 @@ class TestSemitorees:
         rep = verify_semitorees(cyclic_group(2), full_generator_map(cyclic_group(2)),
                                 1, 1, sandwich([[0]]))
         assert rep.holds
-        assert dict(rep.stats["checks"])["K=image"]
+        assert ("K=image", True, None) in rep.checks
 
     def test_trivial(self):
         rep = verify_semitorees(trivial_semigroup(),
@@ -221,8 +221,7 @@ class TestSemitoreesZero:
                                     full_generator_map(trivial_semigroup()),
                                     2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
         assert rep.holds
-        names = dict(rep.stats["checks"])
-        assert names["quotient-iso-M0"]
+        assert ("quotient-iso-M0", True, None) in rep.checks
 
     def test_the_rees_quotient_is_the_ideal_check(self, monkeypatch):
         # T = I x {0} x J is checked once, by rees_quotient: a T it does
@@ -257,6 +256,15 @@ class TestUnitSandwich:
                                    full_generator_map(trivial_semigroup()),
                                    1, 1, sandwich([[0]]))
         assert rep.holds
+
+    def test_column_hypothesis_is_a_named_check(self, monkeypatch):
+        # the main comparison still holds; the report FAILs on the column
+        # check alone, which has no witness
+        monkeypatch.setattr(theorems, "is_weakly_pru", lambda s, t: False)
+        rep = verify_unit_sandwich(cyclic_group(2), full_generator_map(cyclic_group(2)),
+                                   2, 2, sandwich([[0, ZERO], [1, 0]]))
+        assert rep.checks == (("main", True, None), ("column-weakly-pru", False, None))
+        assert not rep.holds and rep.verdict() == "FAIL"
 
     def test_no_unit(self):
         s = adjoin_zero(cyclic_group(2))
@@ -366,7 +374,7 @@ class TestFormulaMutations:
         job = dict(iter_instances(tag, max_order=max_order))[iid]
         assert run_job((iid, job)) == (iid, False, f"RESULT {tag} {iid} FAIL {separator}")
         rep = verifier(*job[1])
-        assert not rep.holds and rep.separator_text() == separator
+        assert not rep.holds and rep.witness() == separator
         assert member(rep.lhs, rep.separator) != member(rep.rhs, rep.separator)
         return rep
 
@@ -383,9 +391,7 @@ class TestFormulaMutations:
         jobs = dict(iter_instances("rees-quotient", max_order=2))
         s, gmap, ideal = jobs["n2i3:T=s0.s1"][1]
         rep = verify_rees_quotient(s, gmap, ideal)
-        assert ("L1T=path(1,T)", False) in rep.stats["checks"]
-        witness = rep.stats["witnesses"]["L1T=path(1,T)"]
-        assert witness == "-"
+        assert ("L1T=path(1,T)", False, "-") in rep.checks
         la = loop_automaton(gmap)
         path = path_language(la, {la.identity_state}, ideal)
         assert member(la.nfa, ()) != member(path, ())
@@ -464,8 +470,28 @@ class TestReporting:
         rep = _finish("demo", a, a, [("side", False, "u.~v")], {},
                       time.perf_counter())
         assert not rep.holds and rep.separator is None
-        assert rep.stats["witnesses"] == {"side": "u.~v"}
+        assert rep.checks == (("main", True, None), ("side", False, "u.~v"))
+        assert rep.witness() == "u.~v"
         assert result_line(rep, "i") == "RESULT demo i FAIL u.~v"
+
+    def test_nested_side_check_hands_on_its_witness(self, monkeypatch):
+        # K=image is a side check of semitorees, which semitoreeszero nests,
+        # which czeros nests: a one-word K fails it, and each outer RESULT
+        # line ends with the witness of the report it nests
+        monkeypatch.setattr(theorems, "non_returning_language",
+                            lambda la: word_set_nfa(la.alphabet, [(0,)]))
+        tau0 = extend_to_zero(full_generator_map(cyclic_group(2)))
+        inner = verify_semitorees(tau0.target, tau0, 1, 1, sandwich([[0]]))
+        assert inner.checks[0][1] and inner.witness() == "(1,e,1)"
+        dec = rees_decompose(brandt_b2())
+        middle = verify_semitoreeszero(dec.group, full_generator_map(dec.group),
+                                       dec.i_count, dec.j_count, dec.sandwich)
+        assert middle.separator is None and middle.witness() is not None
+        for tag, iid, nested in (("semitoreeszero", "c2:I1J1:P=e", inner),
+                                 ("czeros", "b2", middle)):
+            job = dict(iter_instances(tag))[iid]
+            assert run_job((iid, job)) == (
+                iid, False, f"RESULT {tag} {iid} FAIL {nested.witness()}")
 
     def test_fail_line_carries_separator(self):
         s = make_semigroup(None, ((0, 0, 0, 0), (0, 0, 0, 0),
@@ -485,17 +511,10 @@ def two_call_finish(tag, lhs_nfa, rhs_nfa, extra_checks, stats, t0):
     lhs = theorems.minimal_dfa(lhs_nfa)
     rhs = theorems.minimal_dfa(rhs_nfa)
     sep = None if lhs == rhs else theorems.shortest_separator(lhs_nfa, rhs_nfa)
-    checks = [("main", sep is None, theorems._render(lhs.alphabet, sep))] + list(extra_checks)
-    stats = dict(stats)
-    stats["lhs_states"] = lhs.n_states
-    stats["rhs_states"] = rhs.n_states
-    stats["checks"] = tuple((n, ok) for n, ok, _s in checks)
-    failed = {n: text for n, ok, text in checks if not ok and text is not None}
-    if failed:
-        stats["witnesses"] = failed
-    stats["elapsed"] = round(time.perf_counter() - t0, 6)
-    return theorems.VerificationReport(tag, all(ok for _n, ok, _s in checks),
-                                       lhs, rhs, sep, stats)
+    checks = (("main", sep is None, theorems._render(lhs.alphabet, sep)), *extra_checks)
+    stats = {**stats, "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
+             "elapsed": round(time.perf_counter() - t0, 6)}
+    return theorems.VerificationReport(tag, lhs, rhs, sep, checks, stats)
 
 
 class TestMinimizeOnce:
@@ -526,6 +545,7 @@ class TestMinimizeOnce:
         assert report.lhs == reference.lhs
         assert report.rhs == reference.rhs
         assert report.separator == reference.separator
+        assert report.checks == reference.checks
         drop = {"elapsed"}
         assert {k: v for k, v in report.stats.items() if k not in drop} == \
             {k: v for k, v in reference.stats.items() if k not in drop}
@@ -561,7 +581,7 @@ class TestGates:
                                     full_generator_map(trivial_semigroup()),
                                     2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
         assert len(handed) == 1
-        assert not rep.holds and not dict(rep.stats["checks"])["quotient-iso-M0"]
+        assert not rep.holds and ("quotient-iso-M0", False, None) in rep.checks
 
     def test_unit_sandwich_rejects_a_broken_column_embedding(self, monkeypatch):
         handed = break_morphism_check(monkeypatch, theorems)
