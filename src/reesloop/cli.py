@@ -54,29 +54,24 @@ from .semigroup import (
     sandwich,
 )
 
-@dataclass(frozen=True)
-class ReesSpec:
-    """Parsed Rees construction spec file."""
 
-    base: FiniteSemigroup
-    i_count: int
-    j_count: int
-    with_zero: bool
-    matrix: SandwichMatrix
-
-
-def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
+def parse_rees_spec(text: str, directory: Path) -> FiniteSemigroup:
+    """The Rees matrix semigroup a spec file describes."""
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     base = None
     i_count = j_count = None
     with_zero = False
     matrix_rows: list[tuple[int, list[str]]] = []
     in_matrix = False
+    seen: set[str] = set()
     for no, ln in lines:
         toks = ln.split()
         if in_matrix:
             matrix_rows.append((no, toks))
             continue
+        if toks[0] in seen:
+            raise ParseError(f"repeated {toks[0]} line", no)
+        seen.add(toks[0])
         if toks[0] == "base":
             name = " ".join(toks[1:])
             try:
@@ -120,7 +115,7 @@ def parse_rees_spec(text: str, directory: Path) -> ReesSpec:
                 except SemigroupError as e:
                     raise ParseError(str(e), no) from None
         entries.append(out)
-    return ReesSpec(base, i_count, j_count, with_zero, sandwich(entries))
+    return rees_matrix(base, i_count, j_count, sandwich(entries), with_zero)[0]
 
 
 def _spec_count(tok: str, no: int) -> int:
@@ -434,9 +429,7 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_rees(args) -> int:
-    spec = parse_rees_spec(Path(args.spec).read_text(), Path(args.spec).parent)
-    m, _rs = rees_matrix(spec.base, spec.i_count, spec.j_count, spec.matrix,
-                         spec.with_zero)
+    m = parse_rees_spec(Path(args.spec).read_text(), Path(args.spec).parent)
     _emit(format_semigroup(m), args.output)
     return 0
 
@@ -556,6 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def corpus_sizes(p):
+        """Add the corpus sizes and seed, each help showing its default."""
+        for name, what in (("max_order", "order bound"), ("imax", "largest I"),
+                           ("jmax", "largest J"), ("seed", "randomized-rerun seed")):
+            p.add_argument(_VERIFY_OPTIONS[name], type=int if name == "seed" else _positive_int,
+                           help=f"{what} (default {_CORPUS_DEFAULTS[name]})")
+
     p = sub.add_parser("info", help="summarize a semigroup table file")
     p.add_argument("table")
     p.set_defaults(fn=cmd_info)
@@ -597,19 +597,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one theorem verifier over its corpus")
     p.add_argument("tag", choices=VERIFY_TAGS)
-    p.add_argument("--max-order", type=_positive_int, help="order bound (default 3)")
+    corpus_sizes(p)
     p.add_argument("--base", action="append", dest="bases",
                    choices=sorted(NAMED_SEMIGROUPS), help="base semigroups for Rees tags")
-    p.add_argument("--imax", type=_positive_int, help="largest I (default 2)")
-    p.add_argument("--jmax", type=_positive_int, help="largest J (default 2)")
-    p.add_argument("--seed", type=int, help="randomized-rerun seed (default 0)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="run every theorem verifier")
-    p.add_argument("--max-order", type=_positive_int, help="order bound (default %(default)s)")
-    p.add_argument("--imax", type=_positive_int, help="largest I (default %(default)s)")
-    p.add_argument("--jmax", type=_positive_int, help="largest J (default %(default)s)")
-    p.add_argument("--seed", type=int, help="randomized-rerun seed (default %(default)s)")
+    corpus_sizes(p)
     p.set_defaults(fn=cmd_corpus, **_CORPUS_DEFAULTS)
 
     return ap

@@ -188,13 +188,6 @@ def word_set_nfa(alphabet, words) -> Nfa:
 # over union, so the successors of a closed state set under every letter are
 # one OR of its members' rows, read off chunk by chunk.
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask(states) -> int:
     m = 0
     for q in states:
@@ -251,24 +244,15 @@ def _core(a: Nfa, keep_silent: bool = True) -> _Core:
         packed = shift = 0
         for m in row:
             if m:
-                packed |= (_closed(close, m) if m & wide else m & keep) << shift
+                packed |= (_union(close, m) if m & wide else m & keep) << shift
             shift += n
         rows[p] = packed
-    return _Core(close, rows, active, _closed(close, _mask(a.initial)), final)
+    return _Core(close, rows, active, _union(close, _mask(a.initial)), final)
 
 
-def _closed(close: list[int], mask: int) -> int:
-    out = 0
-    for p in _bits(mask):
-        out |= close[p]
-    return out
-
-
-def _post(core: _Core, mask: int) -> int:
-    """The successors of a closed state set under every letter, packed as
-    the rows are."""
-    rows = core.rows
-    mask &= core.active
+def _union(rows: list[int], mask: int) -> int:
+    """The OR of rows[p] over the set bits p of mask: the closure of a state
+    set over close, or a closed set's packed successors over the rows."""
     out = 0
     while mask:
         low = mask & -mask
@@ -300,6 +284,7 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
     the start set and the rows are built from."""
     core = _core(a, keep_silent)
     start, fmask = core.start, core.final
+    rows, active = core.rows, core.active
     n = a.n_states
     full = (1 << n) - 1
     nletters = a.alphabet.size
@@ -313,7 +298,7 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
         if mask & fmask:
             final.add(sid)
         row = table[sid]
-        post = _post(core, mask)
+        post = _union(rows, mask & active)
         x = 0
         while post:
             nxt = post & full
@@ -390,7 +375,7 @@ def member(a: Nfa | Dfa, word) -> bool:
     full = (1 << n) - 1
     mask = core.start
     for x in word:
-        mask = _post(core, mask) >> x * n & full
+        mask = _union(core.rows, mask & core.active) >> x * n & full
         if not mask:
             return False
     return bool(mask & core.final)
@@ -419,8 +404,8 @@ def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     seen = {start: None}
     queue = [start]
     for pair in queue:
-        post_a = _post(core_a, pair & full_a)
-        post_b = _post(core_b, pair >> na)
+        post_a = _union(core_a.rows, pair & core_a.active)
+        post_b = _union(core_b.rows, pair >> na & core_b.active)
         x = 0
         while post_a or post_b:
             ma, mb = post_a & full_a, post_b & full_b
@@ -658,7 +643,7 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
             if mask & fmask:
                 out.append(word)
             if length < max_len:
-                post = _post(core, mask)
+                post = _union(core.rows, mask & core.active)
                 x = 0
                 while post:
                     m = post & full
@@ -718,8 +703,13 @@ def parse_automaton_text(text: str) -> Nfa:
     base: list[str] | None = None
     ends: dict[str, tuple[int, list[int]]] = {}  # initial/final: line, states
     trans_lines = []
+    heads: set[str] = set()
     for no, ln in lines:
         toks = ln.split()
+        if toks[0] in ("states", "alphabet", "initial", "final"):
+            if toks[0] in heads:
+                raise ParseError(f"repeated {toks[0]} line", no)
+            heads.add(toks[0])
         if toks[0] == "states":
             try:
                 n_states = int(toks[1])

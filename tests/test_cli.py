@@ -151,6 +151,19 @@ class TestConstructions:
         no = lines.index(line) + 1
         assert captured.err.startswith(f"error: Parse error at line {no}: ")
 
+    @pytest.mark.parametrize("line", ["base triv.tbl", "i 2", "j 2", "zero true"])
+    def test_repeated_header_line_is_a_parse_error_at_the_repeat(
+            self, tables, tmp_path, line, capsys):
+        # the repeat comes before matrix, as line 5; a second i 2 would
+        # otherwise build a 2 x 1 semigroup
+        spec = tmp_path / "bad.rees"
+        spec.write_text(f"base triv.tbl\ni 1\nj 1\nzero false\n{line}\nmatrix\ne\n")
+        assert main(["rees", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: Parse error at line 5: "
+                                f"repeated {line.split()[0]} line\n")
+
     def test_unknown_matrix_label_is_a_parse_error_at_its_line(
             self, tables, tmp_path, capsys):
         spec = tmp_path / "bad.rees"

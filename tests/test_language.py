@@ -35,9 +35,9 @@ from reesloop.language import (
     trim,
     union,
     word_set_nfa,
-    _closed,
     _core,
     _mask,
+    _union,
 )
 from reesloop import language
 from reesloop.loops import loop_problem
@@ -558,7 +558,7 @@ def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
     core = _core(a, keep_silent)
     n = a.n_states
     assert core.active == _mask(lettered)
-    assert core.start == _closed(core.close, _mask(a.initial)) \
+    assert core.start == _union(core.close, _mask(a.initial)) \
         == _mask(ref_close(moves, a.initial) & keep)
     assert core.final == _mask(a.final)
     for p in range(n):
@@ -1013,6 +1013,17 @@ class TestTextFormat:
             parse_automaton_text(text)
         assert err.value.line == line
         assert str(err.value) == f"Parse error at line {line}: {message}"
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("states 2\nstates 3\n", 2, "states"),
+        ("states 1\nalphabet x\n\nalphabet y\n", 4, "alphabet"),
+        ("states 2\ninitial 0\nfinal 1\ninitial 1\n", 4, "initial"),
+        ("final 1\nstates 2\n0 x 1\nfinal 0\n", 4, "final"),
+    ])
+    def test_repeated_header_line_is_a_parse_error_at_the_repeat(self, text, line, key):
+        with pytest.raises(ParseError) as err:
+            parse_automaton_text(text)
+        assert str(err.value) == f"Parse error at line {line}: repeated {key} line"
 
     def test_negative_state_count_is_rejected(self):
         with pytest.raises(LanguageError, match="state count must be non-negative"):

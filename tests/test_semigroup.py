@@ -670,6 +670,42 @@ class TestGeneratorMaps:
         with pytest.raises(NotGenerating):
             generator_map(cyclic_group(3), ["e"])
 
+    def test_right_products_reach_what_two_sided_products_reach(self):
+        # the two-sided search is the reference, on every table of order at
+        # most 3 and every nonempty generator subset, as a monoid map too
+        # where the table has an identity
+        def two_sided(s, image, start):
+            reached, frontier = set(start), list(start)
+            while frontier:
+                a = frontier.pop()
+                for g in image:
+                    for p in (s.mul(a, g), s.mul(g, a)):
+                        if p not in reached:
+                            reached.add(p)
+                            frontier.append(p)
+            return len(reached) == s.order
+
+        cases = 0
+        for n in (1, 2, 3):
+            for s in enumerate_semigroups(n):
+                ident = next((e for e in range(n) if all(
+                    s.mul(e, a) == a == s.mul(a, e) for a in range(n))), None)
+                maps = [(s, False)]
+                if ident is not None:
+                    maps.append((make_semigroup(s.labels, s.table, identity=ident), True))
+                for image in itertools.chain.from_iterable(
+                        itertools.combinations(range(n), r) for r in range(1, n + 1)):
+                    for t, monoid in maps:
+                        start = set(image) | ({t.identity} if monoid else set())
+                        try:
+                            semigroup.GeneratorMap(t.labels[:len(image)], t, image, monoid)
+                        except NotGenerating:
+                            assert not two_sided(t, image, start)
+                        else:
+                            assert two_sided(t, image, start)
+                        cases += 1
+        assert cases == 1060
+
     def test_empty_word_needs_monoid(self):
         gm = generator_map(cyclic_group(3), ["g"])
         with pytest.raises(ValueError):
@@ -702,6 +738,21 @@ class TestTextFormat:
         with pytest.raises(ParseError) as exc:
             parse_semigroup_text("2\na b\na c\nb a\n")
         assert exc.value.line == 3
+
+    # the right-zero table a b / a b: b is no zero and a no identity
+    @pytest.mark.parametrize("text, line, message", [
+        ("1\ne\ne\nzero e\nzero e\n", 5, "repeated zero line"),
+        ("1\ne\ne\nidentity e\n\nidentity e\n", 6, "repeated identity line"),
+        ("2\na b\na b\na b\n\nzero b\n", 6, "element b is not a zero"),
+        ("2\na b\na b\na b\nzero b\nidentity a\n", 5, "element b is not a zero"),
+        ("2\na b\na b\na b\nidentity a\n", 5, "element a is not an identity"),
+        ("2\na b\nb a\na a\nzero a\n", 1, "associativity fails at triple (0,0,1)"),
+    ])
+    def test_zero_or_identity_line_error_is_reported_at_its_line(self, text, line,
+                                                                 message):
+        with pytest.raises(ParseError) as exc:
+            parse_semigroup_text(text)
+        assert str(exc.value) == f"Parse error at line {line}: {message}"
 
 
 def reference_is_morphism(src, dst, phi):

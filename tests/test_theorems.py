@@ -1,14 +1,16 @@
+import itertools
 import random
 import time
 
 import pytest
 
 from reesloop import semigroup, theorems
-from reesloop.cli import iter_instances, run_job
+from reesloop.cli import _sandwiches, iter_instances, run_job
 from reesloop.language import (HatAlphabet, empty_nfa, factor_closure, member,
                                relabel, sub_hat_letters, union, word_set_nfa)
 from reesloop.loops import loop_automaton, loop_problem, path_language
 from reesloop.semigroup import (
+    NAMED_SEMIGROUPS,
     NotAnIdeal,
     ZERO,
     adjoin_zero,
@@ -23,6 +25,7 @@ from reesloop.semigroup import (
     make_semigroup,
     null_semigroup,
     rees_matrix,
+    rees_quotient,
     sandwich,
     subsemigroup,
     trivial_semigroup,
@@ -237,6 +240,24 @@ class TestSemitoreesZero:
                                     full_generator_map(trivial_semigroup()),
                                     2, 2, sandwich([[ZERO, ZERO], [ZERO, ZERO]]))
         assert rep.holds
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SEMIGROUPS))
+    def test_the_quotient_of_m_prime_is_m0_itself(self, name):
+        # M(S^0;I,J;P)/(I x {0} x J) and M^0(S;I,J;P) are one table, labels
+        # and zero included, for every I, J <= 2 and every P over S and ZERO
+        s = NAMED_SEMIGROUPS[name]()
+        s0 = adjoin_zero(s)
+        count = 0
+        for ic, jc in itertools.product((1, 2), repeat=2):
+            for p in _sandwiches(s, ic, jc, allow_zero=True):
+                p0 = theorems._sandwich_into(p, s0.zero)
+                m_prime, rs = rees_matrix(s0, ic, jc, p0, with_zero=False)
+                ideal = {rs.encode(i, s0.zero, j) for i in range(ic) for j in range(jc)}
+                m0 = rees_matrix(s, ic, jc, p, with_zero=True)[0]
+                assert rees_quotient(m_prime, ideal)[0] == m0
+                count += 1
+        n = s0.order
+        assert count == n + 2 * n ** 2 + n ** 4
 
 
 class TestUnitSandwich:
@@ -576,12 +597,22 @@ class TestMinimizeOnce:
 
 class TestGates:
     def test_semitoreeszero_records_a_broken_quotient_map(self, monkeypatch):
-        handed = break_morphism_check(monkeypatch, theorems)
+        # a quotient with two labels swapped is no longer M^0 itself, and
+        # only the equality check sees it
+        honest = theorems.rees_quotient
+
+        def swapped(*args):
+            q, proj, tau_q = honest(*args)
+            labels = (q.labels[1], q.labels[0], *q.labels[2:])
+            return (semigroup._built(semigroup.FiniteSemigroup, labels, q.table,
+                                     q.zero, q.identity), proj, tau_q)
+
+        monkeypatch.setattr(theorems, "rees_quotient", swapped)
         rep = verify_semitoreeszero(trivial_semigroup(),
                                     full_generator_map(trivial_semigroup()),
                                     2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
-        assert len(handed) == 1
-        assert not rep.holds and ("quotient-iso-M0", False, None) in rep.checks
+        assert [check for check in rep.checks if not check[1]] == \
+            [("quotient-iso-M0", False, None)]
 
     def test_unit_sandwich_rejects_a_broken_column_embedding(self, monkeypatch):
         handed = break_morphism_check(monkeypatch, theorems)

@@ -107,6 +107,14 @@ def test_small_verifiers_build_only_valid_values(sid, built):
     assert {"FiniteSemigroup", "GeneratorMap", "Nfa", "Dfa"} <= kinds
 
 
+def test_enumerated_tables_build_only_valid_values(built):
+    """enumerate_semigroups builds its tables unchecked: all 3,614 of order
+    at most 4 rebuild through FiniteSemigroup."""
+    tables = [s for n in (1, 2, 3, 4) for s in enumerate_semigroups(n)]
+    assert len(built) == len(tables) == 3614
+    assert rebuild_all(built) == {"FiniteSemigroup"}
+
+
 def test_maps_induced_from_a_monoid_map_are_still_checked():
     """Without the identity, the images of a monoid map need not generate
     S/T or S^0; those induced maps keep their generation check."""
