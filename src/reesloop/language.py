@@ -1,15 +1,17 @@
 """Regular languages over involutive doubled alphabets.
 
 Automata are partial (no explicit dead state); epsilon transitions are
-permitted in an Nfa.  State sets are integer bitmasks internally, and each
-operation that simulates an Nfa (determinize, member, enumerate_words,
-shortest_separator) closes its epsilon moves once per automaton into
-successor rows: one integer per state that packs, letter after letter in
-chunks of n_states bits, the epsilon closure of that letter's successors.
-A state set's successors under every letter are then one OR of its
-members' rows.  The rows are indexed in one pass over the transitions; only
-the states with an epsilon move are searched for their closures, and only
-chunks that hold one of them are closed.
+permitted in an Nfa.  State sets are integer bitmasks internally, and an Nfa
+stores its moves as rows of them: rows[p] packs, letter after letter in
+chunks of n_states bits, the successors of p under that letter, and eps[p]
+holds its epsilon successors.  Every construction builds these rows
+directly, and `transitions` derives the (p, x, q) triples only for readers
+that want them.  Each operation that simulates an Nfa (determinize, member,
+enumerate_words, shortest_separator) closes its epsilon moves once per
+automaton with _core: only the states with an epsilon move are searched for
+their closures, and only chunks that hold one of them are closed, so an
+epsilon-free automaton's rows are its closed rows.  A state set's
+successors under every letter are then one OR of its members' closed rows.
 
 A state is silent when it has no letter move and is not final, as are most
 states of a transducer image, which only pass epsilon moves on.  A silent
@@ -20,8 +22,9 @@ determinize keeps the full closed subsets.
 
 shortest_separator determinizes nothing.  Equal automata have equal
 languages, and it returns None for them at once; otherwise it walks pairs
-of closed state sets breadth-first over the rows of both sides without
-silent states, a Dfa side read as an Nfa.  _core is the only indexer.
+of closed state sets breadth-first over the closed rows of both sides
+without silent states, a Dfa side read as an Nfa.  No verdict reads the
+triples.
 """
 
 from __future__ import annotations
@@ -88,29 +91,59 @@ def _check_symbols(symbols):
             raise LanguageError(f"bad symbol {s!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Nfa:
+    """An automaton with epsilon moves, stored as packed successor rows:
+    rows[p] holds the letter successors of p, one n-bit chunk per letter
+    (bit x*n + q for the move p --x--> q, n = n_states), and eps[p] its
+    epsilon successors (bit q for p --> q).  == and hash read these fields.
+    The public constructor takes the moves as (p, x, q) triples, x None for
+    epsilon, checks them and packs them once; `transitions` gives the
+    triples back."""
+
     alphabet: HatAlphabet
     n_states: int
-    transitions: frozenset[tuple[int, int | None, int]]
+    rows: tuple[int, ...]
+    eps: tuple[int, ...]
     initial: frozenset[int]
     final: frozenset[int]
 
-    def __post_init__(self):
-        if self.n_states < 0:
+    def __init__(self, alphabet: HatAlphabet, n_states: int, transitions,
+                 initial, final):
+        if n_states < 0:
             raise LanguageError("state count must be non-negative")
-        for q in self.initial | self.final:
-            if not (0 <= q < self.n_states):
+        initial, final = frozenset(initial), frozenset(final)
+        for q in initial | final:
+            if not (0 <= q < n_states):
                 raise LanguageError(f"state {q} out of range")
-        nletters = self.alphabet.size
-        for p, a, q in self.transitions:
-            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
+        nletters = alphabet.size
+        rows = [0] * n_states
+        eps = [0] * n_states
+        for p, a, q in transitions:
+            if not (0 <= p < n_states and 0 <= q < n_states):
                 raise LanguageError(f"transition state out of range: {(p, a, q)}")
-            if a is not None and not (0 <= a < nletters):
+            if a is None:
+                eps[p] |= 1 << q
+            elif 0 <= a < nletters:
+                rows[p] |= 1 << (a * n_states + q)
+            else:
                 raise LanguageError(f"letter {a} out of range")
+        self.__dict__.update(alphabet=alphabet, n_states=n_states,
+                             rows=tuple(rows), eps=tuple(eps),
+                             initial=initial, final=final)
+
+    @property
+    def transitions(self) -> frozenset[tuple[int, int | None, int]]:
+        """The moves as (p, x, q) triples, x None for epsilon, read off the
+        rows on every call."""
+        n = self.n_states
+        out = [(p, None, q) for p, e in enumerate(self.eps) for q in _bits(e)]
+        out += [(p, *divmod(b, n)) for p, row in enumerate(self.rows) for b in _bits(row)]
+        return frozenset(out)
 
     def __repr__(self):
-        return f"Nfa(states={self.n_states}, transitions={len(self.transitions)})"
+        moves = sum(r.bit_count() for r in self.rows + self.eps)
+        return f"Nfa(states={self.n_states}, transitions={moves})"
 
 
 @dataclass(frozen=True)
@@ -146,9 +179,15 @@ class Dfa:
 def as_nfa(a: Nfa | Dfa) -> Nfa:
     if isinstance(a, Nfa):
         return a
-    trans = {(p, x, q) for p, row in enumerate(a.transitions)
-             for x, q in enumerate(row) if q is not None}
-    return _built(Nfa, a.alphabet, a.n_states, frozenset(trans),
+    n = a.n_states
+    rows = []
+    for row in a.transitions:
+        packed = 0
+        for x, q in enumerate(row):
+            if q is not None:
+                packed |= 1 << (x * n + q)
+        rows.append(packed)
+    return _built(Nfa, a.alphabet, n, tuple(rows), (0,) * n,
                   frozenset({a.initial}), a.final)
 
 
@@ -157,36 +196,38 @@ def empty_nfa(alphabet) -> Nfa:
 
 
 def word_set_nfa(alphabet, words) -> Nfa:
-    """Union of finite words as one automaton (a simple chain per word)."""
-    trans = set()
+    """Union of finite words as one automaton (a simple chain per word); a
+    None in a word is an epsilon move."""
+    words = [tuple(w) for w in words]
+    n = 1 + sum(map(len, words))
+    nletters = alphabet.size
+    rows = [0] * n
+    eps = [0] * n
     final = set()
-    n = 1
+    nxt = 1
     for w in words:
-        w = tuple(w)
-        if not w:
-            final.add(0)
-            continue
         prev = 0
-        for i, a in enumerate(w):
-            nxt = n
-            n += 1
-            trans.add((prev, a, nxt))
+        for a in w:
+            if a is None:
+                eps[prev] |= 1 << nxt
+            elif 0 <= a < nletters:
+                rows[prev] |= 1 << (a * n + nxt)
+            else:
+                raise LanguageError(f"letter {a} out of range")
             prev = nxt
+            nxt += 1
         final.add(prev)
-    return Nfa(alphabet, n, frozenset(trans), frozenset({0}), frozenset(final))
+    return _built(Nfa, alphabet, n, tuple(rows), tuple(eps), frozenset({0}),
+                  frozenset(final))
 
 
 # -- bitmask core -------------------------------------------------------------
 #
-# State sets are integer bitmasks.  _core closes an automaton's epsilon moves
-# once per call into successor rows: rows[p] packs one n-bit chunk per
-# letter, n = a.n_states, and bits x*n .. x*n+n-1 hold the epsilon closure of
-# the successors of p under letter x.  One pass over the transitions ORs each
-# letter move into its state's per-letter masks and collects the epsilon
-# moves of the states that have them; the closure search starts only from
-# those states, and each state's masks are packed once.  Closure distributes
-# over union, so the successors of a closed state set under every letter are
-# one OR of its members' rows, read off chunk by chunk.
+# Every construction builds an Nfa's rows directly; one whose result has
+# another state count re-packs the nonzero rows, chunk by chunk.  Closure
+# distributes over union, so the successors of a closed state set under
+# every letter are one OR of its members' closed rows, read off chunk by
+# chunk.
 
 def _mask(states) -> int:
     m = 0
@@ -195,58 +236,75 @@ def _mask(states) -> int:
     return m
 
 
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _repack(row: int, n: int, new_n: int, by: int = 0) -> int:
+    """A packed row of n-bit chunks as one of new_n-bit chunks, every state
+    moved up by `by`."""
+    full = (1 << n) - 1
+    out, shift = 0, by
+    while row:
+        out |= (row & full) << shift
+        row >>= n
+        shift += new_n
+    return out
+
+
 class _Core(NamedTuple):
     close: list[int]  # close[p]: epsilon closure of p, less dropped silent states
-    rows: list[int]  # rows[p]: closed successors of p, one n-bit chunk per letter
+    rows: list[int] | tuple[int, ...]  # rows[p]: closed successors of p, one n-bit chunk per letter
     active: int  # the states with a letter move; rows[p] is 0 for the rest
     start: int  # the closure of the initial states, less dropped silent states
     final: int  # the final states
 
 
 def _core(a: Nfa, keep_silent: bool = True) -> _Core:
-    """The closures and rows of a, indexed in one pass over its moves.
-    Only the states with an epsilon move (the wide states) are searched;
-    every other state closes to itself, so a chunk that holds no wide
-    state is closed already.  With keep_silent=False each closure drops the
-    silent states, and so does every chunk of every row."""
+    """The closures and closed rows of a.  Only the states with an epsilon
+    move (the wide states) are searched; every other state closes to
+    itself, so a row none of whose chunks holds a wide state is closed
+    already.  With keep_silent=False each closure drops the silent states,
+    and so does every chunk of every row."""
     n = a.n_states
-    nletters = a.alphabet.size
-    dense: dict[int, list[int]] = {}
-    eps: dict[int, int] = {}
-    for p, x, q in a.transitions:
-        if x is None:
-            eps[p] = eps.get(p, 0) | 1 << q
-        else:
-            row = dense.get(p)
-            if row is None:
-                row = dense[p] = [0] * nletters
-            row[x] |= 1 << q
+    rows, eps = a.rows, a.eps
     close = [1 << p for p in range(n)]
     wide = 0
-    for p in eps:
-        mask = todo = 1 << p
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            add = eps.get(low.bit_length() - 1, 0) & ~mask
-            mask |= add
-            todo |= add
-        close[p] = mask
-        wide |= 1 << p
-    active = _mask(dense)
+    for p, e in enumerate(eps):
+        if e:
+            close[p] = _reach(1 << p, eps)
+            wide |= 1 << p
+    active = 0
+    for p, row in enumerate(rows):
+        if row:
+            active |= 1 << p
     final = _mask(a.final)
     everything = (1 << n) - 1
     keep = everything if keep_silent else active | final
     if keep != everything:
         close = [c & keep for c in close]
-    rows = [0] * n
-    for p, row in dense.items():
-        packed = shift = 0
-        for m in row:
-            if m:
-                packed |= (_union(close, m) if m & wide else m & keep) << shift
-            shift += n
-        rows[p] = packed
+    if wide or keep != everything:
+        spread = sum(1 << x * n for x in range(a.alphabet.size))
+        keep_all, wide_all = keep * spread, wide * spread  # in every chunk
+        closed = []
+        for row in rows:
+            if row & wide_all:
+                packed = shift = 0
+                while row:
+                    m = row & everything
+                    if m:
+                        packed |= (_union(close, m) if m & wide else m & keep) << shift
+                    row >>= n
+                    shift += n
+                row = packed
+            else:
+                row &= keep_all
+            closed.append(row)
+        rows = closed
     return _Core(close, rows, active, _union(close, _mask(a.initial)), final)
 
 
@@ -261,15 +319,16 @@ def _union(rows: list[int], mask: int) -> int:
     return out
 
 
-def _reach(start, succ) -> set:
-    """Every node reachable from start; succ(node) lists its successors."""
-    seen = set(start)
-    queue = list(seen)
-    while queue:
-        for nxt in succ(queue.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+def _reach(start: int, succ) -> int:
+    """The states reachable from the state set start; succ[p] is the set of
+    successors of p."""
+    seen = todo = start
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        add = succ[low.bit_length() - 1] & ~seen
+        seen |= add
+        todo |= add
     return seen
 
 
@@ -429,86 +488,130 @@ def equivalent(a: Nfa | Dfa, b: Nfa | Dfa) -> bool:
     return shortest_separator(a, b) is None
 
 
-def _offset(trans, by: int):
-    return {(p + by, a, q + by) for p, a, q in trans}
-
-
 def _require_same(a: Nfa, b: Nfa):
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("operands over different alphabets")
 
 
+def _side_by_side(a: Nfa, b: Nfa) -> tuple[int, list[int], list[int]]:
+    """The state count, rows and epsilon masks of a and b as one automaton,
+    b's states numbered after a's."""
+    na, nb = a.n_states, b.n_states
+    n = na + nb
+    rows = [r and _repack(r, na, n) for r in a.rows]
+    rows += [r and _repack(r, nb, n, na) for r in b.rows]
+    return n, rows, list(a.eps) + [e << na for e in b.eps]
+
+
 def union(a: Nfa, b: Nfa) -> Nfa:
     _require_same(a, b)
-    return _built(Nfa, a.alphabet, a.n_states + b.n_states,
-                  frozenset(a.transitions) | frozenset(_offset(b.transitions, a.n_states)),
-                  a.initial | frozenset(q + a.n_states for q in b.initial),
-                  a.final | frozenset(q + a.n_states for q in b.final))
+    n, rows, eps = _side_by_side(a, b)
+    na = a.n_states
+    return _built(Nfa, a.alphabet, n, tuple(rows), tuple(eps),
+                  a.initial | frozenset(q + na for q in b.initial),
+                  a.final | frozenset(q + na for q in b.final))
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
     _require_same(a, b)
-    bridge = {(f, None, i + a.n_states) for f in a.final for i in b.initial}
-    return _built(Nfa, a.alphabet, a.n_states + b.n_states,
-                  frozenset(a.transitions) | frozenset(_offset(b.transitions, a.n_states)) | frozenset(bridge),
-                  a.initial,
-                  frozenset(q + a.n_states for q in b.final))
+    n, rows, eps = _side_by_side(a, b)
+    na = a.n_states
+    bridge = _mask(b.initial) << na
+    for f in a.final:
+        eps[f] |= bridge
+    return _built(Nfa, a.alphabet, n, tuple(rows), tuple(eps), a.initial,
+                  frozenset(q + na for q in b.final))
 
 
 def star(a: Nfa) -> Nfa:
     """Kleene closure; always accepts the empty word."""
     hub = a.n_states
-    trans = set(a.transitions)
-    trans.update((hub, None, i) for i in a.initial)
-    trans.update((f, None, hub) for f in a.final)
-    return _built(Nfa, a.alphabet, a.n_states + 1, frozenset(trans),
+    rows = [r and _repack(r, hub, hub + 1) for r in a.rows]
+    rows.append(0)
+    eps = list(a.eps)
+    eps.append(_mask(a.initial))
+    for f in a.final:
+        eps[f] |= 1 << hub
+    return _built(Nfa, a.alphabet, hub + 1, tuple(rows), tuple(eps),
                   frozenset({hub}), frozenset({hub}))
 
 
 def plus(a: Nfa) -> Nfa:
-    trans = set(a.transitions)
-    trans.update((f, None, i) for f in a.final for i in a.initial)
-    return _built(Nfa, a.alphabet, a.n_states, frozenset(trans), a.initial, a.final)
+    eps = list(a.eps)
+    init = _mask(a.initial)
+    for f in a.final:
+        eps[f] |= init
+    return _built(Nfa, a.alphabet, a.n_states, a.rows, tuple(eps), a.initial, a.final)
+
+
+def _reversed(a: Nfa, letter=None) -> tuple[list[int], list[int]]:
+    """The rows and epsilon masks of a with every move reversed, and its
+    letter x read as letter(x) when a letter map is given."""
+    n = a.n_states
+    rows, eps = [0] * n, [0] * n
+    for p, e in enumerate(a.eps):
+        for q in _bits(e):
+            eps[q] |= 1 << p
+    for p, row in enumerate(a.rows):
+        for b in _bits(row):
+            x, q = divmod(b, n)
+            rows[q] |= 1 << ((x if letter is None else letter(x)) * n + p)
+    return rows, eps
 
 
 def _moves(a: Nfa, backward: bool = False) -> list[list[tuple]]:
     """Each state's moves (letter or None, label, other end), forward or
-    backward; an automaton's moves are labelled by the letters they read."""
-    out: list[list[tuple]] = [[] for _ in range(a.n_states)]
-    for p, x, q in a.transitions:
-        if backward:
-            p, q = q, p
-        out[p].append((x, x, q))
+    backward; an automaton's moves are labelled by the letters they read.
+    A state's epsilon moves come first, then its letter moves by letter,
+    each by the state at its other end."""
+    rows, eps = _reversed(a) if backward else (a.rows, a.eps)
+    n = a.n_states
+    out: list[list[tuple]] = []
+    for row, e in zip(rows, eps):
+        moves = [(None, None, q) for q in _bits(e)]
+        for b in _bits(row):
+            x, q = divmod(b, n)
+            moves.append((x, x, q))
+        out.append(moves)
     return out
 
 
-def _product(a_moves, b_moves, start) -> tuple[dict, list]:
-    """Explore the synchronized product of two move tables from the start
-    pairs.  An epsilon move of the first side advances it alone, unlabelled;
-    one of the second side advances it alone with its label; a letter move
-    of the second side advances both sides, with its label, along the first
-    side's moves on that letter.  Returns the reached pairs numbered in
-    discovery order, and the moves (i, label, j) between those numbers."""
-    eps: list[list[int]] = []
-    step: dict[tuple[int, int], list[int]] = {}
-    for p, row in enumerate(a_moves):
-        eps.append([q for x, _lab, q in row if x is None])
-        for x, _lab, q in row:
-            if x is not None:
-                step.setdefault((p, x), []).append(q)
+def _product(a: Nfa, b_moves, start, backward: bool = False) -> tuple[dict, list]:
+    """Explore the synchronized product of a (its moves reversed when
+    backward) and the move table b_moves from the start pairs.  An epsilon
+    move of the first side advances it alone, unlabelled; one of the second
+    side advances it alone with its label; a letter move of the second side
+    advances both sides, with its label, along the first side's moves on
+    that letter.  Pairs are numbered in discovery order, taken last in
+    first out; from each, the first side's epsilon moves come first, then
+    the moves of b_moves in order, a letter move with the first side's
+    successors in increasing order.  Returns the reached pairs and the
+    moves (i, label, j) between their numbers."""
+    rows, eps = _reversed(a) if backward else (a.rows, a.eps)
+    n = a.n_states
+    full = (1 << n) - 1
     ids = {pair: i for i, pair in enumerate(start)}
     queue = list(ids)
     moves = []
     while queue:
         pair = queue.pop()
         p, q = pair
-        out = [(None, (p2, q)) for p2 in eps[p]]
+        out = []
+        m = eps[p]
+        while m:
+            low = m & -m
+            m ^= low
+            out.append((None, (low.bit_length() - 1, q)))
+        row = rows[p]
         for x, lab, q2 in b_moves[q]:
             if x is None:
                 out.append((lab, (p, q2)))
-            else:
-                for p2 in step.get((p, x), ()):
-                    out.append((lab, (p2, q2)))
+                continue
+            m = row >> x * n & full
+            while m:
+                low = m & -m
+                m ^= low
+                out.append((lab, (low.bit_length() - 1, q2)))
         cur = ids[pair]
         for lab, nxt in out:
             i = ids.get(nxt)
@@ -520,12 +623,20 @@ def _product(a_moves, b_moves, start) -> tuple[dict, list]:
 
 
 def _product_nfa(alphabet: HatAlphabet, a: Nfa, b_moves, b_initial, b_final) -> Nfa:
-    """The product of a and the move table b_moves, as an Nfa over alphabet."""
+    """The product of a and the move table b_moves, as an Nfa over alphabet:
+    its rows are packed once the walk has numbered every pair."""
     start = [(p, q) for p in a.initial for q in b_initial]
-    ids, moves = _product(_moves(a), b_moves, start)
+    ids, moves = _product(a, b_moves, start)
+    n = max(len(ids), 1)
+    rows, eps = [0] * n, [0] * n
+    for i, lab, j in moves:
+        if lab is None:
+            eps[i] |= 1 << j
+        else:
+            rows[i] |= 1 << (lab * n + j)
     final = frozenset(i for (p, q), i in ids.items()
                       if p in a.final and q in b_final)
-    return _built(Nfa, alphabet, max(len(ids), 1), frozenset(moves),
+    return _built(Nfa, alphabet, n, tuple(rows), tuple(eps),
                   frozenset(range(len(start))), final)
 
 
@@ -535,15 +646,46 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     return _product_nfa(a.alphabet, a, _moves(b), b.initial, b.final)
 
 
-def _induced(a: Nfa, keep, allowed=None) -> Nfa:
-    """a on the sorted states keep, renumbered in that order, with the moves
-    between them on the allowed letters (on any letter when None)."""
-    idx = {p: i for i, p in enumerate(keep)}
-    trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
-             if (allowed is None or x in allowed) and p in idx and q in idx}
-    return _built(Nfa, a.alphabet, max(len(keep), 1), frozenset(trans),
-                  frozenset(idx[p] for p in a.initial if p in idx),
-                  frozenset(idx[p] for p in a.final if p in idx))
+def _induced(a: Nfa, keep, letters=None) -> Nfa:
+    """a on the sorted states keep, renumbered in that order, with its
+    epsilon moves and its moves on the given distinct letters (on every
+    letter when None) between them."""
+    n = a.n_states
+    nletters = a.alphabet.size
+    if letters is None:
+        letters = range(nletters)
+    full = (1 << n) - 1
+    if n and len(keep) == n:  # every state, in its own place
+        rows = a.rows
+        if len(letters) < nletters:
+            allowed = sum(full << x * n for x in letters)
+            rows = tuple(r & allowed for r in rows)
+        return _built(Nfa, a.alphabet, n, rows, a.eps, a.initial, a.final)
+    new_n = max(len(keep), 1)
+    idx = [0] * n
+    kept = 0
+    for i, p in enumerate(keep):
+        idx[p] = i
+        kept |= 1 << p
+
+    def renumbered(row, shifts):
+        out = 0
+        for shift, new_shift in shifts:
+            m = row >> shift & kept
+            while m:
+                low = m & -m
+                m ^= low
+                out |= 1 << (new_shift + idx[low.bit_length() - 1])
+        return out
+
+    chunks = [(x * n, x * new_n) for x in letters]
+    pad = (0,) * (new_n - len(keep))
+    rows, eps = a.rows, a.eps
+    return _built(Nfa, a.alphabet, new_n,
+                  tuple(rows[p] and renumbered(rows[p], chunks) for p in keep) + pad,
+                  tuple(eps[p] and renumbered(eps[p], ((0, 0),)) for p in keep) + pad,
+                  frozenset(idx[p] for p in a.initial if kept >> p & 1),
+                  frozenset(idx[p] for p in a.final if kept >> p & 1))
 
 
 def restrict(a: Nfa, letters) -> Nfa:
@@ -551,25 +693,39 @@ def restrict(a: Nfa, letters) -> Nfa:
     moves and its moves on letters, between the states they reach from
     a.initial, renumbered in sorted order.  It has the states and moves of
     the product of a with the one-state automaton of all words over letters,
-    without a product walk."""
-    allowed = {None, *letters}
-    succ: list[list[int]] = [[] for _ in range(a.n_states)]
-    for p, x, q in a.transitions:
-        if x in allowed:
-            succ[p].append(q)
-    return _induced(a, sorted(_reach(a.initial, succ.__getitem__)), allowed)
+    without a product walk: only the chunks of the allowed letters are
+    read."""
+    allowed = sorted({x for x in letters
+                      if x is not None and 0 <= x < a.alphabet.size})
+    succ = _successors(a, allowed)
+    return _induced(a, list(_bits(_reach(_mask(a.initial), succ))), allowed)
+
+
+def _successors(a: Nfa, letters) -> list[int]:
+    """Each state's successors on the given letters or epsilon: the low n
+    bits of the OR of its row shifted down by x*n for each letter x."""
+    n = a.n_states
+    shifts = [x * n for x in letters]
+    full = (1 << n) - 1
+    out = []
+    for row, e in zip(a.rows, a.eps):
+        m = 0
+        for shift in shifts:
+            m |= row >> shift
+        out.append(m & full | e)
+    return out
 
 
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:
     """L R^-1 = {w : wr in L for some r in R}.  Final states of L become
     those from which some word of R completes to acceptance: a backward
     search of the product from its final pairs, which follows r's epsilon
-    moves back to r's initial states."""
+    moves back to r's initial states.  The rows are l's."""
     _require_same(l, r)
-    good, _ = _product(_moves(l, backward=True), _moves(r, backward=True),
-                       [(p, q) for p in l.final for q in r.final])
+    good, _ = _product(l, _moves(r, backward=True),
+                       [(p, q) for p in l.final for q in r.final], backward=True)
     new_final = {p for p, q in good if q in r.initial}
-    return _built(Nfa, l.alphabet, l.n_states, l.transitions, l.initial,
+    return _built(Nfa, l.alphabet, l.n_states, l.rows, l.eps, l.initial,
                   frozenset(new_final))
 
 
@@ -577,40 +733,39 @@ def left_quotient(r: Nfa, l: Nfa) -> Nfa:
     """R^-1 L = {w : rw in L for some r in R}.  Initial states of L become
     those reachable from an initial state along some word of R."""
     _require_same(l, r)
-    seen, _ = _product(_moves(l), _moves(r),
-                       [(p, q) for p in l.initial for q in r.initial])
+    seen, _ = _product(l, _moves(r), [(p, q) for p in l.initial for q in r.initial])
     new_initial = {p for p, q in seen if q in r.final}
-    return _built(Nfa, l.alphabet, l.n_states, l.transitions,
+    return _built(Nfa, l.alphabet, l.n_states, l.rows, l.eps,
                   frozenset(new_initial), l.final)
 
 
 def involution_image(a: Nfa) -> Nfa:
     """w -> w-bar: reverse the automaton and bar each letter."""
-    bar = a.alphabet.bar
-    trans = {(q, None if x is None else bar(x), p) for p, x, q in a.transitions}
-    return _built(Nfa, a.alphabet, a.n_states, frozenset(trans), a.final, a.initial)
+    rows, eps = _reversed(a, a.alphabet.bar)
+    return _built(Nfa, a.alphabet, a.n_states, tuple(rows), tuple(eps),
+                  a.final, a.initial)
 
 
 def trim(a: Nfa) -> Nfa:
     """Keep only states both reachable and co-accessible."""
-    succ: list[list[int]] = [[] for _ in range(a.n_states)]
-    pred: list[list[int]] = [[] for _ in range(a.n_states)]
-    for p, _x, q in a.transitions:
-        succ[p].append(q)
-        pred[q].append(p)
-    keep = sorted(_reach(a.initial, succ.__getitem__)
-                  & _reach(a.final, pred.__getitem__))
-    return _induced(a, keep) if keep else empty_nfa(a.alphabet)
+    n = a.n_states
+    succ = _successors(a, range(a.alphabet.size))
+    pred = [0] * n
+    for p, m in enumerate(succ):
+        for q in _bits(m):
+            pred[q] |= 1 << p
+    keep = _reach(_mask(a.initial), succ) & _reach(_mask(a.final), pred)
+    return _induced(a, list(_bits(keep))) if keep else empty_nfa(a.alphabet)
 
 
 def _trimmed_closure(a: Nfa, initial: bool, final: bool) -> Nfa:
     """trim(a) with every state made initial, final or both; the empty
     language stays as trim leaves it."""
     t = trim(a)
-    if not t.transitions and not t.final:
+    if not t.final and not any(t.rows) and not any(t.eps):
         return t
     every = frozenset(range(t.n_states))
-    return _built(Nfa, t.alphabet, t.n_states, t.transitions,
+    return _built(Nfa, t.alphabet, t.n_states, t.rows, t.eps,
                   every if initial else t.initial, every if final else t.final)
 
 
@@ -656,10 +811,26 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
 
 
 def relabel(a: Nfa, target: HatAlphabet, letter_map) -> Nfa:
-    """Transport an automaton onto another alphabet via a letter map."""
-    trans = {(p, None if x is None else letter_map[x], q)
-             for p, x, q in a.transitions}
-    return Nfa(target, a.n_states, frozenset(trans), a.initial, a.final)
+    """Transport an automaton onto another alphabet via a letter map: chunk
+    x of every row moves to chunk letter_map[x], which must be a letter of
+    target."""
+    n = a.n_states
+    full = (1 << n) - 1
+    nletters = target.size
+    rows = []
+    for row in a.rows:
+        out = x = 0
+        while row:
+            m = row & full
+            if m:
+                y = letter_map[x]
+                if not 0 <= y < nletters:
+                    raise LanguageError(f"letter {y} out of range")
+                out |= m << y * n
+            row >>= n
+            x += 1
+        rows.append(out)
+    return _built(Nfa, target, n, tuple(rows), a.eps, a.initial, a.final)
 
 
 def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:

@@ -49,19 +49,26 @@ class LoopAutomaton:
 
 def monoid_loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
     """Loop automaton of a monoid with its own designated identity, read off
-    the table: a --x--> b and b --x-bar--> a whenever a.(x sigma) = b."""
+    the table into packed rows: a --x--> b and b --x-bar--> a whenever
+    a.(x sigma) = b, so row a holds bit x*n + b and row b bit (x+k)*n + a,
+    n = |M| and k = |X|.  It has no epsilon moves."""
     m = gmap.target
     if m.identity is None or not gmap.monoid:
         raise NoIdentity("monoid_loop_automaton needs a monoid generator map")
     alphabet = HatAlphabet(tuple(gmap.alphabet))
-    k = len(gmap.alphabet)
-    trans = set()
+    n, k = m.order, len(gmap.alphabet)
+    rows = [0] * n
     for a, row in enumerate(m.table):
-        for x, g in enumerate(gmap.image):
-            trans.add((a, x, row[g]))
-            trans.add((row[g], x + k, a))
+        out = shift = 0
+        back = 1 << (k * n + a)  # b --x-bar--> a for the first letter x
+        for g in gmap.image:
+            b = row[g]
+            out |= 1 << (shift + b)
+            rows[b] |= back << shift
+            shift += n
+        rows[a] |= out
     ident = m.identity
-    nfa = _built(Nfa, alphabet, m.order, frozenset(trans),
+    nfa = _built(Nfa, alphabet, n, tuple(rows), (0,) * n,
                  frozenset({ident}), frozenset({ident}))
     return LoopAutomaton(nfa, m, gmap, ident)
 
@@ -87,19 +94,36 @@ def path_language(la: LoopAutomaton, sources, targets) -> Nfa:
     for v in src | tgt:
         if not (0 <= v < la.monoid.order):
             raise IndexOutOfRange(f"vertex {v} out of range")
-    return _built(Nfa, la.nfa.alphabet, la.nfa.n_states, la.nfa.transitions, src, tgt)
+    return _built(Nfa, la.nfa.alphabet, la.nfa.n_states, la.nfa.rows, la.nfa.eps,
+                  src, tgt)
 
 
 def non_returning_language(la: LoopAutomaton) -> Nfa:
     """Nonempty words labelling loops at the identity that avoid the identity
     strictly in between: the identity state is split into a source copy
-    (keeping its out-edges) and a fresh sink copy (receiving its in-edges)."""
+    (keeping its out-edges) and a fresh sink copy (receiving its in-edges).
+    The sink is state n, so every row is re-packed into chunks of n + 1
+    bits, with the identity's bit moved to the sink's."""
     ident = la.identity_state
-    sink = la.nfa.n_states
-    trans = set()
-    for p, x, q in la.nfa.transitions:
-        trans.add((p, x, sink if q == ident else q))
-    return _built(Nfa, la.nfa.alphabet, sink + 1, frozenset(trans),
+    nfa = la.nfa
+    n = sink = nfa.n_states
+    full = (1 << n) - 1
+    into = 1 << ident
+
+    def redirected(row):
+        out = shift = 0
+        while row:
+            m = row & full
+            if m & into:
+                m ^= into | 1 << sink
+            out |= m << shift
+            row >>= n
+            shift += n + 1
+        return out
+
+    return _built(Nfa, nfa.alphabet, n + 1,
+                  tuple(map(redirected, nfa.rows)) + (0,),
+                  tuple(map(redirected, nfa.eps)) + (0,),
                   frozenset({ident}), frozenset({sink}))
 
 
@@ -129,26 +153,27 @@ def zigzag_factor(alphabet: HatAlphabet, word) -> list[tuple[int, ...]]:
 
 
 def _accepting_path(la_nfa: Nfa, word) -> list[int] | None:
-    """Lexicographically least accepting state sequence under state order."""
+    """Lexicographically least accepting state sequence under state order,
+    read off the rows of an automaton without epsilon moves."""
     word = tuple(word)
-    step: dict[tuple[int, int], set[int]] = {}
-    for p, x, q in la_nfa.transitions:
-        step.setdefault((p, x), set()).add(q)
-    # states at position t able to finish the remaining suffix
-    viable = [set() for _ in range(len(word) + 1)]
-    viable[len(word)] = set(la_nfa.final)
+    if not all(0 <= x < la_nfa.alphabet.size for x in word):
+        return None
+    n = la_nfa.n_states
+    full = (1 << n) - 1
+    rows = la_nfa.rows
+    # viable[t]: the states at position t able to finish the remaining suffix
+    viable = [0] * (len(word) + 1)
+    viable[len(word)] = sum(1 << q for q in la_nfa.final)
     for t in range(len(word) - 1, -1, -1):
-        x = word[t]
-        for p in range(la_nfa.n_states):
-            if step.get((p, x), set()) & viable[t + 1]:
-                viable[t].add(p)
-    starts = sorted(set(la_nfa.initial) & viable[0])
+        shift, nxt = word[t] * n, viable[t + 1]
+        viable[t] = sum(1 << p for p in range(n) if rows[p] >> shift & full & nxt)
+    starts = sum(1 << q for q in la_nfa.initial) & viable[0]
     if not starts:
         return None
-    path = [starts[0]]
+    path = [(starts & -starts).bit_length() - 1]
     for t, x in enumerate(word):
-        nxt = sorted(step.get((path[-1], x), set()) & viable[t + 1])
-        path.append(nxt[0])
+        m = rows[path[-1]] >> x * n & full & viable[t + 1]
+        path.append((m & -m).bit_length() - 1)
     return path
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .language import (
     Dfa,
-    HatAlphabet,
     Nfa,
     concat,
     involution_image,
@@ -54,6 +53,8 @@ from .semigroup import (
     _built,
     _fresh_label,
     _is_morphism,
+    _subsemigroup_set,
+    _subtable,
     _weakly_pru,
     adjoin_zero,
     all_subsemigroups,
@@ -68,7 +69,6 @@ from .semigroup import (
     rees_matrix,
     rees_quotient,
     sandwich,
-    subsemigroup,
 )
 from .transduce import build_rees_transducer, choose_words, apply as t_apply
 
@@ -193,8 +193,8 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
     """L_sigma(T) = L_tau(S) /\\ X-hat-star for a weakly pseudo-right-unitary
     subsemigroup T generated by the restriction of tau to X."""
     t0 = time.perf_counter()
-    tset = frozenset(tset)
-    wpru = is_weakly_pru(s, tset)
+    tset = _subsemigroup_set(s, tset)  # the one closure check
+    wpru = _weakly_pru(s.table, tset)
     if require_hypothesis and not wpru:
         raise HypothesisFailed(f"{sorted(tset)} is not weakly pseudo-right-unitary")
     x_symbols = tuple(x_symbols)
@@ -203,7 +203,7 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
             raise RestrictionNotOntoT(f"symbol {sym!r} is not a generator of S")
         if tau.image[tau.alphabet.index(sym)] not in tset:
             raise RestrictionNotOntoT(f"generator {sym!r} maps outside T")
-    tsub, emb = subsemigroup(s, tset)
+    tsub, emb = _subtable(s, tset)
     back = {v: i for i, v in enumerate(emb)}
     try:
         sigma = GeneratorMap(x_symbols, tsub,
@@ -211,10 +211,11 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
                                    for sym in x_symbols))
     except NotGenerating:
         raise RestrictionNotOntoT("restricted generators do not generate T") from None
-    big = HatAlphabet(tau.alphabet)
+    l_tau = loop_problem(tau)
+    big = l_tau.alphabet
     letters = sub_hat_letters(big, x_symbols)
     lhs = relabel(loop_problem(sigma), big, letters)
-    rhs = restrict(loop_problem(tau), letters)
+    rhs = restrict(l_tau, letters)
     return _finish("subsemigroup", lhs, rhs, [],
                    {"order": s.order, "t_size": len(tset), "weakly_pru": wpru}, t0)
 
@@ -234,7 +235,7 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     t0 = time.perf_counter()
     tau = extend_to_zero(gmap)
     lhs = loop_problem(tau)
-    big = HatAlphabet(tau.alphabet)
+    big = lhs.alphabet
     z_letter = big.letter(tau.alphabet[-1])
     l_big = relabel(loop_problem(gmap), big, sub_hat_letters(big, gmap.alphabet))
     z_nfa = word_set_nfa(big, [(z_letter,)])
@@ -355,10 +356,11 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     y_symbols = x_symbols + m.labels
     tau = GeneratorMap(y_symbols, m,
                        tuple(rho[v] for v in gmap.image) + tuple(range(m.order)))
-    big = HatAlphabet(y_symbols)
+    l_tau = loop_problem(tau)
+    big = l_tau.alphabet
     letters = sub_hat_letters(big, x_symbols)
     lhs = relabel(loop_problem(gmap), big, letters)
-    rhs = restrict(loop_problem(tau), letters)
+    rhs = restrict(l_tau, letters)
     return _finish("unit-sandwich", lhs, rhs,
                    [("column-weakly-pru", is_weakly_pru(m, tset), None)],
                    {"order": s.order, "m_order": m.order, "column": (i0, j0)}, t0)

@@ -13,9 +13,10 @@ from reesloop.cli import (
     iter_instances,
     main,
     run_corpus,
+    run_job,
     worker_count,
 )
-from reesloop.language import equivalent, member, parse_automaton_text
+from reesloop.language import Nfa, equivalent, member, parse_automaton_text
 from reesloop.loops import loop_problem
 from reesloop.semigroup import (
     NotAnIdeal,
@@ -383,6 +384,23 @@ class TestVerify:
         assert out1 == out2
         ids = [l.split()[2] for l in out1.splitlines() if l.startswith("RESULT")]
         assert ids == sorted(ids)
+
+
+def test_no_verdict_reads_the_move_triples(monkeypatch):
+    """Every verdict reads the packed rows of its automata: with the triples
+    of Nfa.transitions unreadable, the last instance of each corpus tag
+    still passes, and a failing intersection still finds its separator."""
+    def unreadable(_nfa):
+        raise AssertionError("a verdict read Nfa.transitions")
+
+    monkeypatch.setattr(Nfa, "transitions", property(unreadable))
+    for tag in cli.VERIFY_TAGS:
+        iid, job = list(iter_instances(tag))[-1]
+        assert run_job((iid, job))[2] == f"RESULT {tag} {iid} PASS"
+    _checked, failures = theorems.negative_control_search(4, limit=1)
+    (s, tset, report), = failures
+    assert report.separator is not None
+    assert theorems.result_line(report, "neg").startswith("RESULT subsemigroup neg FAIL ")
 
 
 class TestWorkers:

@@ -27,10 +27,12 @@ from reesloop.language import (
     parse_automaton_text,
     plus,
     prefix_closure,
+    relabel,
     restrict,
     right_quotient,
     shortest_separator,
     star,
+    sub_hat_letters,
     suffix_closure,
     trim,
     union,
@@ -40,7 +42,8 @@ from reesloop.language import (
     _union,
 )
 from reesloop import language
-from reesloop.loops import loop_problem
+from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
+                            path_language)
 from reesloop.semigroup import (NAMED_SEMIGROUPS, ParseError, full_generator_map,
                                 rees_matrix, sandwich)
 from reesloop.transduce import apply, build_rees_transducer
@@ -549,6 +552,10 @@ any_nfa = st.one_of(eps_nfa, role_nfa, eps_nfa.map(without_epsilon))
 @example(Nfa(Y, 3, frozenset({(0, 0, 1), (1, 2, 2), (2, 3, 0)}),
              frozenset({0}), frozenset({2})), True)
 def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
+    assert_core_is_the_reference(a, keep_silent)
+
+
+def assert_core_is_the_reference(a, keep_silent):
     # chunk x of row p, bits x*n .. x*n+n-1, is the reference closure of the
     # successors of p under x, less the dropped silent states (no letter
     # move, not final); a state without a letter move has the row 0
@@ -571,6 +578,82 @@ def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
             want = _mask(ref_close(moves, moves.get((p, x), ())) & keep)
             assert row >> x * n & (1 << n) - 1 == want
         assert row >> a.alphabet.size * n == 0
+
+
+# -- packed rows ------------------------------------------------------------------
+#
+# Every construction builds its rows directly.  Rebuilding a result through
+# the public constructor packs the triples that its transitions property
+# reads back, so an equal rebuild pins the rows to the moves, and _core of
+# the result must still be the closed reference rows.
+
+EF = Nfa(Y, 3, frozenset({(0, 0, 1), (0, 1, 0), (1, 2, 2), (2, 3, 0), (2, 0, 2)}),
+         frozenset({0}), frozenset({2}))
+EH = Nfa(Y, 4, frozenset({(0, None, 1), (1, None, 0), (1, 0, 0), (1, 1, 2),
+                          (2, None, 2), (2, None, 3), (3, None, 1), (3, 2, 3)}),
+         frozenset({0}), frozenset({2}))
+ONE = Nfa(Y, 1, frozenset({(0, 1, 0), (0, None, 0)}), frozenset({0}), frozenset({0}))
+NONE = Nfa(Y, 0, frozenset(), frozenset(), frozenset())
+
+
+def unary_combinators(a):
+    wider = HatAlphabet(a.alphabet.base + ("w",))
+    return [star(a), plus(a), trim(a), prefix_closure(a), suffix_closure(a),
+            factor_closure(a), involution_image(a),
+            restrict(a, {0, a.alphabet.size - 1}),
+            relabel(a, wider, sub_hat_letters(wider, a.alphabet.base)),
+            as_nfa(determinize(a)), as_nfa(minimal_dfa(a))]
+
+
+def binary_combinators(a, b):
+    return [union(a, b), concat(a, b), intersect(a, b), right_quotient(a, b),
+            left_quotient(a, b)]
+
+
+def packed_results():
+    probe = rees_probe_star_image()
+    small = (EF, EH, ONE, NONE, empty_nfa(Y))
+    out = [probe, word_set_nfa(Y, [(0, 1), (), (3, None, 2)]), empty_nfa(Y)]
+    for a in small + (probe,):
+        out += unary_combinators(a)
+    for a, b in itertools.product(small, repeat=2):
+        out += binary_combinators(a, b)
+    bar = probe.alphabet.bar
+    loops = star(word_set_nfa(probe.alphabet, [(0, bar(0)), (1, 2, bar(2), bar(1))]))
+    out += binary_combinators(probe, loops) + binary_combinators(loops, probe)
+    c3 = NAMED_SEMIGROUPS["c3"]()
+    la = loop_automaton(full_generator_map(c3))
+    out += [la.nfa, path_language(la, {0, 1}, {2}), non_returning_language(la)]
+    return out
+
+
+def test_every_combinator_equals_its_rebuild_from_triples():
+    for r in packed_results():
+        again = Nfa(r.alphabet, r.n_states, r.transitions, r.initial, r.final)
+        assert again == r and hash(again) == hash(r)
+        assert len(r.rows) == len(r.eps) == r.n_states
+        for keep_silent in (True, False):
+            assert_core_is_the_reference(r, keep_silent)
+
+
+def test_triples_in_any_order_pack_to_one_automaton():
+    triples = sorted(EH.transitions, key=repr)
+    a = Nfa(Y, 4, triples, {0}, {2})
+    b = Nfa(Y, 4, list(reversed(triples)) + triples[:3], frozenset({0}), [2])
+    assert a == b == EH and hash(a) == hash(b) == hash(EH)
+    assert a.transitions == frozenset(triples)
+    for moved in ((0, None, 3), (1, 1, 3), (3, 2, 3)):
+        c = Nfa(Y, 4, set(triples) ^ {moved}, {0}, {2})
+        assert c != a and c.transitions == frozenset(triples) ^ {moved}
+
+
+def test_relabel_moves_each_chunk_to_its_letter():
+    wider = HatAlphabet(("x", "y", "w"))
+    letters = sub_hat_letters(wider, ("x", "y"))  # x, y, ~x, ~y -> 0, 1, 3, 4
+    r = relabel(EF, wider, letters)
+    assert r.transitions == {(p, letters[x], q) for p, x, q in EF.transitions}
+    with pytest.raises(LanguageError, match="letter 6 out of range"):
+        relabel(EF, wider, [0, 1, 6, 4])
 
 
 # -- the tuple-row reference ------------------------------------------------------
@@ -880,11 +963,22 @@ def test_restrict_is_the_intersection_with_a_universe(a, letters):
 
 # -- the cut, closure and product references ----------------------------------
 #
-# restrict, trim, the three closures and the tail of intersect as each was
-# written out before they shared _induced, one closure helper and
-# _product_nfa.  Product states are numbered in the order frozensets
-# iterate, which may change from one process to the next, so each pin
-# compares the two in the same process.
+# restrict, trim, the three closures and the product walk written out over
+# the triples of Nfa.transitions, which the engine's packed rows never read.
+# Product states are numbered in the order the product walk documents, and
+# the start pairs in the order frozensets iterate, which may change from one
+# process to the next, so each pin compares the two in the same process.
+
+def ref_reach(start, succ):
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        for q in succ[todo.pop()]:
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
 
 def ref_restrict(a, letters):
     allowed = {None, *letters}
@@ -892,7 +986,7 @@ def ref_restrict(a, letters):
     for p, x, q in a.transitions:
         if x in allowed:
             succ[p].append(q)
-    keep = sorted(language._reach(a.initial, succ.__getitem__))
+    keep = sorted(ref_reach(a.initial, succ))
     idx = {p: i for i, p in enumerate(keep)}
     trans = {(idx[p], x, idx[q]) for p, x, q in a.transitions
              if x in allowed and p in idx}
@@ -907,8 +1001,7 @@ def ref_trim(a):
     for p, _x, q in a.transitions:
         succ[p].append(q)
         pred[q].append(p)
-    keep = sorted(language._reach(a.initial, succ.__getitem__)
-                  & language._reach(a.final, pred.__getitem__))
+    keep = sorted(ref_reach(a.initial, succ) & ref_reach(a.final, pred))
     if not keep:
         return empty_nfa(a.alphabet)
     idx = {p: i for i, p in enumerate(keep)}
@@ -943,9 +1036,40 @@ def ref_factor_closure(a):
     return Nfa(t.alphabet, t.n_states, t.transitions, everything, everything)
 
 
+def ref_product(a, b_moves, start):
+    """The product walk over a's triples and the move table b_moves: pairs
+    numbered last in first out; from each, a's epsilon moves, then the
+    moves of b_moves in order, a letter move with a's successors on that
+    letter in increasing order.  Returns the numbered pairs and the moves
+    between their numbers."""
+    am = ref_moves(a)
+    ids = {pair: i for i, pair in enumerate(start)}
+    queue = list(ids)
+    moves = set()
+    while queue:
+        pair = queue.pop()
+        p, q = pair
+        out = [(None, (p2, q)) for p2 in sorted(am.get((p, None), ()))]
+        for x, lab, q2 in b_moves[q]:
+            if x is None:
+                out.append((lab, (p, q2)))
+            else:
+                out += [(lab, (p2, q2)) for p2 in sorted(am.get((p, x), ()))]
+        for lab, nxt in out:
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            moves.add((ids[pair], lab, ids[nxt]))
+    return ids, moves
+
+
 def ref_intersect(a, b):
+    # b's moves per state: epsilon moves first, then by letter and target
+    bm = ref_moves(b)
+    b_moves = [[(x, x, q) for x in (None, *range(b.alphabet.size))
+                for q in sorted(bm.get((p, x), ()))] for p in range(b.n_states)]
     start = [(p, q) for p in a.initial for q in b.initial]
-    ids, moves = language._product(language._moves(a), language._moves(b), start)
+    ids, moves = ref_product(a, b_moves, start)
     final = frozenset(i for (p, q), i in ids.items()
                       if p in a.final and q in b.final)
     return Nfa(a.alphabet, max(len(ids), 1), frozenset(moves),

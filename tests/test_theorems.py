@@ -630,8 +630,9 @@ class TestGates:
         assert len(handed) == 1
 
     def test_subset_checks_per_verdict(self, monkeypatch):
-        # is_weakly_pru and subsemigroup check T once each; the Rees
-        # quotient leaves its one check to is_ideal
+        # the intersection verifier checks T once, for the weak-PRU kernel
+        # and the subtable alike; the Rees quotient leaves its one check to
+        # is_ideal
         real = semigroup._check_subset
         calls = []
         monkeypatch.setattr(semigroup, "_check_subset",
@@ -639,7 +640,35 @@ class TestGates:
         s = adjoin_zero(cyclic_group(2))
         tau = full_generator_map(s)
         assert verify_subsemigroup_intersection(s, tau, {0, 1}, ("e", "g")).holds
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         assert verify_rees_quotient(s, tau, {s.zero}).holds
         assert len(calls) == 1
+
+    def test_one_closure_test_per_subsemigroup_verdict(self, monkeypatch):
+        real = semigroup.is_subsemigroup
+        calls = []
+        monkeypatch.setattr(semigroup, "is_subsemigroup",
+                            lambda s, subset: calls.append(1) or real(s, subset))
+        jobs = [item for item in iter_instances("subsemigroup", max_order=4)
+                if item[0].startswith("n4")][:2000]
+        assert len(jobs) == 2000
+        assert all(run_job(item)[1] for item in jobs)
+        assert len(calls) == 2000
+
+    def test_bad_subsets_raise_in_gate_order(self):
+        # the subset checks, then the closure test, then the hypothesis,
+        # then the symbols: each bad input raises the first that fails
+        s = NAMED_SEMIGROUPS["b2"]()
+        tau = full_generator_map(s)
+        bad_symbols = ("nope",)
+        not_wpru = next(t for t in all_subsemigroups(s) if not is_weakly_pru(s, t))
+        for tset, err in ((set(), semigroup.EmptySubset),
+                          ({0, s.order}, semigroup.IndexOutOfRange),
+                          (next(t for t in map(frozenset, itertools.combinations(
+                              range(s.order), 2)) if not semigroup.is_subsemigroup(s, t)),
+                           semigroup.NotASubsemigroup),
+                          (not_wpru, HypothesisFailed),
+                          (frozenset(range(s.order)), theorems.RestrictionNotOntoT)):
+            with pytest.raises(err):
+                verify_subsemigroup_intersection(s, tau, tset, bad_symbols)

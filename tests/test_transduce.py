@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesloop import language
 from reesloop.language import (
     HatAlphabet,
     LanguageError,
@@ -35,7 +34,7 @@ from reesloop.transduce import (
     transducer,
 )
 
-from test_language import eps_nfas
+from test_language import eps_nfas, ref_product
 
 X = HatAlphabet(("x",))
 Y = HatAlphabet(("p", "q"))
@@ -286,10 +285,10 @@ class TestBuildReesTransducer:
 
 # -- the product reference ---------------------------------------------------
 #
-# The tail of apply as it was written out before apply and intersect shared
-# _product_nfa.  Product states are numbered in the order frozensets iterate,
-# which may change from one process to the next, so the pins compare the two
-# in the same process.
+# The tail of apply written out over the reference product walk of
+# test_language.  The normalized edges and the start pairs come in the order
+# frozensets iterate, which may change from one process to the next, so the
+# pins compare the two in the same process.
 
 def ref_apply(t, l):
     nt = normalize(t)
@@ -297,7 +296,7 @@ def ref_apply(t, l):
     for p, u, v, q in nt.edges:
         t_moves[p].append((u[0] if u else None, v[0] if v else None, q))
     start = [(p, s) for p in l.initial for s in nt.initial]
-    ids, moves = language._product(language._moves(l), t_moves, start)
+    ids, moves = ref_product(l, t_moves, start)
     final = frozenset(i for (p, s), i in ids.items()
                       if p in l.final and s in nt.final)
     return Nfa(t.out_alphabet, max(len(ids), 1), frozenset(moves),
