@@ -4,14 +4,17 @@ Automata are partial (no explicit dead state); epsilon transitions are
 permitted in an Nfa.  State sets are integer bitmasks internally, and an Nfa
 stores its moves as rows of them: rows[p] packs, letter after letter in
 chunks of n_states bits, the successors of p under that letter, and eps[p]
-holds its epsilon successors.  Every construction builds these rows
-directly, and `transitions` derives the (p, x, q) triples only for readers
-that want them.  Each operation that simulates an Nfa (determinize, member,
-enumerate_words, shortest_separator) closes its epsilon moves once per
-automaton with _core: only the states with an epsilon move are searched for
-their closures, and only chunks that hold one of them are closed, so an
-epsilon-free automaton's rows are its closed rows.  A state set's
-successors under every letter are then one OR of its members' closed rows.
+holds its epsilon successors.  Only _pack turns (p, x, q) moves into rows;
+a loop automaton is read off its table, every other construction builds
+its rows from rows, and `transitions` derives the triples only for readers
+that want them.  Products are walked forward only; a right quotient walks
+the product of the two reverses.  Each operation that simulates an Nfa
+(determinize, member, enumerate_words, shortest_separator) closes its
+epsilon moves once per automaton with _core: only the states with an
+epsilon move are searched for their closures, and only chunks that hold
+one of them are closed, so an epsilon-free automaton's rows are its closed
+rows.  A state set's successors under every letter are then one OR of its
+members' closed rows.
 
 A state is silent when it has no letter move and is not final, as are most
 states of a transducer image, which only pass epsilon moves on.  A silent
@@ -116,21 +119,15 @@ class Nfa:
         for q in initial | final:
             if not (0 <= q < n_states):
                 raise LanguageError(f"state {q} out of range")
-        nletters = alphabet.size
-        rows = [0] * n_states
-        eps = [0] * n_states
-        for p, a, q in transitions:
+        moves = tuple(transitions)
+        for p, a, q in moves:
             if not (0 <= p < n_states and 0 <= q < n_states):
                 raise LanguageError(f"transition state out of range: {(p, a, q)}")
-            if a is None:
-                eps[p] |= 1 << q
-            elif 0 <= a < nletters:
-                rows[p] |= 1 << (a * n_states + q)
-            else:
+            if a is not None and not 0 <= a < alphabet.size:
                 raise LanguageError(f"letter {a} out of range")
+        rows, eps = _pack(n_states, moves)
         self.__dict__.update(alphabet=alphabet, n_states=n_states,
-                             rows=tuple(rows), eps=tuple(eps),
-                             initial=initial, final=final)
+                             rows=rows, eps=eps, initial=initial, final=final)
 
     @property
     def transitions(self) -> frozenset[tuple[int, int | None, int]]:
@@ -179,15 +176,9 @@ class Dfa:
 def as_nfa(a: Nfa | Dfa) -> Nfa:
     if isinstance(a, Nfa):
         return a
-    n = a.n_states
-    rows = []
-    for row in a.transitions:
-        packed = 0
-        for x, q in enumerate(row):
-            if q is not None:
-                packed |= 1 << (x * n + q)
-        rows.append(packed)
-    return _built(Nfa, a.alphabet, n, tuple(rows), (0,) * n,
+    rows, eps = _pack(a.n_states, [(p, x, q) for p, row in enumerate(a.transitions)
+                                   for x, q in enumerate(row) if q is not None])
+    return _built(Nfa, a.alphabet, a.n_states, rows, eps,
                   frozenset({a.initial}), a.final)
 
 
@@ -198,33 +189,23 @@ def empty_nfa(alphabet) -> Nfa:
 def word_set_nfa(alphabet, words) -> Nfa:
     """Union of finite words as one automaton (a simple chain per word); a
     None in a word is an epsilon move."""
-    words = [tuple(w) for w in words]
-    n = 1 + sum(map(len, words))
-    nletters = alphabet.size
-    rows = [0] * n
-    eps = [0] * n
-    final = set()
-    nxt = 1
+    moves, final, nxt = [], set(), 1
     for w in words:
         prev = 0
         for a in w:
-            if a is None:
-                eps[prev] |= 1 << nxt
-            elif 0 <= a < nletters:
-                rows[prev] |= 1 << (a * n + nxt)
-            else:
+            if a is not None and not 0 <= a < alphabet.size:
                 raise LanguageError(f"letter {a} out of range")
-            prev = nxt
-            nxt += 1
+            moves.append((prev, a, nxt))
+            prev, nxt = nxt, nxt + 1
         final.add(prev)
-    return _built(Nfa, alphabet, n, tuple(rows), tuple(eps), frozenset({0}),
-                  frozenset(final))
+    rows, eps = _pack(nxt, moves)
+    return _built(Nfa, alphabet, nxt, rows, eps, frozenset({0}), frozenset(final))
 
 
 # -- bitmask core -------------------------------------------------------------
 #
-# Every construction builds an Nfa's rows directly; one whose result has
-# another state count re-packs the nonzero rows, chunk by chunk.  Closure
+# Only _pack turns (p, x, q) moves into rows; a construction whose result
+# has another state count re-packs the nonzero rows, chunk by chunk.  Closure
 # distributes over union, so the successors of a closed state set under
 # every letter are one OR of its members' closed rows, read off chunk by
 # chunk.
@@ -242,6 +223,18 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _pack(n: int, moves) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows and epsilon masks of n states with the moves (p, x, q), x
+    None for epsilon."""
+    rows, eps = [0] * n, [0] * n
+    for p, x, q in moves:
+        if x is None:
+            eps[p] |= 1 << q
+        else:
+            rows[p] |= 1 << (x * n + q)
+    return tuple(rows), tuple(eps)
 
 
 def _repack(row: int, n: int, new_n: int, by: int = 0) -> int:
@@ -544,30 +537,22 @@ def plus(a: Nfa) -> Nfa:
     return _built(Nfa, a.alphabet, a.n_states, a.rows, tuple(eps), a.initial, a.final)
 
 
-def _reversed(a: Nfa, letter=None) -> tuple[list[int], list[int]]:
-    """The rows and epsilon masks of a with every move reversed, and its
-    letter x read as letter(x) when a letter map is given."""
+def _reverse(a: Nfa) -> Nfa:
+    """a read backwards: its moves reversed, initial and final swapped."""
     n = a.n_states
-    rows, eps = [0] * n, [0] * n
-    for p, e in enumerate(a.eps):
-        for q in _bits(e):
-            eps[q] |= 1 << p
-    for p, row in enumerate(a.rows):
-        for b in _bits(row):
-            x, q = divmod(b, n)
-            rows[q] |= 1 << ((x if letter is None else letter(x)) * n + p)
-    return rows, eps
+    moves = [(q, None, p) for p, e in enumerate(a.eps) for q in _bits(e)]
+    moves += [(b % n, b // n, p) for p, row in enumerate(a.rows) for b in _bits(row)]
+    rows, eps = _pack(n, moves)
+    return _built(Nfa, a.alphabet, n, rows, eps, a.final, a.initial)
 
 
-def _moves(a: Nfa, backward: bool = False) -> list[list[tuple]]:
-    """Each state's moves (letter or None, label, other end), forward or
-    backward; an automaton's moves are labelled by the letters they read.
-    A state's epsilon moves come first, then its letter moves by letter,
-    each by the state at its other end."""
-    rows, eps = _reversed(a) if backward else (a.rows, a.eps)
+def _moves(a: Nfa) -> list[list[tuple]]:
+    """Each state's moves (letter or None, label, target); an automaton's
+    moves are labelled by the letters they read.  A state's epsilon moves
+    come first, then its letter moves by letter, each by target."""
     n = a.n_states
     out: list[list[tuple]] = []
-    for row, e in zip(rows, eps):
+    for row, e in zip(a.rows, a.eps):
         moves = [(None, None, q) for q in _bits(e)]
         for b in _bits(row):
             x, q = divmod(b, n)
@@ -576,18 +561,18 @@ def _moves(a: Nfa, backward: bool = False) -> list[list[tuple]]:
     return out
 
 
-def _product(a: Nfa, b_moves, start, backward: bool = False) -> tuple[dict, list]:
-    """Explore the synchronized product of a (its moves reversed when
-    backward) and the move table b_moves from the start pairs.  An epsilon
-    move of the first side advances it alone, unlabelled; one of the second
-    side advances it alone with its label; a letter move of the second side
-    advances both sides, with its label, along the first side's moves on
-    that letter.  Pairs are numbered in discovery order, taken last in
-    first out; from each, the first side's epsilon moves come first, then
-    the moves of b_moves in order, a letter move with the first side's
-    successors in increasing order.  Returns the reached pairs and the
-    moves (i, label, j) between their numbers."""
-    rows, eps = _reversed(a) if backward else (a.rows, a.eps)
+def _product(a: Nfa, b_moves, start) -> tuple[dict, list]:
+    """Explore the synchronized product of a and the move table b_moves
+    from the start pairs.  An epsilon move of the first side advances it
+    alone, unlabelled; one of the second side advances it alone with its
+    label; a letter move of the second side advances both sides, with its
+    label, along the first side's moves on that letter.  Pairs are numbered
+    in discovery order, taken last in first out; from each, the first
+    side's epsilon moves come first, then the moves of b_moves in order, a
+    letter move with the first side's successors in increasing order.
+    Returns the reached pairs and the moves (i, label, j) between their
+    numbers."""
+    rows, eps = a.rows, a.eps
     n = a.n_states
     full = (1 << n) - 1
     ids = {pair: i for i, pair in enumerate(start)}
@@ -628,16 +613,10 @@ def _product_nfa(alphabet: HatAlphabet, a: Nfa, b_moves, b_initial, b_final) -> 
     start = [(p, q) for p in a.initial for q in b_initial]
     ids, moves = _product(a, b_moves, start)
     n = max(len(ids), 1)
-    rows, eps = [0] * n, [0] * n
-    for i, lab, j in moves:
-        if lab is None:
-            eps[i] |= 1 << j
-        else:
-            rows[i] |= 1 << (lab * n + j)
+    rows, eps = _pack(n, moves)
     final = frozenset(i for (p, q), i in ids.items()
                       if p in a.final and q in b_final)
-    return _built(Nfa, alphabet, n, tuple(rows), tuple(eps),
-                  frozenset(range(len(start))), final)
+    return _built(Nfa, alphabet, n, rows, eps, frozenset(range(len(start))), final)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -646,18 +625,14 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     return _product_nfa(a.alphabet, a, _moves(b), b.initial, b.final)
 
 
-def _induced(a: Nfa, keep, letters=None) -> Nfa:
+def _induced(a: Nfa, keep, letters) -> Nfa:
     """a on the sorted states keep, renumbered in that order, with its
-    epsilon moves and its moves on the given distinct letters (on every
-    letter when None) between them."""
+    epsilon moves and its moves on the distinct letters between them."""
     n = a.n_states
-    nletters = a.alphabet.size
-    if letters is None:
-        letters = range(nletters)
     full = (1 << n) - 1
     if n and len(keep) == n:  # every state, in its own place
         rows = a.rows
-        if len(letters) < nletters:
+        if len(letters) < a.alphabet.size:
             allowed = sum(full << x * n for x in letters)
             rows = tuple(r & allowed for r in rows)
         return _built(Nfa, a.alphabet, n, rows, a.eps, a.initial, a.final)
@@ -716,46 +691,48 @@ def _successors(a: Nfa, letters) -> list[int]:
     return out
 
 
+def _quotient_ends(l: Nfa, r: Nfa) -> frozenset[int]:
+    """The states of l that a word of r leads to from l's initial states:
+    a forward walk of the product of l and r from their initial pairs."""
+    seen, _ = _product(l, _moves(r), [(p, q) for p in l.initial for q in r.initial])
+    return frozenset(p for p, q in seen if q in r.final)
+
+
 def right_quotient(l: Nfa, r: Nfa) -> Nfa:
     """L R^-1 = {w : wr in L for some r in R}.  Final states of L become
-    those from which some word of R completes to acceptance: a backward
-    search of the product from its final pairs, which follows r's epsilon
-    moves back to r's initial states.  The rows are l's."""
+    those from which some word of R completes to acceptance: the states
+    that the reverse of R leads to in the reverse of L, which starts at
+    L's final states.  The rows are l's."""
     _require_same(l, r)
-    good, _ = _product(l, _moves(r, backward=True),
-                       [(p, q) for p in l.final for q in r.final], backward=True)
-    new_final = {p for p, q in good if q in r.initial}
     return _built(Nfa, l.alphabet, l.n_states, l.rows, l.eps, l.initial,
-                  frozenset(new_final))
+                  _quotient_ends(_reverse(l), _reverse(r)))
 
 
 def left_quotient(r: Nfa, l: Nfa) -> Nfa:
     """R^-1 L = {w : rw in L for some r in R}.  Initial states of L become
     those reachable from an initial state along some word of R."""
     _require_same(l, r)
-    seen, _ = _product(l, _moves(r), [(p, q) for p in l.initial for q in r.initial])
-    new_initial = {p for p, q in seen if q in r.final}
     return _built(Nfa, l.alphabet, l.n_states, l.rows, l.eps,
-                  frozenset(new_initial), l.final)
+                  _quotient_ends(l, r), l.final)
 
 
 def involution_image(a: Nfa) -> Nfa:
-    """w -> w-bar: reverse the automaton and bar each letter."""
-    rows, eps = _reversed(a, a.alphabet.bar)
-    return _built(Nfa, a.alphabet, a.n_states, tuple(rows), tuple(eps),
-                  a.final, a.initial)
+    """w -> w-bar: the reverse of a, each letter relabelled by its bar."""
+    bar = a.alphabet.bar
+    return relabel(_reverse(a), a.alphabet, [bar(x) for x in range(a.alphabet.size)])
 
 
 def trim(a: Nfa) -> Nfa:
     """Keep only states both reachable and co-accessible."""
     n = a.n_states
-    succ = _successors(a, range(a.alphabet.size))
+    letters = range(a.alphabet.size)
+    succ = _successors(a, letters)
     pred = [0] * n
     for p, m in enumerate(succ):
         for q in _bits(m):
             pred[q] |= 1 << p
     keep = _reach(_mask(a.initial), succ) & _reach(_mask(a.final), pred)
-    return _induced(a, list(_bits(keep))) if keep else empty_nfa(a.alphabet)
+    return _induced(a, list(_bits(keep)), letters) if keep else empty_nfa(a.alphabet)
 
 
 def _trimmed_closure(a: Nfa, initial: bool, final: bool) -> Nfa:

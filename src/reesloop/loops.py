@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .language import HatAlphabet, Nfa
+from .language import HatAlphabet, Nfa, _repack
 from .semigroup import (
     FiniteSemigroup,
     GeneratorMap,
@@ -103,23 +103,17 @@ def non_returning_language(la: LoopAutomaton) -> Nfa:
     strictly in between: the identity state is split into a source copy
     (keeping its out-edges) and a fresh sink copy (receiving its in-edges).
     The sink is state n, so every row is re-packed into chunks of n + 1
-    bits, with the identity's bit moved to the sink's."""
+    bits, and one mask moves the identity's bit to the sink's in every
+    chunk."""
     ident = la.identity_state
     nfa = la.nfa
     n = sink = nfa.n_states
-    full = (1 << n) - 1
-    into = 1 << ident
+    into = sum(1 << (x * (n + 1) + ident) for x in range(nfa.alphabet.size))
 
     def redirected(row):
-        out = shift = 0
-        while row:
-            m = row & full
-            if m & into:
-                m ^= into | 1 << sink
-            out |= m << shift
-            row >>= n
-            shift += n + 1
-        return out
+        row = _repack(row, n, n + 1)
+        hit = row & into
+        return row ^ hit ^ hit << (sink - ident)
 
     return _built(Nfa, nfa.alphabet, n + 1,
                   tuple(map(redirected, nfa.rows)) + (0,),

@@ -162,7 +162,7 @@ def _quotient_formula_rhs(gmap: GeneratorMap, ideal) -> tuple[Nfa, list]:
     r_bar = involution_image(r_nfa)
     l_1t = right_quotient(l_nfa, r_bar)
     l_t1 = left_quotient(r_nfa, l_nfa)
-    l_tt = right_quotient(l_t1, r_bar)
+    l_tt = left_quotient(r_nfa, l_1t)
     rhs = union(l_nfa, concat(concat(l_1t, star(l_tt)), l_t1))
     ident = {la.identity_state}
     checks = []
@@ -185,6 +185,15 @@ def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> Verif
     rhs, checks = _quotient_formula_rhs(gmap, tset)
     return _finish("rees-quotient", lhs, rhs, checks,
                    {"order": s.order, "ideal_size": len(tset)}, t0)
+
+
+def _restriction_sides(tau: GeneratorMap, sub: GeneratorMap, x_symbols) -> tuple[Nfa, Nfa]:
+    """L(sub) on tau's alphabet, its generators read as x_symbols, and
+    L(tau) /\\ X-hat-star: the two sides of the restriction identity."""
+    l_tau = loop_problem(tau)
+    big = l_tau.alphabet
+    letters = sub_hat_letters(big, x_symbols)
+    return relabel(loop_problem(sub), big, letters), restrict(l_tau, letters)
 
 
 def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
@@ -211,11 +220,7 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
                                    for sym in x_symbols))
     except NotGenerating:
         raise RestrictionNotOntoT("restricted generators do not generate T") from None
-    l_tau = loop_problem(tau)
-    big = l_tau.alphabet
-    letters = sub_hat_letters(big, x_symbols)
-    lhs = relabel(loop_problem(sigma), big, letters)
-    rhs = restrict(l_tau, letters)
+    lhs, rhs = _restriction_sides(tau, sigma, x_symbols)
     return _finish("subsemigroup", lhs, rhs, [],
                    {"order": s.order, "t_size": len(tset), "weakly_pru": wpru}, t0)
 
@@ -356,11 +361,7 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     y_symbols = x_symbols + m.labels
     tau = GeneratorMap(y_symbols, m,
                        tuple(rho[v] for v in gmap.image) + tuple(range(m.order)))
-    l_tau = loop_problem(tau)
-    big = l_tau.alphabet
-    letters = sub_hat_letters(big, x_symbols)
-    lhs = relabel(loop_problem(gmap), big, letters)
-    rhs = restrict(l_tau, letters)
+    lhs, rhs = _restriction_sides(tau, gmap, x_symbols)
     return _finish("unit-sandwich", lhs, rhs,
                    [("column-weakly-pru", is_weakly_pru(m, tset), None)],
                    {"order": s.order, "m_order": m.order, "column": (i0, j0)}, t0)

@@ -44,8 +44,8 @@ from reesloop.language import (
 from reesloop import language
 from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
                             path_language)
-from reesloop.semigroup import (NAMED_SEMIGROUPS, ParseError, full_generator_map,
-                                rees_matrix, sandwich)
+from reesloop.semigroup import (NAMED_SEMIGROUPS, ParseError, _built,
+                                full_generator_map, rees_matrix, sandwich)
 from reesloop.transduce import apply, build_rees_transducer
 
 X = HatAlphabet(("x",))
@@ -396,6 +396,11 @@ def test_products_accept_the_reference_words(l, r):
             if any(p2 in l.final and q in r.final
                    for p2, q in ref_pairs(l, r, {(p, q0) for q0 in r.initial}))}
     assert set(enumerate_words(right_quotient(l, r), 5)) == ref_words(l, final=ends)
+    # each quotient is l with one end set moved to the reference pairs'
+    assert left_quotient(r, l) == Nfa(l.alphabet, l.n_states, l.transitions,
+                                      starts, l.final)
+    assert right_quotient(l, r) == Nfa(l.alphabet, l.n_states, l.transitions,
+                                       l.initial, ends)
 
 
 def partial_dfas(draw, alphabet):
@@ -1085,6 +1090,97 @@ def test_cuts_closures_and_products_equal_their_references(a, b, letters):
     assert suffix_closure(a) == ref_suffix_closure(a)
     assert factor_closure(a) == ref_factor_closure(a)
     assert intersect(a, b) == ref_intersect(a, b)
+
+
+# -- the packer and the reverse ------------------------------------------------
+#
+# ref_reversed reverses the moves and bars the letters in one pass over the
+# rows, without _pack: the reference for _reverse and involution_image.
+
+def ref_reversed(a, letter=None):
+    """The rows and epsilon masks of a with every move reversed, and its
+    letter x read as letter(x) when a letter map is given."""
+    n = a.n_states
+    rows, eps = [0] * n, [0] * n
+    for p, e in enumerate(a.eps):
+        for q in language._bits(e):
+            eps[q] |= 1 << p
+    for p, row in enumerate(a.rows):
+        for b in language._bits(row):
+            x, q = divmod(b, n)
+            rows[q] |= 1 << ((x if letter is None else letter(x)) * n + p)
+    return rows, eps
+
+
+def ref_involution_image(a):
+    rows, eps = ref_reversed(a, a.alphabet.bar)
+    return _built(Nfa, a.alphabet, a.n_states, tuple(rows), tuple(eps),
+                  a.final, a.initial)
+
+
+def assert_involution_is_the_reference(a):
+    image = involution_image(a)
+    assert image == ref_involution_image(a)
+    assert involution_image(image) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps_nfa)
+def test_involution_image_is_the_barred_reversal(a):
+    assert_involution_is_the_reference(a)
+
+
+def test_involution_image_is_the_barred_reversal_on_packed_results():
+    for a in packed_results():
+        assert_involution_is_the_reference(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_dfa)
+def test_as_nfa_is_its_rebuild_from_triples(d):
+    triples = {(p, x, q) for p, row in enumerate(d.transitions)
+               for x, q in enumerate(row) if q is not None}
+    assert as_nfa(d) == Nfa(d.alphabet, d.n_states, triples, {d.initial}, d.final)
+
+
+@pytest.mark.parametrize("words", [
+    [], [()], [(0, 1), (), (3, None, 2)], [(None,), (None, None, 1), (1,)],
+    [(2, 2), (2, 2)], [(None, 3, None)],
+])
+def test_word_set_nfa_is_its_rebuild_from_triples(words):
+    triples, final, nxt = set(), set(), 1
+    for w in words:
+        prev = 0
+        for a in w:
+            triples.add((prev, a, nxt))
+            prev, nxt = nxt, nxt + 1
+        final.add(prev)
+    assert word_set_nfa(Y, iter(words)) == Nfa(Y, nxt, triples, {0}, final)
+
+
+def test_word_set_nfa_rejects_a_letter_out_of_range():
+    with pytest.raises(LanguageError, match="^letter 4 out of range$"):
+        word_set_nfa(Y, [(0,), (1, None, 4)])
+
+
+def test_a_one_shot_iterator_packs_like_a_frozenset():
+    triples = sorted(EH.transitions, key=repr)
+    once = Nfa(Y, 4, iter(triples), iter([0]), iter([2]))
+    assert once == Nfa(Y, 4, frozenset(triples), frozenset({0}), frozenset({2})) == EH
+    assert Nfa(Y, 4, (t for t in triples), {0}, {2}) == EH
+
+
+@pytest.mark.parametrize("moves, initial, message", [
+    ([(0, 0, 1), (0, 9, 1), (5, 0, 0)], {0}, "letter 9 out of range"),
+    ([(0, 0, 1), (5, 0, 0), (0, 9, 1)], {0}, "transition state out of range: (5, 0, 0)"),
+    ([(0, None, 1), (1, -1, 0)], {0}, "letter -1 out of range"),
+    ([(0, 4, 2)], {0}, "transition state out of range: (0, 4, 2)"),
+    ([(0, 9, 1)], {3}, "state 3 out of range"),
+])
+def test_the_first_bad_triple_gives_its_message(moves, initial, message):
+    with pytest.raises(LanguageError) as err:
+        Nfa(Y, 2, iter(moves), initial, {1})
+    assert str(err.value) == message
 
 
 class TestTextFormat:

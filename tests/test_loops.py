@@ -19,15 +19,19 @@ from reesloop.loops import (
     zigzag_witness,
 )
 from reesloop.semigroup import (
+    NAMED_SEMIGROUPS,
     FiniteSemigroup,
     GeneratorMap,
     NoIdentity,
+    _built,
     adjoin_zero,
     cyclic_group,
     enumerate_semigroups,
     full_generator_map,
     generator_map,
     lift_to_monoid,
+    rees_matrix,
+    sandwich,
     trivial_semigroup,
 )
 
@@ -223,6 +227,44 @@ class TestPathLanguage:
             path_language(la, set(), {0})
 
 
+def chunk_loop_non_returning(la):
+    """The split automaton re-packed chunk by chunk, with the identity's bit
+    moved to the sink's in each chunk it is set in: the form the one-mask
+    construction replaced, kept as its reference."""
+    ident = la.identity_state
+    nfa = la.nfa
+    n = sink = nfa.n_states
+    full = (1 << n) - 1
+    into = 1 << ident
+
+    def redirected(row):
+        out = shift = 0
+        while row:
+            m = row & full
+            if m & into:
+                m ^= into | 1 << sink
+            out |= m << shift
+            row >>= n
+            shift += n + 1
+        return out
+
+    return _built(Nfa, nfa.alphabet, n + 1,
+                  tuple(map(redirected, nfa.rows)) + (0,),
+                  tuple(map(redirected, nfa.eps)) + (0,),
+                  frozenset({ident}), frozenset({sink}))
+
+
+def loop_automata_up_to_order_three():
+    """The loop automaton of every semigroup of order <= 3 under its full
+    generator map, and at its own identity when it has one."""
+    for n in (1, 2, 3):
+        for s in enumerate_semigroups(n):
+            yield loop_automaton(full_generator_map(s))
+            own = own_identity_map(s)
+            if own is not None:
+                yield monoid_loop_automaton(own)
+
+
 class TestNonReturning:
     def test_epsilon_not_accepted(self):
         la = loop_automaton(generator_map(cyclic_group(2), ["g"]))
@@ -234,6 +276,16 @@ class TestNonReturning:
         k = non_returning_language(la)
         for w in enumerate_words(k, 3):
             assert member(la.nfa, w)
+
+    def test_one_mask_equals_the_chunk_loop(self):
+        c3 = NAMED_SEMIGROUPS["c3"]()
+        p = sandwich([[c3.index(v) for v in row] for row in (("g2", "g2"), ("g", "e"))])
+        rees = rees_matrix(c3, 2, 2, p, with_zero=False)[0]
+        automata = list(loop_automata_up_to_order_three())
+        automata.append(loop_automaton(full_generator_map(rees)))
+        for la in automata:
+            assert non_returning_language(la) == chunk_loop_non_returning(la)
+        assert len(automata) == 122 + 38 + 1  # 38 of the 122 have an identity
 
 
 class TestZigZag:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from reesloop import semigroup, theorems
+from reesloop import language, semigroup, theorems
 from reesloop.cli import _sandwiches, iter_instances, run_job
 from reesloop.language import (HatAlphabet, empty_nfa, factor_closure, member,
                                relabel, sub_hat_letters, union, word_set_nfa)
@@ -73,6 +73,50 @@ class TestReesQuotient:
         rep = verify_rees_quotient(s, full_generator_map(s), {s.zero})
         names = [n for n, _ok, _w in rep.checks]
         assert "L1T=path(1,T)" in names and "LTT=path(T,T)" in names
+
+
+    def test_l_tt_is_the_left_quotient_of_l_1t(self, monkeypatch):
+        """R^-1 (L R-bar^-1) is (R^-1 L) R-bar^-1: a quotient keeps L's rows
+        and moves one end set, so both forms are one Nfa."""
+        calls = []
+
+        def recorded(f):
+            def call(*args):
+                out = f(*args)
+                calls.append((f.__name__, args, out))
+                return out
+            return call
+
+        for name in ("left_quotient", "right_quotient"):
+            monkeypatch.setattr(theorems, name, recorded(getattr(language, name)))
+        count = 0
+        for n in (1, 2, 3):
+            for s in enumerate_semigroups(n):
+                gmap = full_generator_map(s)
+                for ideal in semigroup.all_ideals(s):
+                    calls.clear()
+                    theorems._quotient_formula_rhs(gmap, ideal)
+                    (_, (l_nfa, r_bar), l_1t), = [c for c in calls if c[0] == "right_quotient"]
+                    (_, (r_nfa, l), l_t1), (_, (r_nfa2, l_1t2), l_tt) = [
+                        c for c in calls if c[0] == "left_quotient"]
+                    assert l is l_nfa and r_nfa2 is r_nfa and l_1t2 is l_1t
+                    assert l_tt == language.right_quotient(l_t1, r_bar)
+                    count += 1
+        assert count > 122
+
+    def test_a_verdict_reverses_three_automata(self, monkeypatch):
+        # the involution image of R, then L and R-bar for L R-bar^-1
+        reverse = language._reverse
+        reversed_ = []
+
+        def counted(a):
+            reversed_.append(a)
+            return reverse(a)
+
+        monkeypatch.setattr(language, "_reverse", counted)
+        s = brandt_b2()
+        assert verify_rees_quotient(s, full_generator_map(s), {s.zero}).holds
+        assert len(reversed_) == 3
 
 
 class TestSubsemigroup:
