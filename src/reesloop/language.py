@@ -21,7 +21,8 @@ states of a transducer image, which only pass epsilon moves on.  A silent
 state in a subset changes neither its successors nor its acceptance, so
 determinize(a, keep_silent=False) drops them from every subset; minimal_dfa
 determinizes that way, and its result depends only on the language.  Plain
-determinize keeps the full closed subsets.
+determinize keeps the full closed subsets.  epsilon_free(a) closes a once
+and drops them, so every later reader of the result skips both steps.
 
 shortest_separator determinizes nothing.  Equal automata have equal
 languages, and it returns None for them at once; otherwise it walks pairs
@@ -661,6 +662,23 @@ def _induced(a: Nfa, keep, letters) -> Nfa:
                   tuple(eps[p] and renumbered(eps[p], ((0, 0),)) for p in keep) + pad,
                   frozenset(idx[p] for p in a.initial if kept >> p & 1),
                   frozenset(idx[p] for p in a.final if kept >> p & 1))
+
+
+def epsilon_free(a: Nfa) -> Nfa:
+    """a's language without epsilon moves or silent states: the states with
+    a letter move or that are final, renumbered in order, with their closed
+    rows and the closure of a's initial states; a state whose letter moves
+    all end in silent states goes too, until none does."""
+    core = _core(a, keep_silent=False)
+    n, rows, final = a.n_states, core.rows, core.final
+    spread = sum(1 << x * n for x in range(a.alphabet.size))
+    keep, live = core.active | final, final | _mask(p for p, r in enumerate(rows) if r)
+    while live != keep:
+        keep, rows = live, [r & live * spread for r in rows]
+        live = final | _mask(p for p, r in enumerate(rows) if r)
+    closed = _built(Nfa, a.alphabet, n, tuple(rows), (0,) * n,
+                    frozenset(_bits(core.start)), a.final)
+    return _induced(closed, list(_bits(keep)), range(a.alphabet.size))
 
 
 def restrict(a: Nfa, letters) -> Nfa:

@@ -26,6 +26,7 @@ from .language import (
     Dfa,
     Nfa,
     concat,
+    epsilon_free,
     involution_image,
     left_quotient,
     minimal_dfa,
@@ -257,21 +258,22 @@ def verify_semitorees(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
                       j_count: int, p: SandwichMatrix,
                       rng: random.Random | None = None) -> VerificationReport:
     """Loop problem of M(S; I, J; P) against the Kleene closure of the
-    transducer image of the loop problem of S; the non-returning loop
-    language K is checked against the image as well."""
+    transducer image of the loop problem of S, closed once by epsilon_free;
+    the non-returning loop language K is checked against it as well."""
     t0 = time.perf_counter()
     m, rs = rees_matrix(s, i_count, j_count, p, with_zero=False)
     tau = full_generator_map(m)
     trans = build_rees_transducer(gmap, rs, tau, choose_words(gmap, rng))
     la_m = loop_automaton(tau)
     image = t_apply(trans, loop_problem(gmap))
-    k_sep = shortest_separator(non_returning_language(la_m), image)
-    lhs = la_m.nfa
-    rhs = star(image)
-    return _finish("semitorees", lhs, rhs,
+    closed = epsilon_free(image)
+    k_sep = shortest_separator(non_returning_language(la_m), closed)
+    return _finish("semitorees", la_m.nfa, star(closed),
                    [("K=image", k_sep is None, _render(la_m.alphabet, k_sep))],
                    {"order": s.order, "m_order": m.order,
                     "transducer_states": trans.n_states,
+                    "image_states": image.n_states,
+                    "closed_image_states": closed.n_states,
                     "transducer_edges": len(trans.edges),
                     "randomized": rng is not None}, t0)
 

@@ -15,6 +15,7 @@ from reesloop.language import (
     determinize,
     empty_nfa,
     enumerate_words,
+    epsilon_free,
     equivalent,
     factor_closure,
     format_automaton,
@@ -37,6 +38,7 @@ from reesloop.language import (
     trim,
     union,
     word_set_nfa,
+    _bits,
     _core,
     _mask,
     _union,
@@ -515,14 +517,19 @@ def test_nfa_separator_is_the_separator_of_the_full_dfas(a, b):
     assert shortest_separator(a, determinize(a)) is None
 
 
-def rees_probe_star_image():
-    """star(image) for semitorees c3, I = J = 2, P = g2,g2;g,e."""
+def rees_probe_image():
+    """The transducer image for semitorees c3, I = J = 2, P = g2,g2;g,e."""
     c3 = NAMED_SEMIGROUPS["c3"]()
     gmap = full_generator_map(c3)
     p = sandwich([[c3.index(v) for v in row] for row in (("g2", "g2"), ("g", "e"))])
     m, rs = rees_matrix(c3, 2, 2, p, with_zero=False)
     trans = build_rees_transducer(gmap, rs, full_generator_map(m))
-    return star(apply(trans, loop_problem(gmap)))
+    return apply(trans, loop_problem(gmap))
+
+
+def rees_probe_star_image():
+    """star(image) for semitorees c3, I = J = 2, P = g2,g2;g,e."""
+    return star(rees_probe_image())
 
 
 def test_rees_probe_subsets_with_and_without_silent_states():
@@ -583,6 +590,92 @@ def assert_core_is_the_reference(a, keep_silent):
             want = _mask(ref_close(moves, moves.get((p, x), ())) & keep)
             assert row >> x * n & (1 << n) - 1 == want
         assert row >> a.alphabet.size * n == 0
+
+
+# -- the epsilon-free form -------------------------------------------------------
+#
+# epsilon_free keeps the live states: the greatest set of states each final
+# or with a closed letter move into the set.  Every state with a letter move
+# or final is live unless its letter moves all end in states that are not.
+
+def ref_live(a):
+    moves = ref_moves(a)
+    closed = {(p, x): ref_close(moves, qs) for (p, x), qs in moves.items()
+              if x is not None}
+    live = set(range(a.n_states))
+    while True:
+        kept = {p for p in live if p in a.final
+                or any(p == q and succ & live for (q, _x), succ in closed.items())}
+        if kept == live:
+            return live, closed
+        live = kept
+
+
+# a state whose only letter move ends in a dead end, which is not final
+DEAD_END = Nfa(Y, 4, frozenset({(0, 0, 1), (1, 1, 2), (0, None, 3), (3, 2, 0)}),
+               frozenset({0}), frozenset({3}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_nfa)
+# an epsilon cycle, the empty language, a final state whose only moves are
+# epsilon moves, and a chain of letter moves into a dead end
+@example(Nfa(Y, 4, frozenset({(0, None, 1), (1, None, 0), (1, 0, 0), (1, 1, 2),
+                              (2, None, 2), (2, None, 3), (3, None, 1), (3, 2, 3)}),
+             frozenset({0}), frozenset({2})))
+@example(Nfa(Y, 3, frozenset({(0, None, 1), (1, None, 2), (2, None, 0), (1, 0, 0)}),
+             frozenset({0}), frozenset({2})))
+@example(Nfa(Y, 2, frozenset({(0, 0, 1)}), frozenset({0}), frozenset()))
+@example(Nfa(Y, 0, frozenset(), frozenset(), frozenset()))
+@example(Nfa(Y, 3, frozenset({(0, 1, 1), (1, None, 1), (1, None, 2), (2, 0, 0)}),
+             frozenset({0}), frozenset({1})))
+@example(DEAD_END)
+def test_epsilon_free_keeps_the_live_states_with_their_closed_rows(a):
+    live, closed = ref_live(a)
+    e = epsilon_free(a)
+    assert e.n_states == max(1, len(live))
+    assert not any(e.eps)
+    moves = ref_moves(a)
+    assert live <= {p for p, x in moves if x is not None} | a.final
+    idx = {p: i for i, p in enumerate(sorted(live))}
+    n = e.n_states
+
+    def renumbered(states):
+        return _mask(idx[q] for q in states & live)
+
+    assert e.initial == set(_bits(renumbered(ref_close(moves, a.initial))))
+    assert e.final == {idx[q] for q in a.final}
+    for p, i in idx.items():
+        # no silent state: each is final or has a letter move
+        assert e.rows[i] or i in e.final
+        for x in range(a.alphabet.size):
+            want = renumbered(closed.get((p, x), set()))
+            assert e.rows[i] >> x * n & (1 << n) - 1 == want
+        assert e.rows[i] >> a.alphabet.size * n == 0
+    if not live:  # the one state of the empty language
+        assert e.rows == (0,) and not e.initial and not e.final
+    assert ref_words(e) == ref_words(a)
+    assert shortest_separator(a, e) is None
+    assert epsilon_free(e) == e
+
+
+def test_epsilon_free_drops_the_states_that_fall_silent():
+    # state 1 reads y into the dead end 2, so once closed it is silent;
+    # then so is 0, whose only letter move reads x into 1
+    e = epsilon_free(DEAD_END)
+    assert e == Nfa(Y, 1, frozenset({(0, 2, 0)}), frozenset({0}), frozenset({0}))
+    assert words(e, 4) == words(DEAD_END, 4)
+
+
+def test_epsilon_free_closes_the_rees_probe_image():
+    # 17 of the image's 357 states have a letter move and one is final
+    image = rees_probe_image()
+    closed = epsilon_free(image)
+    assert (image.n_states, closed.n_states) == (357, 18)
+    assert not any(closed.eps)
+    raw = minimal_dfa(star(image))
+    assert minimal_dfa(star(closed)) == raw and raw.n_states == 132
+    assert shortest_separator(image, closed) is None
 
 
 # -- packed rows ------------------------------------------------------------------

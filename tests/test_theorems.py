@@ -7,8 +7,10 @@ import pytest
 from reesloop import language, semigroup, theorems
 from reesloop.cli import _sandwiches, iter_instances, run_job
 from reesloop.language import (HatAlphabet, empty_nfa, factor_closure, member,
-                               relabel, sub_hat_letters, union, word_set_nfa)
-from reesloop.loops import loop_automaton, loop_problem, path_language
+                               relabel, shortest_separator, star, sub_hat_letters,
+                               union, word_set_nfa)
+from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
+                            path_language)
 from reesloop.semigroup import (
     NAMED_SEMIGROUPS,
     NotAnIdeal,
@@ -47,6 +49,7 @@ from reesloop.theorems import (
     verify_subsemigroup_intersection,
     verify_unit_sandwich,
 )
+from reesloop.transduce import apply, build_rees_transducer, choose_words
 
 from test_language import dfa_product_separator
 from test_semigroup import break_morphism_check
@@ -260,6 +263,38 @@ class TestSemitorees:
                                 2, 2, sandwich([[0, 1], [1, 0]]),
                                 rng=random.Random(11))
         assert rep.holds and rep.stats["randomized"]
+
+
+def raw_image_semitorees(s, gmap, i_count, j_count, p, rng=None):
+    """verify_semitorees as it was before the image was closed once, kept
+    as a reference: the K check and the star read the raw image."""
+    t0 = time.perf_counter()
+    m, rs = rees_matrix(s, i_count, j_count, p, with_zero=False)
+    tau = full_generator_map(m)
+    trans = build_rees_transducer(gmap, rs, tau, choose_words(gmap, rng))
+    la_m = loop_automaton(tau)
+    image = apply(trans, loop_problem(gmap))
+    k_sep = shortest_separator(non_returning_language(la_m), image)
+    return theorems._finish("semitorees", la_m.nfa, star(image),
+                            [("K=image", k_sep is None,
+                              theorems._render(la_m.alphabet, k_sep))], {}, t0)
+
+
+class TestClosedImage:
+    def test_every_corpus_verdict_is_the_raw_image_verdict(self):
+        jobs = list(iter_instances("semitorees"))
+        assert sum(iid.endswith(":randomrep") for iid, _job in jobs) == 3
+        for iid, (_tag, args) in jobs:
+            *args, seed = args
+            rep, ref = (verify(*args, rng=None if seed is None else random.Random(seed))
+                        for verify in (verify_semitorees, raw_image_semitorees))
+            assert (rep.checks, rep.separator, rep.lhs, rep.rhs) == \
+                (ref.checks, ref.separator, ref.lhs, ref.rhs), iid
+
+    def test_stats_count_the_image_before_and_after_closing(self):
+        job = dict(iter_instances("semitorees"))["c3:I2J2:P=g2,g2;g,e"]
+        rep = verify_semitorees(*job[1][:-1])
+        assert (rep.stats["image_states"], rep.stats["closed_image_states"]) == (357, 18)
 
 
 class TestSemitoreesZero:
