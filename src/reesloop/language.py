@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .semigroup import ParseError, _built
+from .semigroup import _built
 
 
 class LanguageError(ValueError):
@@ -54,7 +54,11 @@ class HatAlphabet:
     base: tuple[str, ...]
 
     def __post_init__(self):
-        _check_symbols(self.base)
+        if len(set(self.base)) != len(self.base):
+            raise LanguageError("alphabet symbols must be distinct")
+        for s in self.base:
+            if not s or s == "-" or s.startswith("~") or any(c.isspace() for c in s):
+                raise LanguageError(f"bad symbol {s!r}")
 
     @property
     def size(self) -> int:
@@ -85,14 +89,6 @@ class HatAlphabet:
             return self.base.index(name)
         except ValueError:
             raise LanguageError(f"unknown symbol {name!r}") from None
-
-
-def _check_symbols(symbols):
-    if len(set(symbols)) != len(symbols):
-        raise LanguageError("alphabet symbols must be distinct")
-    for s in symbols:
-        if not s or s == "-" or s.startswith("~") or any(c.isspace() for c in s):
-            raise LanguageError(f"bad symbol {s!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -482,39 +478,52 @@ def equivalent(a: Nfa | Dfa, b: Nfa | Dfa) -> bool:
     return shortest_separator(a, b) is None
 
 
-def _require_same(a: Nfa, b: Nfa):
-    if a.alphabet != b.alphabet:
+def _require_same(a: Nfa, *rest: Nfa):
+    if any(b.alphabet != a.alphabet for b in rest):
         raise AlphabetMismatch("operands over different alphabets")
 
 
-def _side_by_side(a: Nfa, b: Nfa) -> tuple[int, list[int], list[int]]:
-    """The state count, rows and epsilon masks of a and b as one automaton,
-    b's states numbered after a's."""
-    na, nb = a.n_states, b.n_states
-    n = na + nb
-    rows = [r and _repack(r, na, n) for r in a.rows]
-    rows += [r and _repack(r, nb, n, na) for r in b.rows]
-    return n, rows, list(a.eps) + [e << na for e in b.eps]
+def _side_by_side(parts) -> tuple[int, list[int], list[int], list[int]]:
+    """The state count, rows and epsilon masks of the parts as one automaton,
+    each part's states numbered after those of the parts before it, and the
+    offset of each part's states.  Each part's rows are packed once, to the
+    final width."""
+    n = sum(a.n_states for a in parts)
+    rows, eps, offsets = [], [], []
+    by = 0
+    for a in parts:
+        na = a.n_states
+        rows += [r and _repack(r, na, n, by) for r in a.rows]
+        eps += [e << by for e in a.eps]
+        offsets.append(by)
+        by += na
+    return n, rows, eps, offsets
 
 
-def union(a: Nfa, b: Nfa) -> Nfa:
-    _require_same(a, b)
-    n, rows, eps = _side_by_side(a, b)
-    na = a.n_states
+def union(a: Nfa, *rest: Nfa) -> Nfa:
+    """The union of the operands' languages: their automata side by side,
+    numbered in order, every initial and final state kept."""
+    parts = (a, *rest)
+    _require_same(*parts)
+    n, rows, eps, offsets = _side_by_side(parts)
     return _built(Nfa, a.alphabet, n, tuple(rows), tuple(eps),
-                  a.initial | frozenset(q + na for q in b.initial),
-                  a.final | frozenset(q + na for q in b.final))
+                  frozenset(q + by for b, by in zip(parts, offsets) for q in b.initial),
+                  frozenset(q + by for b, by in zip(parts, offsets) for q in b.final))
 
 
-def concat(a: Nfa, b: Nfa) -> Nfa:
-    _require_same(a, b)
-    n, rows, eps = _side_by_side(a, b)
-    na = a.n_states
-    bridge = _mask(b.initial) << na
-    for f in a.final:
-        eps[f] |= bridge
+def concat(a: Nfa, *rest: Nfa) -> Nfa:
+    """The concatenation of the operands' languages in order: their automata
+    side by side, each part's final states bridged by epsilon moves to the
+    next part's initial states."""
+    parts = (a, *rest)
+    _require_same(*parts)
+    n, rows, eps, offsets = _side_by_side(parts)
+    for b, c, by, to in zip(parts, parts[1:], offsets, offsets[1:]):
+        bridge = _mask(c.initial) << to
+        for f in b.final:
+            eps[f + by] |= bridge
     return _built(Nfa, a.alphabet, n, tuple(rows), tuple(eps), a.initial,
-                  frozenset(q + na for q in b.final))
+                  frozenset(q + offsets[-1] for q in parts[-1].final))
 
 
 def star(a: Nfa) -> Nfa:
@@ -844,6 +853,9 @@ def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
 # -- text format --------------------------------------------------------------
 
 def format_automaton(a: Nfa | Dfa) -> str:
+    """The automaton as text, the output of `reesloop loop`: header lines
+    for the states, alphabet, initial and final states, then one `p x q`
+    line per move, x `-` for epsilon and `~s` for the bar of s."""
     a = as_nfa(a)
     lines = [f"states {a.n_states}"]
     lines.append("alphabet " + " ".join(a.alphabet.base))
@@ -853,79 +865,3 @@ def format_automaton(a: Nfa | Dfa) -> str:
                           key=lambda t: (t[0], -1 if t[1] is None else t[1], t[2])):
         lines.append(f"{p} {'-' if x is None else a.alphabet.name(x)} {q}")
     return "\n".join(lines) + "\n"
-
-
-def _symbols_at(symbols, no: int):
-    try:
-        _check_symbols(symbols)
-    except LanguageError as e:
-        raise ParseError(str(e), no) from None
-
-
-def parse_automaton_text(text: str) -> Nfa:
-    raw = text.splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    n_states = None
-    base: list[str] | None = None
-    ends: dict[str, tuple[int, list[int]]] = {}  # initial/final: line, states
-    trans_lines = []
-    heads: set[str] = set()
-    for no, ln in lines:
-        toks = ln.split()
-        if toks[0] in ("states", "alphabet", "initial", "final"):
-            if toks[0] in heads:
-                raise ParseError(f"repeated {toks[0]} line", no)
-            heads.add(toks[0])
-        if toks[0] == "states":
-            try:
-                n_states = int(toks[1])
-            except (IndexError, ValueError):
-                raise ParseError("bad states line", no) from None
-            if n_states < 0:
-                raise ParseError("state count must be non-negative", no)
-        elif toks[0] == "alphabet":
-            base = toks[1:]
-            _symbols_at(base, no)
-        elif toks[0] in ("initial", "final"):
-            try:
-                ends[toks[0]] = (no, [int(t) for t in toks[1:]])
-            except ValueError:
-                raise ParseError(f"bad state in {toks[0]} line", no) from None
-        elif len(toks) == 3:
-            trans_lines.append((no, toks))
-        else:
-            raise ParseError(f"unexpected line {ln!r}", no)
-    if n_states is None:
-        raise ParseError("missing states line", 1)
-    if base is None:
-        seen = []
-        for no, (_p, sym, _q) in trans_lines:
-            if sym == "-":
-                continue
-            b = sym[1:] if sym.startswith("~") else sym
-            if b not in seen:
-                _symbols_at((b,), no)
-                seen.append(b)
-        base = sorted(seen)
-    alphabet = HatAlphabet(tuple(base))
-    trans = set()
-    for no, (p, sym, q) in trans_lines:
-        try:
-            pi, qi = int(p), int(q)
-        except ValueError:
-            raise ParseError(f"bad state in transition {p} {sym} {q}", no) from None
-        try:
-            letter = None if sym == "-" else alphabet.letter(sym)
-        except LanguageError as e:
-            raise ParseError(str(e), no) from None
-        if not (0 <= pi < n_states and 0 <= qi < n_states):
-            raise ParseError(f"state out of range in {p} {sym} {q}", no)
-        trans.add((pi, letter, qi))
-    for no, states in ends.values():
-        for q in states:
-            if not 0 <= q < n_states:
-                raise ParseError(f"state {q} out of range", no)
-    initial = frozenset(ends.get("initial", (0, ()))[1])
-    final = frozenset(ends.get("final", (0, ()))[1])
-    return Nfa(alphabet, n_states, frozenset(trans), initial, final)
-

@@ -164,7 +164,7 @@ def _quotient_formula_rhs(gmap: GeneratorMap, ideal) -> tuple[Nfa, list]:
     l_1t = right_quotient(l_nfa, r_bar)
     l_t1 = left_quotient(r_nfa, l_nfa)
     l_tt = left_quotient(r_nfa, l_1t)
-    rhs = union(l_nfa, concat(concat(l_1t, star(l_tt)), l_t1))
+    rhs = union(l_nfa, concat(l_1t, star(l_tt), l_t1))
     ident = {la.identity_state}
     checks = []
     for name, formula, frm, to in (("L1T=path(1,T)", l_1t, ident, ideal),
@@ -246,11 +246,11 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     l_big = relabel(loop_problem(gmap), big, sub_hat_letters(big, gmap.alphabet))
     z_nfa = word_set_nfa(big, [(z_letter,)])
     zbar_nfa = word_set_nfa(big, [(big.bar(z_letter),)])
-    bracketed = concat(concat(zbar_nfa, factor_closure(l_big)), z_nfa)
+    bracketed = concat(zbar_nfa, factor_closure(l_big), z_nfa)
     one_letter = word_set_nfa(big, [(x,) for x in range(big.size)])
     middle = star(union(bracketed, one_letter))
-    rhs = union(l_big, concat(concat(concat(concat(
-        prefix_closure(l_big), z_nfa), middle), zbar_nfa), suffix_closure(l_big)))
+    rhs = union(l_big, concat(prefix_closure(l_big), z_nfa, middle, zbar_nfa,
+                              suffix_closure(l_big)))
     return _finish("adjoin-zero", lhs, rhs, [], {"order": s.order}, t0)
 
 

@@ -16,7 +16,8 @@ from reesloop.cli import (
     run_job,
     worker_count,
 )
-from reesloop.language import Nfa, equivalent, member, parse_automaton_text
+from reesloop.language import (Nfa, enumerate_words, equivalent, format_automaton, member,
+                               minimal_dfa)
 from reesloop.loops import loop_problem
 from reesloop.semigroup import (
     NotAnIdeal,
@@ -78,11 +79,12 @@ class TestInfo:
 
 
 class TestLoop:
-    def test_minimal_dfa_output_reparses_and_matches(self, tables):
+    def test_output_is_the_minimal_dfa_of_the_loop_problem(self, tables):
         code, out = run_cli("loop", tables["c2"], "g")
         assert code == 0
-        a = parse_automaton_text(out)
         want = loop_problem(generator_map(cyclic_group(2), ["g"]))
+        a = minimal_dfa(want)
+        assert out == format_automaton(a)
         assert equivalent(a, want)
         x = a.alphabet.letter("g")
         assert member(a, (x, a.alphabet.bar(x)))
@@ -105,7 +107,8 @@ class TestLoop:
     def test_trivial_loop_against_path_enumeration(self, tables):
         code, out = run_cli("loop", tables["triv"])
         assert code == 0
-        a = parse_automaton_text(out)
+        a = minimal_dfa(loop_problem(full_generator_map(trivial_semigroup())))
+        assert out == format_automaton(a)
         x = a.alphabet.letter("e")
         xb = a.alphabet.bar(x)
         # oracle: BFS over the hand-built two-vertex loop automaton
@@ -126,7 +129,6 @@ class TestLoop:
                         if t:
                             nxt[w + (l,)] = t
             level = nxt
-        from reesloop.language import enumerate_words
         assert set(enumerate_words(a, 4)) == want
 
 

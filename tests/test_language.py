@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -25,7 +26,6 @@ from reesloop.language import (
     member,
     minimal_dfa,
     minimize,
-    parse_automaton_text,
     plus,
     prefix_closure,
     relabel,
@@ -46,7 +46,7 @@ from reesloop.language import (
 from reesloop import language
 from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
                             path_language)
-from reesloop.semigroup import (NAMED_SEMIGROUPS, ParseError, _built,
+from reesloop.semigroup import (NAMED_SEMIGROUPS, _built,
                                 full_generator_map, rees_matrix, sandwich)
 from reesloop.transduce import apply, build_rees_transducer
 
@@ -754,6 +754,60 @@ def test_relabel_moves_each_chunk_to_its_letter():
         relabel(EF, wider, [0, 1, 6, 4])
 
 
+# -- the n-ary layout -------------------------------------------------------------
+#
+# union and concat as binary calls, each re-packing both operands' rows to
+# their sum: a left fold of them is the reference for the n-ary layout, which
+# packs every operand once, numbers it after the ones before it and bridges
+# each operand's final states to the next one's initial states.
+
+def ref_side_by_side(a, b):
+    na, nb = a.n_states, b.n_states
+    n = na + nb
+    rows = [r and language._repack(r, na, n) for r in a.rows]
+    rows += [r and language._repack(r, nb, n, na) for r in b.rows]
+    return n, rows, list(a.eps) + [e << na for e in b.eps]
+
+
+def ref_union(a, b):
+    n, rows, eps = ref_side_by_side(a, b)
+    na = a.n_states
+    return _built(Nfa, a.alphabet, n, tuple(rows), tuple(eps),
+                  a.initial | frozenset(q + na for q in b.initial),
+                  a.final | frozenset(q + na for q in b.final))
+
+
+def ref_concat(a, b):
+    n, rows, eps = ref_side_by_side(a, b)
+    na = a.n_states
+    bridge = _mask(b.initial) << na
+    for f in a.final:
+        eps[f] |= bridge
+    return _built(Nfa, a.alphabet, n, tuple(rows), tuple(eps), a.initial,
+                  frozenset(q + na for q in b.final))
+
+
+# NONE has no state at all; empty_nfa and many drawn automata accept nothing
+layout_operand = st.one_of(any_nfa, st.just(empty_nfa(Y)), st.just(NONE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(layout_operand, min_size=1, max_size=4))
+def test_union_and_concat_equal_the_left_fold_of_binary_calls(parts):
+    for combine, ref in ((union, ref_union), (concat, ref_concat)):
+        got, want = combine(*parts), functools.reduce(ref, parts)
+        assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("at", range(4))
+def test_any_operand_over_another_alphabet_is_a_mismatch(at):
+    parts = [EF, EH, ONE, word_set_nfa(Y, [(0, 3)])]
+    parts[at] = word_set_nfa(X, [(x,)])
+    for combine in (union, concat):
+        with pytest.raises(AlphabetMismatch):
+            combine(*parts)
+
+
 # -- the tuple-row reference ------------------------------------------------------
 #
 # The subset construction as it ran on one tuple of per-letter masks per
@@ -1277,66 +1331,12 @@ def test_the_first_bad_triple_gives_its_message(moves, initial, message):
 
 
 class TestTextFormat:
-    def test_roundtrip(self):
+    def test_writer_pins_every_token(self):
         a = Nfa(HatAlphabet(("x", "y")), 3,
                 frozenset({(0, 0, 1), (1, 2, 2), (2, None, 0)}),
                 frozenset({0}), frozenset({2}))
-        back = parse_automaton_text(format_automaton(a))
-        assert back == a
-
-    def test_parse_with_inferred_alphabet(self):
-        text = "states 2\ninitial 0\nfinal 1\n0 x 1\n1 ~x 0\n"
-        a = parse_automaton_text(text)
-        assert a.alphabet == HatAlphabet(("x",))
-        assert member(a, (a.alphabet.letter("x"),))
-
-    def test_epsilon_and_bar_tokens(self):
-        text = "states 2\nalphabet x\ninitial 0\nfinal 1\n0 - 1\n1 ~x 1\n"
-        a = parse_automaton_text(text)
-        assert member(a, ())
-        assert member(a, (a.alphabet.letter("~x"),))
-
-    @pytest.mark.parametrize("text, line, message", [
-        ("states 2\ninitial x\nfinal 1\n", 2, "bad state in initial line"),
-        ("states 2\ninitial 0\n\nfinal 1 y\n", 4, "bad state in final line"),
-        ("states 2\ninitial 0\nfinal 5\n", 3, "state 5 out of range"),
-        ("initial 2\nstates 2\nfinal 1\n", 1, "state 2 out of range"),
-        ("states 2\nalphabet x\n\ninitial -1\n0 x 1\n", 4,
-         "state -1 out of range"),
-    ])
-    def test_bad_initial_or_final_line_is_a_parse_error_at_its_line(
-            self, text, line, message):
-        with pytest.raises(ParseError) as err:
-            parse_automaton_text(text)
-        assert err.value.line == line
-        assert str(err.value) == f"Parse error at line {line}: {message}"
-
-    @pytest.mark.parametrize("text, line, message", [
-        ("states 2\nalphabet x\ninitial 0\nfinal 1\n0 x 1\n\n1 q 0\n", 7,
-         "unknown symbol 'q'"),
-        ("states 2\nalphabet x\n1 ~q 0\n", 3, "unknown symbol 'q'"),
-        ("states 2\n\nalphabet x y x\n0 x 1\n", 3,
-         "alphabet symbols must be distinct"),
-        ("states -1\nalphabet x\n", 1, "state count must be non-negative"),
-        ("alphabet x\n\nstates -3\n", 3, "state count must be non-negative"),
-    ])
-    def test_bad_alphabet_symbol_or_state_count_is_a_parse_error_at_its_line(
-            self, text, line, message):
-        with pytest.raises(ParseError) as err:
-            parse_automaton_text(text)
-        assert err.value.line == line
-        assert str(err.value) == f"Parse error at line {line}: {message}"
-
-    @pytest.mark.parametrize("text, line, key", [
-        ("states 2\nstates 3\n", 2, "states"),
-        ("states 1\nalphabet x\n\nalphabet y\n", 4, "alphabet"),
-        ("states 2\ninitial 0\nfinal 1\ninitial 1\n", 4, "initial"),
-        ("final 1\nstates 2\n0 x 1\nfinal 0\n", 4, "final"),
-    ])
-    def test_repeated_header_line_is_a_parse_error_at_the_repeat(self, text, line, key):
-        with pytest.raises(ParseError) as err:
-            parse_automaton_text(text)
-        assert str(err.value) == f"Parse error at line {line}: repeated {key} line"
+        assert format_automaton(a) == ("states 3\nalphabet x y\ninitial 0\nfinal 2\n"
+                                       "0 x 1\n1 ~x 2\n2 - 0\n")
 
     def test_negative_state_count_is_rejected(self):
         with pytest.raises(LanguageError, match="state count must be non-negative"):
