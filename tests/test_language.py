@@ -78,6 +78,31 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             HatAlphabet(("~x",))
 
+    # a symbol that is empty, `-`, starts with `~` or holds whitespace would
+    # make the automaton text ambiguous: `-` is epsilon, `~s` the bar of s
+    @pytest.mark.parametrize("base, message", [
+        (("x", "y", "x"), "alphabet symbols must be distinct"),
+        (("",), "bad symbol ''"),
+        (("-",), "bad symbol '-'"),
+        (("x", "~y"), "bad symbol '~y'"),
+        (("a b",), "bad symbol 'a b'"),
+        (("x\t",), "bad symbol 'x\\t'"),
+    ])
+    def test_a_bad_alphabet_gives_its_message(self, base, message):
+        with pytest.raises(LanguageError) as err:
+            HatAlphabet(base)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["q", "~q", "~", "~~x", ""])
+    def test_an_unknown_name_gives_its_message(self, name):
+        with pytest.raises(LanguageError) as err:
+            X.letter(name)
+        assert str(err.value) == f"unknown symbol {name.removeprefix('~')!r}"
+
+    def test_letter_inverts_name(self):
+        a = HatAlphabet(("x", "yy", "z1"))
+        assert [a.letter(a.name(i)) for i in range(a.size)] == list(range(a.size))
+
 
 class TestBasics:
     def test_member_single_word(self):
@@ -1330,6 +1355,17 @@ def test_the_first_bad_triple_gives_its_message(moves, initial, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("initial, final, message", [
+    ({-1}, {1}, "state -1 out of range"),
+    ({0}, {5}, "state 5 out of range"),
+    ({2}, set(), "state 2 out of range"),
+])
+def test_an_initial_or_final_state_out_of_range_gives_its_message(initial, final, message):
+    with pytest.raises(LanguageError) as err:
+        Nfa(Y, 2, (), initial, final)
+    assert str(err.value) == message
+
+
 class TestTextFormat:
     def test_writer_pins_every_token(self):
         a = Nfa(HatAlphabet(("x", "y")), 3,
@@ -1337,6 +1373,31 @@ class TestTextFormat:
                 frozenset({0}), frozenset({2}))
         assert format_automaton(a) == ("states 3\nalphabet x y\ninitial 0\nfinal 2\n"
                                        "0 x 1\n1 ~x 2\n2 - 0\n")
+
+    def test_writer_on_an_automaton_without_states(self):
+        assert format_automaton(NONE) == "states 0\nalphabet x y\ninitial \nfinal \n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_nfa)
+    def test_writer_lists_each_move_once_in_order(self, a):
+        lines = format_automaton(a).splitlines()
+        head = [line.split(" ") for line in lines[:4]]
+        assert [h[0] for h in head] == ["states", "alphabet", "initial", "final"]
+        assert int(head[0][1]) == a.n_states
+        assert tuple(head[1][1:]) == a.alphabet.base
+        assert [int(q) for q in head[2][1:] if q] == sorted(a.initial)
+        assert [int(q) for q in head[3][1:] if q] == sorted(a.final)
+        # each move line names its letter as the alphabet does, `-` for epsilon
+        back = [(int(p), None if x == "-" else a.alphabet.letter(x), int(q))
+                for p, x, q in (line.split(" ") for line in lines[4:])]
+        assert len(back) == len(set(back)) and set(back) == a.transitions
+        key = lambda t: (t[0], -1 if t[1] is None else t[1], t[2])
+        assert back == sorted(back, key=key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partial_dfa)
+    def test_writer_on_a_dfa_writes_it_as_an_nfa(self, d):
+        assert format_automaton(d) == format_automaton(as_nfa(d))
 
     def test_negative_state_count_is_rejected(self):
         with pytest.raises(LanguageError, match="state count must be non-negative"):
