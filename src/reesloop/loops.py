@@ -3,7 +3,8 @@
 The loop automaton of a semigroup S with generator choice sigma is the Cayley
 graph of S^1 under the lifted monoid choice, doubled with an inverse edge
 x-bar for every edge x, viewed as an acceptor with the identity as the only
-initial and final state.
+initial and final state.  One writer, table_loop_nfa, packs each of them
+from a table onto given letters, S^1's fresh identity a rule, not a table.
 """
 
 from __future__ import annotations
@@ -47,42 +48,67 @@ class LoopAutomaton:
         return self.nfa.alphabet
 
 
+def table_loop_nfa(target: FiniteSemigroup, image, alphabet: HatAlphabet, letters,
+                   monoid: bool = False, both: bool = False) -> Nfa:
+    """Loop automaton of the images `image` in target, packed from the table
+    over alphabet: a --x--> b and b --x-bar--> a whenever a.(x sigma) = b,
+    image i on letters[i] and its bar on letters[k + i], k = len(image).
+    The monoid is target when `monoid`, else target with a fresh identity
+    (state target.order, 1.g = g, no table of S^1).  The states are the
+    vertices reached from the identity along positive moves, or along moves
+    of both kinds when `both`, in sorted order."""
+    ident = target.identity if monoid else target.order
+    table = target.table if monoid else target.table + (range(ident),)
+    if both:
+        near = [[row[g] for g in image] for row in table]
+        for a, row in enumerate(table):
+            for g in image:
+                near[row[g]].append(a)
+    seen, todo = {ident}, [ident]
+    while todo and len(seen) < len(table):
+        a = todo.pop()
+        for b in near[a] if both else map(table[a].__getitem__, image):
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    n, k = len(seen), len(image)
+    if n < len(table):  # renumber the kept vertices in sorted order
+        idx = {v: i for i, v in enumerate(sorted(seen))}
+        table = [[idx[row[g]] for g in image] for row in map(table.__getitem__, idx)]
+        image, ident = range(k), idx[ident]
+    moves = [(g, 1 << x * n, 1 << y * n) for g, x, y in zip(image, letters[:k], letters[k:])]
+    rows = [0] * n
+    for a, row in enumerate(table):
+        bits = 0
+        for g, fwd, back in moves:
+            b = row[g]
+            bits |= fwd << b
+            rows[b] |= back << a
+        rows[a] |= bits
+    start = frozenset({ident})
+    return _built(Nfa, alphabet, n, tuple(rows), (0,) * n, start, start)
+
+
+def loop_problem(gmap: GeneratorMap) -> Nfa:
+    """The language recognised by the loop automaton, written from gmap's
+    own table: a semigroup map gets its fresh identity without S^1."""
+    alphabet = HatAlphabet(tuple(gmap.alphabet))
+    return table_loop_nfa(gmap.target, gmap.image, alphabet, range(alphabet.size),
+                          gmap.monoid)
+
+
 def monoid_loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
-    """Loop automaton of a monoid with its own designated identity, read off
-    the table into packed rows: a --x--> b and b --x-bar--> a whenever
-    a.(x sigma) = b, so row a holds bit x*n + b and row b bit (x+k)*n + a,
-    n = |M| and k = |X|.  It has no epsilon moves."""
+    """Loop automaton of a monoid with its own designated identity."""
     m = gmap.target
     if m.identity is None or not gmap.monoid:
         raise NoIdentity("monoid_loop_automaton needs a monoid generator map")
-    alphabet = HatAlphabet(tuple(gmap.alphabet))
-    n, k = m.order, len(gmap.alphabet)
-    rows = [0] * n
-    for a, row in enumerate(m.table):
-        out = shift = 0
-        back = 1 << (k * n + a)  # b --x-bar--> a for the first letter x
-        for g in gmap.image:
-            b = row[g]
-            out |= 1 << (shift + b)
-            rows[b] |= back << shift
-            shift += n
-        rows[a] |= out
-    ident = m.identity
-    nfa = _built(Nfa, alphabet, n, tuple(rows), (0,) * n,
-                 frozenset({ident}), frozenset({ident}))
-    return LoopAutomaton(nfa, m, gmap, ident)
+    return LoopAutomaton(loop_problem(gmap), m, gmap, m.identity)
 
 
 def loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
     """Loop automaton of a semigroup: a fresh identity is always adjoined,
     even when the target happens to be a monoid."""
     return monoid_loop_automaton(lift_to_monoid(gmap))
-
-
-def loop_problem(gmap: GeneratorMap) -> Nfa:
-    """The language recognised by the loop automaton."""
-    la = monoid_loop_automaton(gmap) if gmap.monoid else loop_automaton(gmap)
-    return la.nfa
 
 
 def path_language(la: LoopAutomaton, sources, targets) -> Nfa:

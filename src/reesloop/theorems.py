@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .language import (
     Dfa,
+    HatAlphabet,
     Nfa,
     concat,
     epsilon_free,
@@ -32,7 +33,6 @@ from .language import (
     minimal_dfa,
     prefix_closure,
     relabel,
-    restrict,
     right_quotient,
     shortest_separator,
     star,
@@ -42,12 +42,11 @@ from .language import (
     union,
     word_set_nfa,
 )
-from .loops import loop_automaton, loop_problem, non_returning_language, path_language
+from .loops import loop_automaton, loop_problem, non_returning_language, path_language, table_loop_nfa
 from .semigroup import (
     FiniteSemigroup,
     GeneratorMap,
     NoIdentity,
-    NotGenerating,
     SandwichMatrix,
     SemigroupError,
     ZERO,
@@ -55,7 +54,6 @@ from .semigroup import (
     _fresh_label,
     _is_morphism,
     _subsemigroup_set,
-    _subtable,
     _weakly_pru,
     adjoin_zero,
     all_subsemigroups,
@@ -188,20 +186,27 @@ def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> Verif
                    {"order": s.order, "ideal_size": len(tset)}, t0)
 
 
-def _restriction_sides(tau: GeneratorMap, sub: GeneratorMap, x_symbols) -> tuple[Nfa, Nfa]:
-    """L(sub) on tau's alphabet, its generators read as x_symbols, and
-    L(tau) /\\ X-hat-star: the two sides of the restriction identity."""
-    l_tau = loop_problem(tau)
-    big = l_tau.alphabet
+def _restriction_sides(tau: GeneratorMap, x_symbols, base: FiniteSemigroup,
+                       base_image=None, monoid: bool = False) -> tuple[Nfa, Nfa]:
+    """Both sides of the restriction identity over tau's hat alphabet, X's
+    generator i on the letter of x_symbols[i]: the images base_image (X's
+    under tau by default) in base on their positive reach, and
+    L(tau) /\\ X-hat-star, tau's automaton on X's letters and their reach."""
+    big = HatAlphabet(tau.alphabet)
     letters = sub_hat_letters(big, x_symbols)
-    return relabel(loop_problem(sub), big, letters), restrict(l_tau, letters)
+    x_image = [tau.image[x] for x in letters[:len(x_symbols)]]
+    lhs = table_loop_nfa(base, x_image if base_image is None else base_image,
+                         big, letters, monoid)
+    return lhs, table_loop_nfa(tau.target, x_image, big, letters, tau.monoid, both=True)
 
 
 def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
                                      tset, x_symbols,
                                      require_hypothesis: bool = True) -> VerificationReport:
     """L_sigma(T) = L_tau(S) /\\ X-hat-star for a weakly pseudo-right-unitary
-    subsemigroup T generated by the restriction of tau to X."""
+    subsemigroup T generated by the restriction of tau to X.  T^1's loop
+    automaton is S^1's on the vertices X's images reach: T and 1 exactly
+    when X generates T."""
     t0 = time.perf_counter()
     tset = _subsemigroup_set(s, tset)  # the one closure check
     wpru = _weakly_pru(s.table, tset)
@@ -213,15 +218,11 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
             raise RestrictionNotOntoT(f"symbol {sym!r} is not a generator of S")
         if tau.image[tau.alphabet.index(sym)] not in tset:
             raise RestrictionNotOntoT(f"generator {sym!r} maps outside T")
-    tsub, emb = _subtable(s, tset)
-    back = {v: i for i, v in enumerate(emb)}
-    try:
-        sigma = GeneratorMap(x_symbols, tsub,
-                             tuple(back[tau.image[tau.alphabet.index(sym)]]
-                                   for sym in x_symbols))
-    except NotGenerating:
-        raise RestrictionNotOntoT("restricted generators do not generate T") from None
-    lhs, rhs = _restriction_sides(tau, sigma, x_symbols)
+    if len(set(x_symbols)) != len(x_symbols):
+        raise SemigroupError("alphabet symbols must be distinct")
+    lhs, rhs = _restriction_sides(tau, x_symbols, s)
+    if lhs.n_states != len(tset) + 1:
+        raise RestrictionNotOntoT("restricted generators do not generate T")
     return _finish("subsemigroup", lhs, rhs, [],
                    {"order": s.order, "t_size": len(tset), "weakly_pru": wpru}, t0)
 
@@ -363,7 +364,7 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     y_symbols = x_symbols + m.labels
     tau = GeneratorMap(y_symbols, m,
                        tuple(rho[v] for v in gmap.image) + tuple(range(m.order)))
-    lhs, rhs = _restriction_sides(tau, gmap, x_symbols)
+    lhs, rhs = _restriction_sides(tau, x_symbols, gmap.target, gmap.image, gmap.monoid)
     return _finish("unit-sandwich", lhs, rhs,
                    [("column-weakly-pru", is_weakly_pru(m, tset), None)],
                    {"order": s.order, "m_order": m.order, "column": (i0, j0)}, t0)

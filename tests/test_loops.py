@@ -3,7 +3,17 @@ import re
 
 import pytest
 
-from reesloop.language import HatAlphabet, Nfa, enumerate_words, equivalent, member, prefix_closure
+from reesloop.language import (
+    HatAlphabet,
+    Nfa,
+    enumerate_words,
+    equivalent,
+    member,
+    prefix_closure,
+    relabel,
+    restrict,
+    sub_hat_letters,
+)
 from reesloop.loops import (
     EmptyVertexSet,
     LoopAutomaton,
@@ -15,6 +25,7 @@ from reesloop.loops import (
     monoid_loop_automaton,
     non_returning_language,
     path_language,
+    table_loop_nfa,
     zigzag_factor,
     zigzag_witness,
 )
@@ -25,6 +36,7 @@ from reesloop.semigroup import (
     NoIdentity,
     _built,
     adjoin_zero,
+    all_subsemigroups,
     cyclic_group,
     enumerate_semigroups,
     full_generator_map,
@@ -32,8 +44,10 @@ from reesloop.semigroup import (
     lift_to_monoid,
     rees_matrix,
     sandwich,
+    subsemigroup,
     trivial_semigroup,
 )
+from reesloop.theorems import extend_to_zero
 
 
 def bfs_words(transitions, n_states, initial, final, alphabet_size, max_len):
@@ -154,6 +168,7 @@ class TestLoopAutomaton:
                 want = cayley_loop_automaton(lifted)
                 assert loop_automaton(gmap) == want
                 assert monoid_loop_automaton(lifted) == want
+                assert loop_problem(gmap) == want.nfa  # S^1 by the rule, no table
                 monoid = own_identity_map(s)
                 if monoid is not None:
                     own += 1
@@ -206,6 +221,68 @@ class TestLoopProblem:
     def test_words_to_length_two(self):
         lp, x, xb = self.c2_instance()
         assert enumerate_words(lp, 2) == [(), (x, xb)]
+
+
+def generated(s, gens):
+    """The elements of s that products of the elements gens reach."""
+    out, todo = set(gens), list(gens)
+    while todo:
+        row = s.table[todo.pop()]
+        for g in gens:
+            if row[g] not in out:
+                out.add(row[g])
+                todo.append(row[g])
+    return out
+
+
+class TestTableWriter:
+    """table_loop_nfa against the compositions it replaces, by ==.  From a
+    fresh identity, the positive reach of X's images is the loop automaton
+    of T^1, T the subsemigroup X generates, moved onto tau's letters by
+    relabel; the reach along moves of both kinds is L(tau) cut to X's
+    letters by restrict.  loop_problem, the writer on all of a map's
+    letters, is pinned to loop_automaton in TestLoopAutomaton."""
+
+    @staticmethod
+    def sides(tau, x_symbols):
+        """(written, reference) left sides and right sides."""
+        big = HatAlphabet(tau.alphabet)
+        letters = sub_hat_letters(big, x_symbols)
+        image = [tau.image[tau.alphabet.index(x)] for x in x_symbols]
+        tsub, emb = subsemigroup(tau.target, generated(tau.target, image))
+        sigma = GeneratorMap(tuple(x_symbols), tsub, tuple(emb.index(g) for g in image))
+        return ((table_loop_nfa(tau.target, image, big, letters),
+                 relabel(loop_problem(sigma), big, letters)),
+                (table_loop_nfa(tau.target, image, big, letters, tau.monoid, both=True),
+                 restrict(loop_problem(tau), letters)))
+
+    def test_every_subsemigroup_up_to_order_three(self):
+        checked = short = 0
+        for n in (1, 2, 3):
+            for s in enumerate_semigroups(n):
+                for tau in filter(None, (full_generator_map(s), own_identity_map(s))):
+                    for tset in all_subsemigroups(s):
+                        labels = [s.labels[v] for v in sorted(tset)]
+                        for xs in [labels] + [[x] for x in labels]:
+                            for written, want in self.sides(tau, xs):
+                                assert written == want
+                            checked += 1
+                            short += len(generated(s, [s.index(x) for x in xs])) < len(tset)
+        assert (checked, short) == (2184, 930)
+
+    def test_s_inside_s_zero_and_monoid_maps(self):
+        cases = []
+        for n in (1, 2, 3):
+            for s in enumerate_semigroups(n):
+                tau = extend_to_zero(full_generator_map(s))
+                cases.append((tau, tau.alphabet[:-1]))
+        for name in ("c2", "c3"):
+            c = NAMED_SEMIGROUPS[name]()
+            cases.append((GeneratorMap(("g",), c, (c.index("g"),), monoid=True), ("g",)))
+        for tau, xs in cases:
+            for written, want in self.sides(tau, xs):
+                assert written == want
+        assert len(cases) == 122 + 2
 
 
 class TestPathLanguage:

@@ -520,8 +520,26 @@ class TestFormulaMutations:
                           "(1,e,1).~(1,e,1).(2,e,1).~(2,e,1)")
         assert member(rep.lhs, rep.separator)
 
+    @staticmethod
+    def _whole_l_tau(monkeypatch):
+        """Widen the right side of the restriction identity to the whole
+        L(tau): the writer's reach along moves of both kinds becomes tau's
+        loop automaton on every letter and vertex.  Outside X, tau's
+        generators are the elements their symbols name, in both corpora."""
+        real = theorems.table_loop_nfa
+
+        def widened(target, image, alphabet, letters, monoid=False, both=False):
+            if not both:
+                return real(target, image, alphabet, letters, monoid)
+            x_image = dict(zip(letters, image))
+            every = [x_image[x] if x in x_image else target.index(sym)
+                     for x, sym in enumerate(alphabet.base)]
+            return real(target, every, alphabet, range(alphabet.size), monoid)
+
+        monkeypatch.setattr(theorems, "table_loop_nfa", widened)
+
     def test_subsemigroup_needs_the_restriction_to_x(self, monkeypatch):
-        monkeypatch.setattr(theorems, "restrict", lambda a, letters: a)
+        self._whole_l_tau(monkeypatch)
         self._fails("subsemigroup", "n2i0:T=s0", 2,
                     theorems.verify_subsemigroup_intersection, "s1.~s1")
 
@@ -532,7 +550,7 @@ class TestFormulaMutations:
                     "(1,0,1).~(1,e,2).(1,e,1).~(1,e,2).(1,e,1).~(1,0,2)")
 
     def test_unit_sandwich_needs_the_restriction_to_the_base_letters(self, monkeypatch):
-        monkeypatch.setattr(theorems, "restrict", lambda a, letters: a)
+        self._whole_l_tau(monkeypatch)
         self._fails("unit-sandwich", "c2:I1J1:P=g", 1,
                     theorems.verify_unit_sandwich, "e.~(1,g,1)")
 
@@ -751,3 +769,10 @@ class TestGates:
                           (frozenset(range(s.order)), theorems.RestrictionNotOntoT)):
             with pytest.raises(err):
                 verify_subsemigroup_intersection(s, tau, tset, bad_symbols)
+
+    def test_symbols_that_do_not_generate_t(self):
+        # e maps into T = {e, g} of C2 but generates only {e}
+        s = cyclic_group(2)
+        with pytest.raises(theorems.RestrictionNotOntoT) as err:
+            verify_subsemigroup_intersection(s, full_generator_map(s), {0, 1}, ("e",))
+        assert str(err.value) == "restricted generators do not generate T"
