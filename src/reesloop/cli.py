@@ -408,10 +408,9 @@ def _gen_map(s: FiniteSemigroup, labels) -> GeneratorMap:
 def cmd_loop(args) -> int:
     s = _load_table(args.table)
     gmap = _gen_map(s, args.generators)
-    la = loop_automaton(gmap)
     if args.dot:
-        Path(args.dot).write_text(loop_automaton_dot(la))
-    _emit(format_automaton(minimal_dfa(la.nfa)), args.output)
+        Path(args.dot).write_text(loop_automaton_dot(gmap))
+    _emit(format_automaton(minimal_dfa(loop_automaton(gmap))), args.output)
     return 0
 
 

@@ -3,20 +3,20 @@
 The loop automaton of a semigroup S with generator choice sigma is the Cayley
 graph of S^1 under the lifted monoid choice, doubled with an inverse edge
 x-bar for every edge x, viewed as an acceptor with the identity as the only
-initial and final state.  One writer, table_loop_nfa, packs each of them
-from a table onto given letters, S^1's fresh identity a rule, not a table.
+initial and final state.  Every loop automaton is an Nfa, and one writer,
+table_loop_nfa, packs each of them from a table onto given letters, S^1's
+fresh identity a rule, not a table.  The identity is the Nfa's one initial
+state; only the DOT export and zigzag_witness, which name S^1's elements,
+lift the map to S^1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .language import HatAlphabet, Nfa, _repack
 from .semigroup import (
     FiniteSemigroup,
     GeneratorMap,
     IndexOutOfRange,
-    NoIdentity,
     _built,
     lift_to_monoid,
 )
@@ -32,20 +32,6 @@ class EmptyVertexSet(LoopError):
 
 class NotInLoopProblem(LoopError):
     pass
-
-
-@dataclass(frozen=True)
-class LoopAutomaton:
-    """Doubled Cayley graph of a monoid, accepting loops at the identity."""
-
-    nfa: Nfa
-    monoid: FiniteSemigroup
-    gen_map: GeneratorMap  # monoid-level map whose Cayley graph this is
-    identity_state: int
-
-    @property
-    def alphabet(self) -> HatAlphabet:
-        return self.nfa.alphabet
 
 
 def table_loop_nfa(target: FiniteSemigroup, image, alphabet: HatAlphabet, letters,
@@ -92,47 +78,40 @@ def table_loop_nfa(target: FiniteSemigroup, image, alphabet: HatAlphabet, letter
 def loop_problem(gmap: GeneratorMap) -> Nfa:
     """The language recognised by the loop automaton, written from gmap's
     own table: a semigroup map gets its fresh identity without S^1."""
-    alphabet = HatAlphabet(tuple(gmap.alphabet))
+    alphabet = HatAlphabet(gmap.alphabet)
     return table_loop_nfa(gmap.target, gmap.image, alphabet, range(alphabet.size),
                           gmap.monoid)
 
 
-def monoid_loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
-    """Loop automaton of a monoid with its own designated identity."""
-    m = gmap.target
-    if m.identity is None or not gmap.monoid:
-        raise NoIdentity("monoid_loop_automaton needs a monoid generator map")
-    return LoopAutomaton(loop_problem(gmap), m, gmap, m.identity)
-
-
-def loop_automaton(gmap: GeneratorMap) -> LoopAutomaton:
+def loop_automaton(gmap: GeneratorMap) -> Nfa:
     """Loop automaton of a semigroup: a fresh identity is always adjoined,
-    even when the target happens to be a monoid."""
-    return monoid_loop_automaton(lift_to_monoid(gmap))
+    at state gmap.target.order, even when the target happens to be a monoid."""
+    alphabet = HatAlphabet(gmap.alphabet)
+    return table_loop_nfa(gmap.target, gmap.image, alphabet, range(alphabet.size))
 
 
-def path_language(la: LoopAutomaton, sources, targets) -> Nfa:
+def path_language(nfa: Nfa, sources, targets) -> Nfa:
     """Words labelling paths from one vertex set to another."""
     src = frozenset(sources)
     tgt = frozenset(targets)
     if not src or not tgt:
         raise EmptyVertexSet("vertex sets must be nonempty")
     for v in src | tgt:
-        if not (0 <= v < la.monoid.order):
+        if not (0 <= v < nfa.n_states):
             raise IndexOutOfRange(f"vertex {v} out of range")
-    return _built(Nfa, la.nfa.alphabet, la.nfa.n_states, la.nfa.rows, la.nfa.eps,
-                  src, tgt)
+    return _built(Nfa, nfa.alphabet, nfa.n_states, nfa.rows, nfa.eps, src, tgt)
 
 
-def non_returning_language(la: LoopAutomaton) -> Nfa:
-    """Nonempty words labelling loops at the identity that avoid the identity
-    strictly in between: the identity state is split into a source copy
-    (keeping its out-edges) and a fresh sink copy (receiving its in-edges).
-    The sink is state n, so every row is re-packed into chunks of n + 1
-    bits, and one mask moves the identity's bit to the sink's in every
-    chunk."""
-    ident = la.identity_state
-    nfa = la.nfa
+def non_returning_language(nfa: Nfa) -> Nfa:
+    """Nonempty words labelling loops at the identity, the one initial
+    state, that avoid the identity strictly in between: the identity state
+    is split into a source copy (keeping its out-edges) and a fresh sink
+    copy (receiving its in-edges).  The sink is state n, so every row is
+    re-packed into chunks of n + 1 bits, and one mask moves the identity's
+    bit to the sink's in every chunk."""
+    if len(nfa.initial) != 1:
+        raise LoopError(f"a loop automaton has one initial state, not {len(nfa.initial)}")
+    (ident,) = nfa.initial
     n = sink = nfa.n_states
     into = sum(1 << (x * (n + 1) + ident) for x in range(nfa.alphabet.size))
 
@@ -197,15 +176,19 @@ def _accepting_path(la_nfa: Nfa, word) -> list[int] | None:
     return path
 
 
-def zigzag_witness(la: LoopAutomaton, word) -> tuple[int, ...]:
-    """Vertex sequence p0..pn at the block boundaries of zigzag_factor, with
-    p0 = pn = 1 and p_i (u_i sigma) = p_{i+1} (v_{i+1} sigma); extracted from
-    an accepting path and re-verified before returning."""
+def zigzag_witness(gmap: GeneratorMap, word) -> tuple[int, ...]:
+    """Vertex sequence p0..pn of S^1 at the block boundaries of
+    zigzag_factor, with p0 = pn = 1 and p_i (u_i sigma) = p_{i+1}
+    (v_{i+1} sigma); extracted from an accepting path and re-verified
+    before returning."""
     word = tuple(word)
-    path = _accepting_path(la.nfa, word)
+    lifted = lift_to_monoid(gmap)
+    nfa = loop_problem(lifted)
+    path = _accepting_path(nfa, word)
     if path is None:
         raise NotInLoopProblem("word is not accepted by the loop automaton")
-    blocks = zigzag_factor(la.alphabet, word)
+    alphabet = nfa.alphabet
+    blocks = zigzag_factor(alphabet, word)
     # p_i sits after blocks u_0 v_1-bar ... v_i-bar (the first 2i blocks)
     positions = [0]
     acc = 0
@@ -213,16 +196,16 @@ def zigzag_witness(la: LoopAutomaton, word) -> tuple[int, ...]:
         acc += len(blocks[2 * k - 2]) + len(blocks[2 * k - 1])
         positions.append(acc)
     witness = tuple(path[p] for p in positions)
-    gm = la.gen_map
+    m = lifted.target
     n = len(blocks) // 2
     for i in range(n):
         u = blocks[2 * i]
-        v = la.alphabet.bar_word(blocks[2 * i + 1])
-        lhs = la.monoid.mul(witness[i], gm.evaluate(u))
-        rhs = la.monoid.mul(witness[i + 1], gm.evaluate(v))
+        v = alphabet.bar_word(blocks[2 * i + 1])
+        lhs = m.mul(witness[i], lifted.evaluate(u))
+        rhs = m.mul(witness[i + 1], lifted.evaluate(v))
         if lhs != rhs:
             raise LoopError("zigzag witness equations failed")
-    if witness[0] != la.identity_state or witness[-1] != la.identity_state:
+    if witness[0] != m.identity or witness[-1] != m.identity:
         raise LoopError("zigzag witness must start and end at the identity")
     return witness
 
@@ -249,11 +232,14 @@ def cayley_dot(gmap: GeneratorMap) -> str:
                               for x, g in zip(gmap.alphabet, gmap.image)))
 
 
-def loop_automaton_dot(la: LoopAutomaton) -> str:
-    """Positive edges solid, inverse edges dashed, identity double-circled."""
-    alpha = la.alphabet
+def loop_automaton_dot(gmap: GeneratorMap) -> str:
+    """The loop automaton on the elements of S^1: positive edges solid,
+    inverse edges dashed, identity double-circled."""
+    lifted = lift_to_monoid(gmap)
+    nfa = loop_problem(lifted)
+    alpha = nfa.alphabet
     edges = []
-    for p, x, q in sorted(la.nfa.transitions):
+    for p, x, q in sorted(nfa.transitions):
         style = "solid" if alpha.is_positive(x) else "dashed"
         edges.append((p, q, f'label="{alpha.name(x)}", style={style}'))
-    return _dot("loops", la.monoid, edges)
+    return _dot("loops", lifted.target, edges)

@@ -8,12 +8,11 @@ their maps and automata) are correct once their inputs are: they are trusted
 and build through _built unchecked; tests/test_trusted.py rebuilds them.
 Subset and morphism checks live in one gate each: _subsemigroup_set and
 _is_morphism.  The gate stays at the boundary: is_weakly_pru runs it before
-the _weakly_pru kernel, and the intersection verifier runs it once for the
-kernel and _subtable alike, while the corpus listings trust
-all_subsemigroups, whose sets are closed by construction, and call the
-kernel directly.  Those sets are the shared frozensets of _subsets, one
-table per order, and are tested for closure as bitmasks over the table
-rows.
+the _weakly_pru kernel, and the intersection verifier runs it once before
+the kernel, while the corpus listings trust all_subsemigroups, whose sets
+are closed by construction, and call the kernel directly.  Those sets are
+the shared frozensets of _subsets, one table per order, and are tested for
+closure as bitmasks over the table rows.
 """
 
 from __future__ import annotations
@@ -325,12 +324,7 @@ def is_ideal(s: FiniteSemigroup, subset) -> bool:
 
 def subsemigroup(s: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int, ...]]:
     """The subsemigroup on `subset` as its own table, plus the embedding."""
-    return _subtable(s, _subsemigroup_set(s, subset))
-
-
-def _subtable(s: FiniteSemigroup, sub) -> tuple[FiniteSemigroup, tuple[int, ...]]:
-    """subsemigroup on a set already known to be closed."""
-    emb = tuple(sorted(sub))
+    emb = tuple(sorted(_subsemigroup_set(s, subset)))
     back = {v: i for i, v in enumerate(emb)}
     rows = s.table
     table = tuple(tuple(back[rows[a][b]] for b in emb) for a in emb)

@@ -32,7 +32,6 @@ from .language import (
     left_quotient,
     minimal_dfa,
     prefix_closure,
-    relabel,
     right_quotient,
     shortest_separator,
     star,
@@ -152,9 +151,8 @@ def _quotient_formula_rhs(gmap: GeneratorMap, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
     representative words of the ideal, plus the three path-language
     cross-checks."""
-    la = loop_automaton(gmap)
-    big = la.alphabet
-    l_nfa = la.nfa
+    l_nfa = loop_automaton(gmap)
+    big = l_nfa.alphabet
     words = choose_words(gmap)
     reps = [words[t] for t in sorted(ideal)]
     r_nfa = word_set_nfa(big, reps)
@@ -163,12 +161,12 @@ def _quotient_formula_rhs(gmap: GeneratorMap, ideal) -> tuple[Nfa, list]:
     l_t1 = left_quotient(r_nfa, l_nfa)
     l_tt = left_quotient(r_nfa, l_1t)
     rhs = union(l_nfa, concat(l_1t, star(l_tt), l_t1))
-    ident = {la.identity_state}
+    ident = l_nfa.initial
     checks = []
     for name, formula, frm, to in (("L1T=path(1,T)", l_1t, ident, ideal),
                                    ("LTT=path(T,T)", l_tt, ideal, ideal),
                                    ("LT1=path(T,1)", l_t1, ideal, ident)):
-        sep = shortest_separator(formula, path_language(la, frm, to))
+        sep = shortest_separator(formula, path_language(l_nfa, frm, to))
         checks.append((name, sep is None, _render(big, sep)))
     return rhs, checks
 
@@ -244,7 +242,8 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     lhs = loop_problem(tau)
     big = lhs.alphabet
     z_letter = big.letter(tau.alphabet[-1])
-    l_big = relabel(loop_problem(gmap), big, sub_hat_letters(big, gmap.alphabet))
+    l_big = table_loop_nfa(gmap.target, gmap.image, big,
+                           sub_hat_letters(big, gmap.alphabet), gmap.monoid)
     z_nfa = word_set_nfa(big, [(z_letter,)])
     zbar_nfa = word_set_nfa(big, [(big.bar(z_letter),)])
     bracketed = concat(zbar_nfa, factor_closure(l_big), z_nfa)
@@ -269,7 +268,7 @@ def verify_semitorees(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     image = t_apply(trans, loop_problem(gmap))
     closed = epsilon_free(image)
     k_sep = shortest_separator(non_returning_language(la_m), closed)
-    return _finish("semitorees", la_m.nfa, star(closed),
+    return _finish("semitorees", la_m, star(closed),
                    [("K=image", k_sep is None, _render(la_m.alphabet, k_sep))],
                    {"order": s.order, "m_order": m.order,
                     "transducer_states": trans.n_states,

@@ -370,11 +370,10 @@ def test_criterion_10_loop_automaton_sanity():
     for n in (1, 2, 3):
         for s in enumerate_semigroups(n):
             gm = full_generator_map(s)
-            la = loop_automaton(gm)
-            lp = la.nfa
+            lp = loop_automaton(gm)
             ok = ok and equivalent(involution_image(lp), lp)
             # p->q / q->p symmetry for all words up to length 5
-            alpha = la.alphabet
+            alpha = lp.alphabet
             nstates = lp.n_states
             step = [[0] * nstates for _ in range(alpha.size)]
             for p, a, q in lp.transitions:

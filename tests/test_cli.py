@@ -264,6 +264,7 @@ class TestConstructions:
         Path("b2.tbl").write_text("5\na b c d 0\na b 0 0 0\n0 0 a b 0\n"
                                   "c d 0 0 0\n0 0 c d 0\n0 0 0 0 0\nzero 0\n")
         for out, argv in (("loop b2.tbl", ["loop", "b2.tbl", "--dot", "loop b2.tbl --dot"]),
+                          ("loop c3.tbl g", ["loop", "c3.tbl", "g", "--dot", "loop c3.tbl g --dot"]),
                           ("cayley b2.tbl", ["cayley", "b2.tbl"]),
                           ("cayley --monoid c3.tbl g", ["cayley", "--monoid", "c3.tbl", "g"])):
             assert main(argv + ["-o", out]) == 0
@@ -272,7 +273,7 @@ class TestConstructions:
             digest, name = line.split("  ", 1)
             if name.startswith(("loop ", "cayley ")):
                 want[name] = digest
-        assert len(want) == 4
+        assert len(want) == 6
         for name, digest in want.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 

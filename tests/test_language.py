@@ -746,7 +746,7 @@ def packed_results():
     out += binary_combinators(probe, loops) + binary_combinators(loops, probe)
     c3 = NAMED_SEMIGROUPS["c3"]()
     la = loop_automaton(full_generator_map(c3))
-    out += [la.nfa, path_language(la, {0, 1}, {2}), non_returning_language(la)]
+    out += [la, path_language(la, {0, 1}, {2}), non_returning_language(la)]
     return out
 
 

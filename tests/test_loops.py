@@ -16,13 +16,12 @@ from reesloop.language import (
 )
 from reesloop.loops import (
     EmptyVertexSet,
-    LoopAutomaton,
+    LoopError,
     NotInLoopProblem,
     cayley_dot,
     loop_automaton,
     loop_automaton_dot,
     loop_problem,
-    monoid_loop_automaton,
     non_returning_language,
     path_language,
     table_loop_nfa,
@@ -33,7 +32,7 @@ from reesloop.semigroup import (
     NAMED_SEMIGROUPS,
     FiniteSemigroup,
     GeneratorMap,
-    NoIdentity,
+    IndexOutOfRange,
     _built,
     adjoin_zero,
     all_subsemigroups,
@@ -74,8 +73,8 @@ def bfs_words(transitions, n_states, initial, final, alphabet_size, max_len):
 
 
 def cayley_loop_automaton(gmap):
-    """The loop automaton doubled from the edges a --x--> a.(x sigma) of the
-    Cayley graph."""
+    """The loop automaton of a monoid map doubled from the edges
+    a --x--> a.(x sigma) of the Cayley graph."""
     m = gmap.target
     edges = [(a, x, m.mul(a, gmap.image[x]))
              for a in range(m.order) for x in range(len(gmap.alphabet))]
@@ -84,10 +83,8 @@ def cayley_loop_automaton(gmap):
     for a, x, b in edges:
         trans.add((a, x, b))
         trans.add((b, alphabet.bar(x), a))
-    ident = gmap.target.identity
-    nfa = Nfa(alphabet, gmap.target.order, frozenset(trans),
-              frozenset({ident}), frozenset({ident}))
-    return LoopAutomaton(nfa, gmap.target, gmap, ident)
+    ident = frozenset({gmap.target.identity})
+    return Nfa(alphabet, gmap.target.order, frozenset(trans), ident, ident)
 
 
 def own_identity_map(s):
@@ -131,20 +128,20 @@ class TestCayley:
 class TestLoopAutomaton:
     def test_trivial_counts(self):
         la = loop_automaton(full_generator_map(trivial_semigroup()))
-        assert la.nfa.n_states == 2
-        assert len(la.nfa.transitions) == 4  # 2 |X| |S^1| with |X| = 1
+        assert la.n_states == 2
+        assert len(la.transitions) == 4  # 2 |X| |S^1| with |X| = 1
 
     def test_c2_three_states(self):
         la = loop_automaton(generator_map(cyclic_group(2), ["g"]))
-        assert la.nfa.n_states == 3
+        assert la.n_states == 3
 
     def test_every_state_reachable(self):
         for s in (cyclic_group(3), adjoin_zero(cyclic_group(2))):
             la = loop_automaton(full_generator_map(s))
-            reach = set(la.nfa.initial)
+            reach = set(la.initial)
             frontier = list(reach)
             fwd = {}
-            for p, a, q in la.nfa.transitions:
+            for p, a, q in la.transitions:
                 fwd.setdefault(p, set()).add(q)
             while frontier:
                 p = frontier.pop()
@@ -152,12 +149,12 @@ class TestLoopAutomaton:
                     if q not in reach:
                         reach.add(q)
                         frontier.append(q)
-            assert reach == set(range(la.nfa.n_states))
+            assert reach == set(range(la.n_states))
 
     def test_transition_count(self):
         s = cyclic_group(3)
         la = loop_automaton(full_generator_map(s))
-        assert len(la.nfa.transitions) == 2 * 3 * (s.order + 1)
+        assert len(la.transitions) == 2 * 3 * (s.order + 1)
 
     def test_equals_the_cayley_graph_doubling_up_to_order_four(self):
         own = 0
@@ -167,27 +164,34 @@ class TestLoopAutomaton:
                 lifted = lift_to_monoid(gmap)
                 want = cayley_loop_automaton(lifted)
                 assert loop_automaton(gmap) == want
-                assert monoid_loop_automaton(lifted) == want
-                assert loop_problem(gmap) == want.nfa  # S^1 by the rule, no table
+                assert loop_problem(lifted) == want
+                assert loop_problem(gmap) == want  # S^1 by the rule, no table
                 monoid = own_identity_map(s)
                 if monoid is not None:
                     own += 1
-                    assert monoid_loop_automaton(monoid) == cayley_loop_automaton(monoid)
+                    assert loop_problem(monoid) == cayley_loop_automaton(monoid)
         assert own > 0
 
-    def test_needs_a_monoid_map(self):
-        for gmap in (full_generator_map(cyclic_group(2)),
-                     full_generator_map(lift_to_monoid(full_generator_map(
-                         cyclic_group(2))).target)):
-            with pytest.raises(NoIdentity) as err:
-                monoid_loop_automaton(gmap)
-            assert str(err.value) == "monoid_loop_automaton needs a monoid generator map"
+    def test_always_adjoins_a_fresh_identity(self):
+        """Even on a monoid map, loop_automaton is the loop problem of S^1
+        under the lifted map, its identity the state after S's elements."""
+        maps = []
+        for n in range(1, 5):
+            for s in enumerate_semigroups(n):
+                maps.append(full_generator_map(s))
+                maps.append(own_identity_map(s))
+        maps = list(filter(None, maps))
+        for gmap in maps:
+            la = loop_automaton(gmap)
+            assert la == loop_problem(lift_to_monoid(gmap))
+            assert la.initial == la.final == {gmap.target.order}
+        assert sum(gmap.monoid for gmap in maps) > 0
 
     def test_doubling_is_exact(self):
         la = loop_automaton(generator_map(cyclic_group(2), ["g"]))
         alpha = la.alphabet
-        pos = {(p, a, q) for p, a, q in la.nfa.transitions if alpha.is_positive(a)}
-        neg = {(p, a, q) for p, a, q in la.nfa.transitions if not alpha.is_positive(a)}
+        pos = {(p, a, q) for p, a, q in la.transitions if alpha.is_positive(a)}
+        neg = {(p, a, q) for p, a, q in la.transitions if not alpha.is_positive(a)}
         assert {(q, alpha.bar(a), p) for p, a, q in pos} == neg
 
 
@@ -289,27 +293,34 @@ class TestPathLanguage:
     def test_identity_to_identity_is_loop_problem(self):
         gm = generator_map(cyclic_group(2), ["g"])
         la = loop_automaton(gm)
-        pl = path_language(la, {la.identity_state}, {la.identity_state})
-        assert equivalent(pl, la.nfa)
+        pl = path_language(la, la.initial, la.initial)
+        assert equivalent(pl, la)
 
     def test_identity_to_all_is_prefix_closure(self):
         gm = full_generator_map(cyclic_group(2))
         la = loop_automaton(gm)
-        pl = path_language(la, {la.identity_state}, set(range(la.nfa.n_states)))
-        assert equivalent(pl, prefix_closure(la.nfa))
+        pl = path_language(la, la.initial, set(range(la.n_states)))
+        assert equivalent(pl, prefix_closure(la))
 
     def test_empty_vertex_set(self):
         la = loop_automaton(full_generator_map(trivial_semigroup()))
         with pytest.raises(EmptyVertexSet):
             path_language(la, set(), {0})
 
+    def test_vertices_are_states_of_the_automaton(self):
+        la = loop_automaton(full_generator_map(trivial_semigroup()))
+        assert path_language(la, {1}, {0, 1}).final == {0, 1}
+        for sources, targets, bad in (({2}, {0}, 2), ({0}, {-1}, -1)):
+            with pytest.raises(IndexOutOfRange) as err:
+                path_language(la, sources, targets)
+            assert str(err.value) == f"vertex {bad} out of range"
 
-def chunk_loop_non_returning(la):
+
+def chunk_loop_non_returning(nfa):
     """The split automaton re-packed chunk by chunk, with the identity's bit
     moved to the sink's in each chunk it is set in: the form the one-mask
     construction replaced, kept as its reference."""
-    ident = la.identity_state
-    nfa = la.nfa
+    (ident,) = nfa.initial
     n = sink = nfa.n_states
     full = (1 << n) - 1
     into = 1 << ident
@@ -339,7 +350,7 @@ def loop_automata_up_to_order_three():
             yield loop_automaton(full_generator_map(s))
             own = own_identity_map(s)
             if own is not None:
-                yield monoid_loop_automaton(own)
+                yield loop_problem(own)
 
 
 class TestNonReturning:
@@ -352,7 +363,7 @@ class TestNonReturning:
         la = loop_automaton(full_generator_map(cyclic_group(2)))
         k = non_returning_language(la)
         for w in enumerate_words(k, 3):
-            assert member(la.nfa, w)
+            assert member(la, w)
 
     def test_one_mask_equals_the_chunk_loop(self):
         c3 = NAMED_SEMIGROUPS["c3"]()
@@ -363,6 +374,15 @@ class TestNonReturning:
         for la in automata:
             assert non_returning_language(la) == chunk_loop_non_returning(la)
         assert len(automata) == 122 + 38 + 1  # 38 of the 122 have an identity
+
+    def test_needs_exactly_one_initial_state(self):
+        la = loop_automaton(full_generator_map(cyclic_group(2)))
+        for initial in (frozenset(), frozenset({0, 2})):
+            nfa = _built(Nfa, la.alphabet, la.n_states, la.rows, la.eps, initial, la.final)
+            with pytest.raises(LoopError) as err:
+                non_returning_language(nfa)
+            assert str(err.value) == (
+                f"a loop automaton has one initial state, not {len(initial)}")
 
 
 class TestZigZag:
@@ -391,46 +411,47 @@ class TestZigZag:
 
     def test_witness_epsilon(self):
         gm = generator_map(cyclic_group(2), ["g"])
-        la = loop_automaton(gm)
-        assert zigzag_witness(la, ()) == (la.identity_state,)
+        one = lift_to_monoid(gm).target.identity
+        assert zigzag_witness(gm, ()) == (one,)
 
     def test_witness_xxbar(self):
         gm = generator_map(cyclic_group(2), ["g"])
-        la = loop_automaton(gm)
-        a = la.alphabet
+        one = lift_to_monoid(gm).target.identity
+        a = loop_automaton(gm).alphabet
         w = (a.letter("g"), a.letter("~g"))
-        assert zigzag_witness(la, w) == (la.identity_state, la.identity_state)
+        assert zigzag_witness(gm, w) == (one, one)
 
     def test_witness_equations_on_corpus(self):
         for s in enumerate_semigroups(2):
             gm = full_generator_map(s)
             la = loop_automaton(gm)
-            monoid_map = la.gen_map
-            for w in enumerate_words(la.nfa, 4):
-                witness = zigzag_witness(la, w)
+            monoid_map = lift_to_monoid(gm)
+            monoid = monoid_map.target
+            for w in enumerate_words(la, 4):
+                witness = zigzag_witness(gm, w)
                 blocks = zigzag_factor(la.alphabet, w)
-                assert witness[0] == witness[-1] == la.identity_state
+                assert witness[0] == witness[-1] == monoid.identity
                 for i in range(len(blocks) // 2):
                     u = blocks[2 * i]
                     v = la.alphabet.bar_word(blocks[2 * i + 1])
-                    lhs = la.monoid.mul(witness[i], monoid_map.evaluate(u))
-                    rhs = la.monoid.mul(witness[i + 1], monoid_map.evaluate(v))
+                    lhs = monoid.mul(witness[i], monoid_map.evaluate(u))
+                    rhs = monoid.mul(witness[i + 1], monoid_map.evaluate(v))
                     assert lhs == rhs
 
     def test_witness_rejects_non_members(self):
         gm = generator_map(cyclic_group(2), ["g"])
         la = loop_automaton(gm)
         with pytest.raises(NotInLoopProblem):
-            zigzag_witness(la, (la.alphabet.letter("~g"),))
+            zigzag_witness(gm, (la.alphabet.letter("~g"),))
 
 
 class TestSymmetryAndInvolution:
     def path_relations(self, la, max_len):
         """relation masks for every word up to max_len"""
-        n = la.nfa.n_states
+        n = la.n_states
         alpha = la.alphabet
         step = [[0] * n for _ in range(alpha.size)]
-        for p, a, q in la.nfa.transitions:
+        for p, a, q in la.transitions:
             step[a][p] |= 1 << q
         rels = {(): tuple(1 << p for p in range(n))}
         frontier = [()]
@@ -457,7 +478,7 @@ class TestSymmetryAndInvolution:
         gm = generator_map(cyclic_group(2), ["g"])
         la = loop_automaton(gm)
         rels = self.path_relations(la, 5)
-        n = la.nfa.n_states
+        n = la.n_states
         for w, masks in rels.items():
             wb = la.alphabet.bar_word(w)
             back = rels[wb]
@@ -475,8 +496,7 @@ class TestSymmetryAndInvolution:
 class TestDot:
     def test_exports_mention_styles(self):
         gm = generator_map(cyclic_group(2), ["g"])
-        la = loop_automaton(gm)
-        dot = loop_automaton_dot(la)
+        dot = loop_automaton_dot(gm)
         assert "dashed" in dot and "doublecircle" in dot
         cayley = cayley_dot(lift_to_monoid(gm))
         assert cayley.startswith("digraph cayley {")

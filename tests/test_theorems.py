@@ -165,13 +165,29 @@ class TestAdjoinZero:
         triv = trivial_semigroup()
         from reesloop.loops import loop_automaton
         la = loop_automaton(extend_to_zero(full_generator_map(triv)))
-        assert la.nfa.n_states == 3  # S^0 plus the adjoined identity
+        assert la.n_states == 3  # S^0 plus the adjoined identity
         rep = verify_adjoin_zero(triv, full_generator_map(triv))
         assert rep.holds
 
     def test_c2(self):
         rep = verify_adjoin_zero(cyclic_group(2), full_generator_map(cyclic_group(2)))
         assert rep.holds
+
+    def test_l_is_written_on_the_letters_of_s_zero(self, monkeypatch):
+        # factor_closure reads L once per verdict, written from S's table;
+        # it is S's loop problem relabelled onto the letters of S^0
+        seen = []
+        real = theorems.factor_closure
+        monkeypatch.setattr(theorems, "factor_closure",
+                            lambda l: seen.append(l) or real(l))
+        checked = 0
+        for _iid, (_tag, (s, gmap)) in iter_instances("adjoin-zero", max_order=4):
+            assert verify_adjoin_zero(s, gmap).holds
+            big = HatAlphabet(extend_to_zero(gmap).alphabet)
+            want = relabel(loop_problem(gmap), big, sub_hat_letters(big, gmap.alphabet))
+            assert seen.pop() == want
+            checked += 1
+        assert checked == 1 + 8 + 113 + 3492 and not seen
 
     def test_bracketed_middle_alone_is_not_enough(self):
         # inner loops at the sink may be bare letters, not only factors
@@ -275,7 +291,7 @@ def raw_image_semitorees(s, gmap, i_count, j_count, p, rng=None):
     la_m = loop_automaton(tau)
     image = apply(trans, loop_problem(gmap))
     k_sep = shortest_separator(non_returning_language(la_m), image)
-    return theorems._finish("semitorees", la_m.nfa, star(image),
+    return theorems._finish("semitorees", la_m, star(image),
                             [("K=image", k_sep is None,
                               theorems._render(la_m.alphabet, k_sep))], {}, t0)
 
@@ -493,8 +509,8 @@ class TestFormulaMutations:
         rep = verify_rees_quotient(s, gmap, ideal)
         assert ("L1T=path(1,T)", False, "-") in rep.checks
         la = loop_automaton(gmap)
-        path = path_language(la, {la.identity_state}, ideal)
-        assert member(la.nfa, ()) != member(path, ())
+        path = path_language(la, la.initial, ideal)
+        assert member(la, ()) != member(path, ())
 
     def test_adjoin_zero_needs_the_single_letter_loops(self, monkeypatch):
         # the single-letter set is the only word set of more than one word;

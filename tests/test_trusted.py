@@ -106,7 +106,7 @@ def test_small_verifiers_build_only_valid_values(sid, built):
     dfa = determinize(k)
     for x in (dfa, minimal_dfa(k), minimal_dfa(dfa)):
         as_nfa(x)
-    intersect(plus(k), la.nfa)
+    intersect(plus(k), la)
     kinds = rebuild_all(built)
     assert {"FiniteSemigroup", "GeneratorMap", "Nfa", "Dfa"} <= kinds
 
