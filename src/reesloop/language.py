@@ -21,7 +21,9 @@ states of a transducer image, which only pass epsilon moves on.  A silent
 state in a subset changes neither its successors nor its acceptance, so
 determinize(a, keep_silent=False) drops them from every subset; minimal_dfa
 determinizes that way, and its result depends only on the language.  Plain
-determinize keeps the full closed subsets.  epsilon_free(a) closes a once
+determinize keeps the full closed subsets.  Both number the subsets
+breadth-first, the order minimize renumbers into, so minimize returns a
+subset DFA in which no state merges as it is.  epsilon_free(a) closes a once
 and drops them, so every later reader of the result skips both steps.
 
 shortest_separator determinizes nothing.  Equal automata have equal
@@ -142,7 +144,8 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa:
-    """Partial DFA; transitions[p][a] is the successor or None."""
+    """Partial DFA; transitions[p][a] is the successor or None.  The rows
+    are stored as tuples and final as a frozenset, so every Dfa hashes."""
 
     alphabet: HatAlphabet
     n_states: int
@@ -151,6 +154,8 @@ class Dfa:
     final: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "transitions", tuple(map(tuple, self.transitions)))
+        object.__setattr__(self, "final", frozenset(self.final))
         if not (0 <= self.initial < self.n_states):
             raise LanguageError("initial state out of range")
         if len(self.transitions) != self.n_states:
@@ -324,6 +329,7 @@ def _reach(start: int, succ) -> int:
 
 def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
     """Subset construction over the closed rows; no dead state is kept.
+    Subsets are numbered breadth-first, letters in order, as by minimize.
 
     By default each subset is the full epsilon-closed state set.  With
     keep_silent=False every subset drops its silent states (no letter move,
@@ -338,15 +344,10 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
     full = (1 << n) - 1
     nletters = a.alphabet.size
     ids = {start: 0}
-    table = [[None] * nletters]
-    final = set()
     queue = [start]
-    while queue:
-        mask = queue.pop()
-        sid = ids[mask]
-        if mask & fmask:
-            final.add(sid)
-        row = table[sid]
+    table = []
+    for mask in queue:
+        row = [None] * nletters
         post = _union(rows, mask & active)
         x = 0
         while post:
@@ -354,14 +355,29 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
             if nxt:
                 tid = ids.get(nxt)
                 if tid is None:
-                    tid = ids[nxt] = len(ids)
-                    table.append([None] * nletters)
+                    tid = ids[nxt] = len(queue)
                     queue.append(nxt)
                 row[x] = tid
             post >>= n
             x += 1
-    return _built(Dfa, a.alphabet, len(table), tuple(tuple(r) for r in table),
-                  0, frozenset(final))
+        table.append(tuple(row))
+    final = frozenset(sid for sid, mask in enumerate(queue) if mask & fmask)
+    return _built(Dfa, a.alphabet, len(table), tuple(table), 0, final)
+
+
+def _breadth_first(transitions) -> bool:
+    """Whether rows 0, 1, 2, ... are each reached before they are read and
+    each first-seen successor is the next number: breadth-first from 0."""
+    seen = 1
+    for p, row in enumerate(transitions):
+        if p >= seen:
+            return False
+        for q in row:
+            if q is not None and q >= seen:
+                if q != seen:
+                    return False
+                seen += 1
+    return True
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -372,7 +388,9 @@ def minimize(d: Dfa) -> Dfa:
     into its block, which the renumbering never emits, and unreachable
     states are never reached, so there is no trim pass.  Each round refines
     the last, so a round that keeps the block count keeps the partition, and
-    refinement stops there or once every state is a block of its own."""
+    refinement stops there or once every state is a block of its own.  If
+    then every state is, the dead one too, and d is numbered breadth-first
+    from initial state 0, as by determinize, d is returned as it is."""
     n = d.n_states
     nletters = d.alphabet.size
     trans = [[n if q is None else q for q in row] for row in d.transitions]
@@ -389,6 +407,8 @@ def minimize(d: Dfa) -> Dfa:
         if len(sigs) == blocks:
             break
         blocks = len(sigs)
+    if blocks > n and d.initial == 0 and _breadth_first(d.transitions):
+        return d
     start, dead = cls[d.initial], cls[n]
     if start == dead:
         return _built(Dfa, d.alphabet, 1, ((None,) * nletters,), 0, frozenset())

@@ -147,11 +147,10 @@ def result_line(report: VerificationReport, instance_id: str) -> str:
     return f"RESULT {report.tag} {instance_id} {report.verdict()}"
 
 
-def _quotient_formula_rhs(gmap: GeneratorMap, ideal) -> tuple[Nfa, list]:
+def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
     representative words of the ideal, plus the three path-language
-    cross-checks."""
-    l_nfa = loop_automaton(gmap)
+    cross-checks; l_nfa is L, gmap's loop automaton."""
     big = l_nfa.alphabet
     words = choose_words(gmap)
     reps = [words[t] for t in sorted(ideal)]
@@ -179,7 +178,7 @@ def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> Verif
     tset = frozenset(ideal)
     _q, _proj, q_gmap = rees_quotient(s, tset, gmap)
     lhs = loop_problem(q_gmap)
-    rhs, checks = _quotient_formula_rhs(gmap, tset)
+    rhs, checks = _quotient_formula_rhs(gmap, loop_automaton(gmap), tset)
     return _finish("rees-quotient", lhs, rhs, checks,
                    {"order": s.order, "ideal_size": len(tset)}, t0)
 
@@ -238,7 +237,12 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     """Loop problem of S^0 against
     L union (prefix(L).z)(z-bar.factor(L).z union any letter)*(z-bar.suffix(L))."""
     t0 = time.perf_counter()
-    tau = extend_to_zero(gmap)
+    return _adjoin_zero(s, gmap, extend_to_zero(gmap), t0)
+
+
+def _adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap, tau: GeneratorMap,
+                 t0: float) -> VerificationReport:
+    """verify_adjoin_zero with tau = extend_to_zero(gmap) given."""
     lhs = loop_problem(tau)
     big = lhs.alphabet
     z_letter = big.letter(tau.alphabet[-1])
@@ -263,14 +267,19 @@ def verify_semitorees(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     t0 = time.perf_counter()
     m, rs = rees_matrix(s, i_count, j_count, p, with_zero=False)
     tau = full_generator_map(m)
+    return _semitorees(s, gmap, rs, tau, loop_automaton(tau), rng, t0)
+
+
+def _semitorees(s: FiniteSemigroup, gmap: GeneratorMap, rs, tau: GeneratorMap,
+                la_m: Nfa, rng: random.Random | None, t0: float) -> VerificationReport:
+    """verify_semitorees given M's structure rs, map tau and loop automaton la_m."""
     trans = build_rees_transducer(gmap, rs, tau, choose_words(gmap, rng))
-    la_m = loop_automaton(tau)
     image = t_apply(trans, loop_problem(gmap))
     closed = epsilon_free(image)
     k_sep = shortest_separator(non_returning_language(la_m), closed)
     return _finish("semitorees", la_m, star(closed),
                    [("K=image", k_sep is None, _render(la_m.alphabet, k_sep))],
-                   {"order": s.order, "m_order": m.order,
+                   {"order": s.order, "m_order": tau.target.order,
                     "transducer_states": trans.n_states,
                     "image_states": image.n_states,
                     "closed_image_states": closed.n_states,
@@ -296,20 +305,22 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     rees_quotient keeps the survivors in index order, M' numbers (i, s, j)
     as (i(|S|+1) + s)J + j, so the survivors (s not the zero) come in the
     order (i|S| + s)J + j of M^0, and both put their zero last, labelled
-    by the same _fresh_label(labels, "0")."""
+    by the same _fresh_label(labels, "0").  The legs and the formula share
+    one M', its map and loop automaton, and one tau0."""
     t0 = time.perf_counter()
-    rep_zero = verify_adjoin_zero(s, gmap)
     tau0 = extend_to_zero(gmap)
+    rep_zero = _adjoin_zero(s, gmap, tau0, time.perf_counter())
     s0 = tau0.target
     p0 = _sandwich_into(p, s0.zero)
-    rep_rees = verify_semitorees(s0, tau0, i_count, j_count, p0)
     m_prime, rs_prime = rees_matrix(s0, i_count, j_count, p0, with_zero=False)
     tau_prime = full_generator_map(m_prime)
+    la_prime = loop_automaton(tau_prime)
+    rep_rees = _semitorees(s0, tau0, rs_prime, tau_prime, la_prime, None, time.perf_counter())
     t_ideal = frozenset(rs_prime.encode(i, s0.zero, j)
                         for i in range(i_count) for j in range(j_count))
     quotient, _proj, tau_q = rees_quotient(m_prime, t_ideal, tau_prime)
     m0 = rees_matrix(s, i_count, j_count, p, with_zero=True)[0]
-    rhs, cross = _quotient_formula_rhs(tau_prime, t_ideal)
+    rhs, cross = _quotient_formula_rhs(tau_prime, la_prime, t_ideal)
     return _finish("semitoreeszero", loop_problem(tau_q), rhs,
                    [("via-adjoin-zero", rep_zero.holds, rep_zero.witness()),
                     ("via-semitorees", rep_rees.holds, rep_rees.witness()),

@@ -167,5 +167,5 @@ def build_rees_transducer(s_gmap: GeneratorMap, rees: ReesStructure,
                 w_jiy = words[rees.sandwich.entry(j, iy)]
                 edges.add((pair_state(i, jy), wy_bar + bar_in(w_jiy), (ybar,),
                            pair_state(i, j)))
-    return Transducer(in_alpha, out_alpha, state_z + 1, frozenset(edges),
-                      frozenset({state_a}), frozenset({state_z}))
+    return _built(Transducer, in_alpha, out_alpha, state_z + 1, frozenset(edges),
+                  frozenset({state_a}), frozenset({state_z}))

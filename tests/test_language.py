@@ -836,8 +836,11 @@ def test_any_operand_over_another_alphabet_is_a_mismatch(at):
 # -- the tuple-row reference ------------------------------------------------------
 #
 # The subset construction as it ran on one tuple of per-letter masks per
-# state, kept as the reference for the packed rows: the same closures, the
-# same row entries and the same visiting order, so the two give equal Dfas.
+# state, kept as the reference for the packed rows: the same closures and
+# the same row entries.  The reference numbers its subsets last-in-first-out
+# and determinize numbers them breadth-first, so the tests compare
+# determinize with the reference renumbered breadth-first: the same subsets,
+# moves and final states, in determinize's order.
 
 def _tuple_closed(close, mask):
     out = 0
@@ -911,6 +914,20 @@ def tuple_determinize(a, keep_silent=True):
                0, frozenset(final))
 
 
+def breadth_first(d):
+    """d renumbered breadth-first from its initial state, letters in order,
+    as determinize numbers its subsets; every state of d is reachable."""
+    queue = [d.initial]
+    new = {d.initial: 0}
+    for p in queue:
+        for q in d.transitions[p]:
+            if q is not None and q not in new:
+                new[q] = len(queue)
+                queue.append(q)
+    assert len(queue) == d.n_states
+    return renumbered(d, [new[p] for p in range(d.n_states)])
+
+
 def wide_nfa(seed):
     """30 to 70 states, so a row spans many 30-bit digits of a Python int,
     over two or three base symbols with moves only on x, y and ~x: the top
@@ -931,7 +948,8 @@ def wide_nfa(seed):
 @settings(max_examples=200, deadline=None)
 @given(any_nfa, st.booleans())
 def test_determinize_matches_the_tuple_row_reference(a, keep_silent):
-    assert determinize(a, keep_silent=keep_silent) == tuple_determinize(a, keep_silent)
+    d = determinize(a, keep_silent=keep_silent)
+    assert d == breadth_first(tuple_determinize(a, keep_silent))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -939,13 +957,15 @@ def test_determinize_matches_the_tuple_row_reference_on_wide_nfas(seed):
     a = wide_nfa(seed)
     assert a.n_states >= 30
     for keep_silent in (True, False):
-        assert determinize(a, keep_silent=keep_silent) == tuple_determinize(a, keep_silent)
+        d = determinize(a, keep_silent=keep_silent)
+    assert d == breadth_first(tuple_determinize(a, keep_silent))
 
 
 def test_determinize_matches_the_tuple_row_reference_on_the_probe():
     rhs = rees_probe_star_image()
     for keep_silent in (True, False):
-        assert determinize(rhs, keep_silent=keep_silent) == tuple_determinize(rhs, keep_silent)
+        d = determinize(rhs, keep_silent=keep_silent)
+        assert d == breadth_first(tuple_determinize(rhs, keep_silent))
 
 
 # -- Moore refinement ----------------------------------------------------------------
@@ -1020,6 +1040,75 @@ def test_minimize_matches_the_full_refinement_reference(kind):
 def test_minimize_matches_the_full_refinement_reference_on_subset_dfas(a, keep_silent):
     d = determinize(a, keep_silent=keep_silent)
     assert minimize(d) == reference_minimize(d)
+
+
+# -- minimize on minimal input -------------------------------------------------
+#
+# minimize gives back a DFA as it is when every state, the dead one included,
+# is a block of its own, the initial state is 0 and the states are numbered
+# breadth-first; every other DFA goes through the renumbering.
+
+@functools.cache
+def probe_minimal():
+    """The 132-state minimal DFA of the semitorees c3 I = J = 2 probe."""
+    return minimal_dfa(rees_probe_star_image())
+
+
+def test_a_minimal_breadth_first_dfa_comes_back_as_it_is():
+    m = probe_minimal()
+    d = Dfa(m.alphabet, m.n_states, m.transitions, m.initial, m.final)
+    assert d.n_states == 132
+    assert minimize(d) is d
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_minimal_dfa_with_its_states_permuted_is_renumbered_back(seed):
+    m = probe_minimal()
+    rest = list(range(1, m.n_states))
+    random.Random(seed).shuffle(rest)
+    d = renumbered(m, [0, *rest])
+    assert d.initial == 0 and d != m
+    assert minimize(d) == m == reference_minimize(d)
+
+
+DEAD = (None, None)
+
+
+@pytest.mark.parametrize("d, expected", [
+    # state 1 is unreachable and numbered before the reachable state 2
+    (Dfa(X, 3, ((2, None), (0, None), DEAD), 0, frozenset({2})),
+     Dfa(X, 2, ((1, None), DEAD), 0, frozenset({1}))),
+    # state 1 is unreachable, after every reachable state
+    (Dfa(X, 2, (DEAD, (0, None)), 0, frozenset({0})),
+     Dfa(X, 1, (DEAD,), 0, frozenset({0}))),
+    # state 1 has an empty future
+    (Dfa(X, 2, ((1, None), DEAD), 0, frozenset({0})),
+     Dfa(X, 1, (DEAD,), 0, frozenset({0}))),
+    # the one-state empty language, with and without a loop
+    (Dfa(X, 1, (DEAD,), 0, frozenset()), Dfa(X, 1, (DEAD,), 0, frozenset())),
+    (Dfa(X, 1, ((0, 0),), 0, frozenset()), Dfa(X, 1, (DEAD,), 0, frozenset())),
+], ids=["unreachable-first", "unreachable-last", "empty-future", "empty", "empty-loop"])
+def test_minimize_on_dfas_that_look_minimal_but_are_not(d, expected):
+    assert minimize(d) == expected == reference_minimize(d)
+
+
+def test_a_dfa_given_lists_and_a_set_stores_tuples_and_a_frozenset():
+    # minimize may give its input back, so the input must be the frozen form
+    d = Dfa(X, 2, [[1, None], [None, None]], 0, {1})
+    assert d.transitions == ((1, None), (None, None)) and type(d.final) is frozenset
+    assert minimize(d) is d and hash(d) == hash(Dfa(X, 2, d.transitions, 0, d.final))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_nfa, st.data())
+def test_minimize_does_not_depend_on_the_subset_numbering(a, data):
+    d = determinize(a, keep_silent=False)
+    perm = data.draw(st.permutations(range(d.n_states)))
+    m = minimize(d)
+    assert minimize(renumbered(d, perm)) == m
+    # a subset DFA is numbered breadth-first, so one of a nonempty language
+    # without merges comes back
+    assert (m is d) == (m.n_states == d.n_states and bool(m.final))
 
 
 # -- the separator walk -------------------------------------------------------------

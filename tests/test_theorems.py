@@ -98,7 +98,7 @@ class TestReesQuotient:
                 gmap = full_generator_map(s)
                 for ideal in semigroup.all_ideals(s):
                     calls.clear()
-                    theorems._quotient_formula_rhs(gmap, ideal)
+                    theorems._quotient_formula_rhs(gmap, loop_automaton(gmap), ideal)
                     (_, (l_nfa, r_bar), l_1t), = [c for c in calls if c[0] == "right_quotient"]
                     (_, (r_nfa, l), l_t1), (_, (r_nfa2, l_1t2), l_tt) = [
                         c for c in calls if c[0] == "left_quotient"]
@@ -329,6 +329,26 @@ class TestSemitoreesZero:
             verify_semitoreeszero(trivial_semigroup(),
                                   full_generator_map(trivial_semigroup()),
                                   2, 2, sandwich([[0, ZERO], [ZERO, 0]]))
+
+    def test_m_prime_its_loop_automaton_and_tau0_are_built_once(self, monkeypatch):
+        # the nested semitorees leg and the quotient formula share M', its
+        # generator map and its loop automaton; the adjoin-zero leg shares
+        # tau0; the second rees_matrix call builds M^0
+        calls = []
+
+        def counted(f):
+            def call(*args, **kw):
+                calls.append(f.__name__)
+                return f(*args, **kw)
+            return call
+
+        names = ("rees_matrix", "full_generator_map", "loop_automaton", "extend_to_zero")
+        for name in names:
+            monkeypatch.setattr(theorems, name, counted(getattr(theorems, name)))
+        iid = "c2:I2J2:P=e,e;e,0"
+        job = dict(iter_instances("semitoreeszero"))[iid]
+        assert run_job((iid, job)) == (iid, True, f"RESULT semitoreeszero {iid} PASS")
+        assert [calls.count(name) for name in names] == [2, 1, 1, 1]
 
     def test_all_zero_matrix(self):
         rep = verify_semitoreeszero(trivial_semigroup(),

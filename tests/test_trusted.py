@@ -140,6 +140,7 @@ def rees_checks(name, i_count, j_count, p, with_zero, built):
     if not with_zero:
         tau = full_generator_map(m)
         t = transduce.build_rees_transducer(gmap, rs, tau)
+        assert any(x is t for x in built)  # built unchecked, so rebuilt below
         transduce.apply(t, loops.loop_problem(gmap))
         loops.non_returning_language(loops.loop_automaton(tau))
     return rebuild_all(built)
