@@ -21,9 +21,7 @@ states of a transducer image, which only pass epsilon moves on.  A silent
 state in a subset changes neither its successors nor its acceptance, so
 determinize(a, keep_silent=False) drops them from every subset; minimal_dfa
 determinizes that way, and its result depends only on the language.  Plain
-determinize keeps the full closed subsets.  Both number the subsets
-breadth-first, the order minimize renumbers into, so minimize returns a
-subset DFA in which no state merges as it is.  epsilon_free(a) closes a once
+determinize keeps the full closed subsets.  epsilon_free(a) closes a once
 and drops them, so every later reader of the result skips both steps.
 
 shortest_separator determinizes nothing.  Equal automata have equal
@@ -144,8 +142,7 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa:
-    """Partial DFA; transitions[p][a] is the successor or None.  The rows
-    are stored as tuples and final as a frozenset, so every Dfa hashes."""
+    """Partial DFA; transitions[p][a] is the successor or None."""
 
     alphabet: HatAlphabet
     n_states: int
@@ -154,8 +151,6 @@ class Dfa:
     final: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(map(tuple, self.transitions)))
-        object.__setattr__(self, "final", frozenset(self.final))
         if not (0 <= self.initial < self.n_states):
             raise LanguageError("initial state out of range")
         if len(self.transitions) != self.n_states:
@@ -337,9 +332,7 @@ def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
     acceptance, so the language is the same and there are never more
     subsets.  The states are masked once per call, in the closures that
     the start set and the rows are built from."""
-    core = _core(a, keep_silent)
-    start, fmask = core.start, core.final
-    rows, active = core.rows, core.active
+    _close, rows, active, start, fmask = _core(a, keep_silent)
     n = a.n_states
     full = (1 << n) - 1
     nletters = a.alphabet.size
@@ -390,7 +383,7 @@ def minimize(d: Dfa) -> Dfa:
     the last, so a round that keeps the block count keeps the partition, and
     refinement stops there or once every state is a block of its own.  If
     then every state is, the dead one too, and d is numbered breadth-first
-    from initial state 0, as by determinize, d is returned as it is."""
+    from initial state 0, as by determinize, d itself is returned as given."""
     n = d.n_states
     nletters = d.alphabet.size
     trans = [[n if q is None else q for q in row] for row in d.transitions]
@@ -439,15 +432,14 @@ def member(a: Nfa | Dfa, word) -> bool:
     for x in word:
         if not 0 <= x < a.alphabet.size:
             raise LanguageError(f"letter {x} out of range")
-    core = _core(a)
+    _close, rows, active, mask, fmask = _core(a)
     n = a.n_states
     full = (1 << n) - 1
-    mask = core.start
     for x in word:
-        mask = _union(core.rows, mask & core.active) >> x * n & full
+        mask = _union(rows, mask & active) >> x * n & full
         if not mask:
             return False
-    return bool(mask & core.final)
+    return bool(mask & fmask)
 
 
 def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
@@ -808,8 +800,7 @@ def factor_closure(a: Nfa) -> Nfa:
 def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
     """All accepted words of length <= max_len in length-lex order."""
     a = as_nfa(a)
-    core = _core(a)
-    start, fmask = core.start, core.final
+    _close, rows, active, start, fmask = _core(a)
     n = a.n_states
     full = (1 << n) - 1
     if not start:
@@ -822,7 +813,7 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
             if mask & fmask:
                 out.append(word)
             if length < max_len:
-                post = _union(core.rows, mask & core.active)
+                post = _union(rows, mask & active)
                 x = 0
                 while post:
                     m = post & full
@@ -862,12 +853,8 @@ def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
     their bars.  The list is indexed by the letters of HatAlphabet(base
     symbols), so it is both relabel's letter map from that alphabet into
     target and restrict's letter set."""
-    out = []
-    for b in base_symbols:
-        out.append(target.letter(b))
-    for b in base_symbols:
-        out.append(target.letter("~" + b))
-    return out
+    return ([target.letter(b) for b in base_symbols]
+            + [target.letter("~" + b) for b in base_symbols])
 
 
 # -- text format --------------------------------------------------------------

@@ -305,8 +305,7 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     rees_quotient keeps the survivors in index order, M' numbers (i, s, j)
     as (i(|S|+1) + s)J + j, so the survivors (s not the zero) come in the
     order (i|S| + s)J + j of M^0, and both put their zero last, labelled
-    by the same _fresh_label(labels, "0").  The legs and the formula share
-    one M', its map and loop automaton, and one tau0."""
+    by the same _fresh_label(labels, "0")."""
     t0 = time.perf_counter()
     tau0 = extend_to_zero(gmap)
     rep_zero = _adjoin_zero(s, gmap, tau0, time.perf_counter())
@@ -463,11 +462,9 @@ def verify_czeros(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationReport:
     tau_m = full_generator_map(dec.rees_semigroup)
     tau_s = GeneratorMap(tau_m.alphabet, s,
                          tuple(dec.isomorphism[v] for v in tau_m.image))
-    lhs = loop_problem(tau_s)
-    rhs = loop_problem(tau_m)
     rep53 = verify_unit_sandwich(dec.group, sigma_g, dec.i_count, dec.j_count,
                                  dec.sandwich)
-    return _finish("czeros", lhs, rhs,
+    return _finish("czeros", loop_problem(tau_s), loop_problem(tau_m),
                    [("via-semitoreeszero", rep42.holds, rep42.witness()),
                     ("via-unit-sandwich", rep53.holds, rep53.witness())],
                    {"order": s.order, "group_order": dec.group.order,

@@ -958,7 +958,7 @@ def test_determinize_matches_the_tuple_row_reference_on_wide_nfas(seed):
     assert a.n_states >= 30
     for keep_silent in (True, False):
         d = determinize(a, keep_silent=keep_silent)
-    assert d == breadth_first(tuple_determinize(a, keep_silent))
+        assert d == breadth_first(tuple_determinize(a, keep_silent))
 
 
 def test_determinize_matches_the_tuple_row_reference_on_the_probe():
@@ -1090,13 +1090,6 @@ DEAD = (None, None)
 ], ids=["unreachable-first", "unreachable-last", "empty-future", "empty", "empty-loop"])
 def test_minimize_on_dfas_that_look_minimal_but_are_not(d, expected):
     assert minimize(d) == expected == reference_minimize(d)
-
-
-def test_a_dfa_given_lists_and_a_set_stores_tuples_and_a_frozenset():
-    # minimize may give its input back, so the input must be the frozen form
-    d = Dfa(X, 2, [[1, None], [None, None]], 0, {1})
-    assert d.transitions == ((1, None), (None, None)) and type(d.final) is frozenset
-    assert minimize(d) is d and hash(d) == hash(Dfa(X, 2, d.transitions, 0, d.final))
 
 
 @settings(max_examples=200, deadline=None)
