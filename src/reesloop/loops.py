@@ -212,13 +212,19 @@ def zigzag_witness(gmap: GeneratorMap, word) -> tuple[int, ...]:
 
 # -- DOT export ---------------------------------------------------------------
 
+def _quoted(text: str) -> str:
+    """text as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot(name: str, m: FiniteSemigroup, edges) -> str:
-    """DOT digraph on the elements of m, identity double-circled, edges (a, b, attributes)."""
+    """DOT digraph on the elements of m, identity double-circled, edges (a, b, label, attrs)."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for v in range(m.order):
         shape = "doublecircle" if v == m.identity else "circle"
-        lines.append(f'  v{v} [label="{m.labels[v]}", shape={shape}];')
-    lines.extend(f"  v{a} -> v{b} [{attrs}];" for a, b, attrs in edges)
+        lines.append(f"  v{v} [label={_quoted(m.labels[v])}, shape={shape}];")
+    lines.extend(f"  v{a} -> v{b} [label={_quoted(label)}{attrs}];"
+                 for a, b, label, attrs in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -227,7 +233,7 @@ def cayley_dot(gmap: GeneratorMap) -> str:
     """Right Cayley graph of a monoid generator choice: an edge a --x--> b
     exactly when a.(x sigma) = b."""
     m = gmap.target
-    return _dot("cayley", m, ((a, row[g], f'label="{x}"')
+    return _dot("cayley", m, ((a, row[g], x, "")
                               for a, row in enumerate(m.table)
                               for x, g in zip(gmap.alphabet, gmap.image)))
 
@@ -241,5 +247,5 @@ def loop_automaton_dot(gmap: GeneratorMap) -> str:
     edges = []
     for p, x, q in sorted(nfa.transitions):
         style = "solid" if alpha.is_positive(x) else "dashed"
-        edges.append((p, q, f'label="{alpha.name(x)}", style={style}'))
+        edges.append((p, q, alpha.name(x), f", style={style}"))
     return _dot("loops", lifted.target, edges)

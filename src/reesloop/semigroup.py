@@ -5,7 +5,8 @@ are immutable.  Public constructors and parsers check every invariant, so a
 FiniteSemigroup is associative and its designated zero/identity obey their
 laws.  Derived constructions (S^1, S^0, quotients, Rees matrix semigroups,
 their maps and automata) are correct once their inputs are: they are trusted
-and build through _built unchecked; tests/test_trusted.py rebuilds them.
+and build through _built unchecked, each table row by row in one pass from
+its product rule; tests/test_trusted.py rebuilds them.
 Subset and morphism checks live in one gate each: _subsemigroup_set and
 _is_morphism.  The gate stays at the boundary: is_weakly_pru runs it before
 the _weakly_pru kernel, and the intersection verifier runs it once before
@@ -243,22 +244,18 @@ def generator_map(s: FiniteSemigroup, labels) -> GeneratorMap:
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     """S^1: a fresh identity is adjoined even if S already has one."""
     n = s.order
-    rows = [list(row) + [a] for a, row in enumerate(s.table)]
-    rows.append(list(range(n + 1)))
+    rows = tuple((*row, a) for a, row in enumerate(s.table)) + (tuple(range(n + 1)),)
     labels = s.labels + (_fresh_label(s.labels, "1"),)
-    return _built(FiniteSemigroup, labels, tuple(tuple(r) for r in rows),
-                  s.zero, n)
+    return _built(FiniteSemigroup, labels, rows, s.zero, n)
 
 
 def adjoin_zero(s: FiniteSemigroup) -> FiniteSemigroup:
     """S^0: a fresh absorbing element; any previously designated zero loses
     its designation (it no longer absorbs the new element)."""
     n = s.order
-    rows = [list(row) + [n] for row in s.table]
-    rows.append([n] * (n + 1))
+    rows = tuple((*row, n) for row in s.table) + ((n,) * (n + 1),)
     labels = s.labels + (_fresh_label(s.labels, "0"),)
-    return _built(FiniteSemigroup, labels, tuple(tuple(r) for r in rows),
-                  n, s.identity)
+    return _built(FiniteSemigroup, labels, rows, n, s.identity)
 
 
 def lift_to_monoid(gmap: GeneratorMap) -> GeneratorMap:
@@ -340,26 +337,21 @@ def rees_quotient(s: FiniteSemigroup, ideal, gmap: GeneratorMap | None = None):
         raise NotAnIdeal(f"{sorted(t)} is not an ideal")
     survivors = [v for v in range(s.order) if v not in t]
     zero_idx = len(survivors)
-    proj = [zero_idx] * s.order
-    for i, v in enumerate(survivors):
-        proj[v] = i
+    back = {v: i for i, v in enumerate(survivors)}
+    proj = tuple(back.get(v, zero_idx) for v in range(s.order))
     labels = tuple(s.labels[v] for v in survivors)
     labels += (_fresh_label(labels, "0"),)
-    n = zero_idx + 1
-    rows = [[zero_idx] * n for _ in range(n)]
-    for i, a in enumerate(survivors):
-        for j, b in enumerate(survivors):
-            rows[i][j] = proj[s.mul(a, b)]
+    rows = [tuple([proj[s.table[a][b]] for b in survivors] + [zero_idx])
+            for a in survivors]
+    rows.append((zero_idx,) * (zero_idx + 1))
     ident = None if s.identity is None or s.identity in t else proj[s.identity]
-    q = _built(FiniteSemigroup, labels, tuple(tuple(r) for r in rows),
-               zero_idx, ident)
-    proj_t = tuple(proj)
+    q = _built(FiniteSemigroup, labels, tuple(rows), zero_idx, ident)
     if gmap is None:
-        return q, proj_t
+        return q, proj
     image = tuple(proj[v] for v in gmap.image)
     if gmap.monoid:  # without the identity its images may not generate S/T
-        return q, proj_t, GeneratorMap(gmap.alphabet, q, image)
-    return q, proj_t, _built(GeneratorMap, gmap.alphabet, q, image, False)
+        return q, proj, GeneratorMap(gmap.alphabet, q, image)
+    return q, proj, _built(GeneratorMap, gmap.alphabet, q, image, False)
 
 
 ZERO = None  # sandwich-matrix mark for the absent entry
@@ -408,13 +400,20 @@ def sandwich(entries) -> SandwichMatrix:
 @dataclass(frozen=True)
 class ReesStructure:
     """Coordinate chart (i, s, j) <-> element index of a constructed Rees
-    matrix semigroup; the zero, when present, is the last index."""
+    matrix semigroup, the triples in lexicographic order: (i, s, j) is
+    element (i|S| + s)|J| + j, and the zero, when present, the last."""
 
     base: FiniteSemigroup
     i_count: int
     j_count: int
     sandwich: SandwichMatrix
     with_zero: bool
+
+    @functools.cached_property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Every nonzero element's (i, s, j), in index order."""
+        return tuple(itertools.product(range(self.i_count), range(self.base.order),
+                                       range(self.j_count)))
 
     def encode(self, i: int, s: int, j: int) -> int:
         if not (0 <= i < self.i_count and 0 <= s < self.base.order
@@ -428,25 +427,23 @@ class ReesStructure:
             return None
         if not (0 <= idx < self.order):
             raise IndexOutOfRange(f"bad element index {idx}")
-        idx, j = divmod(idx, self.j_count)
-        i, s = divmod(idx, self.base.order)
-        return (i, s, j)
+        return self.triples[idx]
 
     @property
     def zero_index(self) -> int | None:
-        return self.i_count * self.base.order * self.j_count if self.with_zero else None
+        return len(self.triples) if self.with_zero else None
 
     @property
     def order(self) -> int:
-        n = self.i_count * self.base.order * self.j_count
-        return n + 1 if self.with_zero else n
+        return len(self.triples) + self.with_zero
 
 
 def rees_matrix(s: FiniteSemigroup, i_count: int, j_count: int,
                 p: SandwichMatrix, with_zero: bool):
     """M(S; I, J; P) or M^0(S; I, J; P) with the product
     (i1,g1,j1)(i2,g2,j2) = (i1, g1 P[j1][i2] g2, j2), or the zero when the
-    sandwich entry is ZERO."""
+    sandwich entry is ZERO.  One pass over rs.triples writes the labels and
+    the rows, the zero's column and row included, from S's table and P."""
     if p.rows != j_count or p.cols != i_count:
         raise SemigroupError(f"sandwich matrix must be {j_count}x{i_count}")
     for row in p.entries:
@@ -457,32 +454,20 @@ def rees_matrix(s: FiniteSemigroup, i_count: int, j_count: int,
             elif v >= s.order:
                 raise IndexOutOfRange(f"sandwich entry {v} out of range")
     rs = ReesStructure(s, i_count, j_count, p, with_zero)
-    n = rs.order
-    zero = rs.zero_index
-    labels = []
-    for i in range(i_count):
-        for g in range(s.order):
-            for j in range(j_count):
-                labels.append(f"({i + 1},{s.labels[g]},{j + 1})")
+    triples, table, zero = rs.triples, s.table, rs.zero_index
+    index = {t: k for k, t in enumerate(triples)}
+    labels = [f"({i + 1},{s.labels[g]},{j + 1})" for i, g, j in triples]
+    rows = []
+    for i1, g1, j1 in triples:
+        # sides[i2]: the table row of g1 P[j1][i2], or None for a ZERO entry
+        sides = [None if pe is None else table[table[g1][pe]] for pe in p.entries[j1]]
+        row = [zero if sides[i2] is None else index[i1, sides[i2][g2], j2]
+               for i2, g2, j2 in triples]
+        rows.append(tuple(row + [zero] if with_zero else row))
     if with_zero:
         labels.append(_fresh_label(labels, "0"))
-    rows = [[0] * n for _ in range(n)]
-    triples = [(i, g, j) for i in range(i_count)
-               for g in range(s.order) for j in range(j_count)]
-    for a, (i1, g1, j1) in enumerate(triples):
-        for b, (i2, g2, j2) in enumerate(triples):
-            pe = p.entry(j1, i2)
-            if pe is None:
-                rows[a][b] = zero
-            else:
-                rows[a][b] = rs.encode(i1, s.mul(s.mul(g1, pe), g2), j2)
-    if with_zero:
-        for a in range(n):
-            rows[a][zero] = zero
-            rows[zero][a] = zero
-    m = _built(FiniteSemigroup, tuple(labels), tuple(tuple(r) for r in rows),
-               zero, None)
-    return m, rs
+        rows.append((zero,) * rs.order)
+    return _built(FiniteSemigroup, tuple(labels), tuple(rows), zero, None), rs
 
 
 def idempotents(s: FiniteSemigroup) -> frozenset[int]:

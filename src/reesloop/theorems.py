@@ -302,10 +302,10 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     to S by the zero-free theorem and the adjoin-zero theorem.
 
     The quotient and M^0 are equal tables, checked as "quotient-iso-M0":
-    rees_quotient keeps the survivors in index order, M' numbers (i, s, j)
-    as (i(|S|+1) + s)J + j, so the survivors (s not the zero) come in the
-    order (i|S| + s)J + j of M^0, and both put their zero last, labelled
-    by the same _fresh_label(labels, "0")."""
+    rees_quotient keeps the survivors in index order, and M' and M^0 both
+    number their triples lexicographically (ReesStructure.triples), so the
+    survivors (s not the zero) come in M^0's order; both put their zero
+    last, labelled by the same _fresh_label(labels, "0")."""
     t0 = time.perf_counter()
     tau0 = extend_to_zero(gmap)
     rep_zero = _adjoin_zero(s, gmap, tau0, time.perf_counter())

@@ -46,12 +46,6 @@ class Transducer:
         return f"Transducer(states={self.n_states}, edges={len(self.edges)})"
 
 
-def transducer(in_alphabet, out_alphabet, n_states, edges, initial, final) -> Transducer:
-    return Transducer(in_alphabet, out_alphabet, n_states,
-                      frozenset((p, tuple(u), tuple(v), q) for p, u, v, q in edges),
-                      frozenset(initial), frozenset(final))
-
-
 def normalize(t: Transducer) -> Transducer:
     """Split word labels so every edge reads at most one input letter and
     writes at most one output letter; the relation is unchanged."""

@@ -21,12 +21,14 @@ from reesloop.language import (Nfa, enumerate_words, equivalent, format_automato
 from reesloop.loops import loop_problem
 from reesloop.semigroup import (
     NotAnIdeal,
+    ParseError,
     adjoin_zero,
     brandt_b2,
     cyclic_group,
     format_semigroup,
     full_generator_map,
     generator_map,
+    null_semigroup,
     parse_semigroup_text,
     trivial_semigroup,
 )
@@ -64,6 +66,13 @@ class TestInfo:
         assert code == 0
         assert "order 5" in out
         assert "completely zero-simple: yes, max subgroup order 1" in out
+
+    def test_null_semigroup_is_not_completely_zero_simple(self, tmp_path):
+        null2 = tmp_path / "null2.tbl"
+        null2.write_text(format_semigroup(null_semigroup(2)))
+        code, out = run_cli("info", str(null2))
+        assert code == 0
+        assert out.splitlines()[-1] == "completely zero-simple: no"
 
     def test_trivial(self, tables):
         code, out = run_cli("info", tables["triv"])
@@ -263,17 +272,23 @@ class TestConstructions:
         Path("c3.tbl").write_text("3\ne g g2\ne g g2\ng g2 e\ng2 e g\nidentity e\n")
         Path("b2.tbl").write_text("5\na b c d 0\na b 0 0 0\n0 0 a b 0\n"
                                   "c d 0 0 0\n0 0 c d 0\n0 0 0 0 0\nzero 0\n")
+        Path("c3.rees").write_text("base c3.tbl\ni 2\nj 2\nmatrix\ng2 g2\ng e\n")
+        Path("c3zero.rees").write_text("base c3.tbl\ni 2\nj 2\nzero true\nmatrix\ng 0\n0 e\n")
         for out, argv in (("loop b2.tbl", ["loop", "b2.tbl", "--dot", "loop b2.tbl --dot"]),
                           ("loop c3.tbl g", ["loop", "c3.tbl", "g", "--dot", "loop c3.tbl g --dot"]),
                           ("cayley b2.tbl", ["cayley", "b2.tbl"]),
-                          ("cayley --monoid c3.tbl g", ["cayley", "--monoid", "c3.tbl", "g"])):
+                          ("cayley --monoid c3.tbl g", ["cayley", "--monoid", "c3.tbl", "g"]),
+                          ("rees c3.rees", ["rees", "c3.rees"]),
+                          ("rees c3zero.rees", ["rees", "c3zero.rees"]),
+                          ("quotient b2.tbl 0", ["quotient", "b2.tbl", "0"]),
+                          ("quotient c3.tbl e g g2", ["quotient", "c3.tbl", "e", "g", "g2"])):
             assert main(argv + ["-o", out]) == 0
         want = {}
         for line in STREAM_DIGESTS.read_text().splitlines():
             digest, name = line.split("  ", 1)
-            if name.startswith(("loop ", "cayley ")):
+            if name.startswith(("loop ", "cayley ", "rees ", "quotient ")):
                 want[name] = digest
-        assert len(want) == 6
+        assert len(want) == 10
         for name, digest in want.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 
@@ -502,3 +517,36 @@ class TestCorpus:
         code, out = run_cli("corpus", "--jmax", "1", "--seed", "0")
         assert code == 0
         assert out.encode() == CORPUS_REFERENCE.read_bytes()
+
+
+# (spec text, message): parse_rees_spec's checks that no other test reaches,
+# on a spec beside the one-element table triv.tbl; {dir} is that directory
+SPEC_CHECKS = [
+    pytest.param("base none.tbl\ni 1\nj 1\nmatrix\ne\n",
+                 "Parse error at line 1: cannot read base table: [Errno 2] "
+                 "No such file or directory: '{dir}/none.tbl'", id="unreadable-base"),
+    pytest.param("base triv.tbl\nk 2\n", "Parse error at line 2: unexpected line 'k 2'",
+                 id="unknown-line"),
+    pytest.param("base triv.tbl\nmatrix\ne\n",
+                 "Parse error at line 1: spec needs base, i, j and matrix lines",
+                 id="missing-i-and-j"),
+    pytest.param("base triv.tbl\ni 1\nj 1\nmatrix\ne e\n",
+                 "Parse error at line 5: matrix must have 1 rows of 1 entries",
+                 id="matrix-shape"),
+]
+
+
+@pytest.mark.parametrize("spec, message", SPEC_CHECKS)
+def test_spec_check_raises_its_type_and_message(spec, message, tmp_path):
+    (tmp_path / "triv.tbl").write_text("1\ne\ne\n")
+    with pytest.raises(ParseError) as err:
+        cli.parse_rees_spec(spec, tmp_path)
+    assert type(err.value) is ParseError
+    assert str(err.value) == message.format(dir=tmp_path)
+
+
+def test_an_unknown_tag_has_no_instances():
+    with pytest.raises(ValueError) as err:
+        next(iter_instances("no-such-tag"))
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown theorem tag 'no-such-tag'"

@@ -1490,3 +1490,25 @@ class TestTextFormat:
                 frozenset({0}), frozenset({1}))
         t = trim(a)
         assert t.n_states == 2 and equivalent(t, a)
+
+
+# (call, exception type, message): the Dfa constructor's checks
+DFA_CHECKS = [
+    pytest.param(lambda: Dfa(X, 1, ((None, None),), 1, frozenset()), LanguageError,
+                 "initial state out of range", id="initial"),
+    pytest.param(lambda: Dfa(X, 2, ((None, None),), 0, frozenset()), LanguageError,
+                 "transition table size mismatch", id="table-size"),
+    pytest.param(lambda: Dfa(X, 1, ((None,),), 0, frozenset()), LanguageError,
+                 "transition row size mismatch", id="row-size"),
+    pytest.param(lambda: Dfa(X, 1, ((1, None),), 0, frozenset()), LanguageError,
+                 "transition target out of range", id="target"),
+    pytest.param(lambda: Dfa(X, 1, ((0, None),), 0, frozenset({1})), LanguageError,
+                 "final state out of range", id="final"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", DFA_CHECKS)
+def test_dfa_check_raises_its_type_and_message(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message

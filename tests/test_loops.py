@@ -98,19 +98,28 @@ def own_identity_map(s):
     return None
 
 
+QUOTED = r'"((?:[^"\\]|\\.)*)"'  # a DOT quoted string, escapes included
+
+
+def unquoted(text):
+    return re.sub(r"\\(.)", r"\1", text)
+
+
 def dot_graph(dot):
-    """(vertex count, set of (a, label, b) edges) of a cayley_dot export."""
-    vertices = re.findall(r'^  v(\d+) \[label="[^"]*", shape=', dot, re.M)
-    edges = re.findall(r'^  v(\d+) -> v(\d+) \[label="([^"]*)"\];$', dot, re.M)
-    return len(vertices), {(int(a), x, int(b)) for a, b, x in edges}
+    """(vertex labels in order, set of (a, label, b) edges) of a cayley_dot
+    or loop_automaton_dot export, every label unescaped."""
+    vertices = re.findall(rf"^  v\d+ \[label={QUOTED}, shape=\w+\];$", dot, re.M)
+    edges = re.findall(rf"^  v(\d+) -> v(\d+) \[label={QUOTED}(?:, style=\w+)?\];$",
+                       dot, re.M)
+    return tuple(map(unquoted, vertices)), {(int(a), unquoted(x), int(b)) for a, b, x in edges}
 
 
 class TestCayley:
     def test_trivial_monoid_self_loop(self):
         gm = lift_to_monoid(full_generator_map(trivial_semigroup()))
         # lifted trivial semigroup: 2 vertices; the monoid case:
-        count, edges = dot_graph(cayley_dot(gm))
-        assert count == 2
+        labels, edges = dot_graph(cayley_dot(gm))
+        assert len(labels) == 2
         assert edges == {(1, "e", 0), (0, "e", 0)}
 
     def test_c2_lift_edges(self):
@@ -122,7 +131,7 @@ class TestCayley:
     def test_vertex_count_is_monoid_order(self):
         for n in (1, 2, 3):
             gm = lift_to_monoid(full_generator_map(cyclic_group(n)))
-            assert dot_graph(cayley_dot(gm))[0] == n + 1
+            assert len(dot_graph(cayley_dot(gm))[0]) == n + 1
 
 
 class TestLoopAutomaton:
@@ -501,3 +510,29 @@ class TestDot:
         cayley = cayley_dot(lift_to_monoid(gm))
         assert cayley.startswith("digraph cayley {")
         assert "style=" not in cayley and "doublecircle" in cayley
+
+    def test_labels_with_quotes_and_backslashes_come_back_unchanged(self):
+        s = FiniteSemigroup(("b\"", "a\\b"), ((0, 1), (0, 1)))
+        gm = full_generator_map(s)
+        for dot in (cayley_dot(lift_to_monoid(gm)), loop_automaton_dot(gm)):
+            labels, edges = dot_graph(dot)
+            assert labels == ("b\"", "a\\b", "1")
+            assert dot.count(" -> ") == len(edges)
+            assert {x.lstrip("~") for _a, x, _b in edges} == {"b\"", "a\\b"}
+        assert 'v0 [label="b\\"", shape=circle];' in cayley_dot(lift_to_monoid(gm))
+
+
+# (call, exception type, message): the checks of this module that no other
+# test reaches
+LOOP_CHECKS = [
+    pytest.param(lambda: zigzag_witness(full_generator_map(cyclic_group(2)), (0, 4)),
+                 NotInLoopProblem, "word is not accepted by the loop automaton",
+                 id="zigzag-letter-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", LOOP_CHECKS)
+def test_loop_check_raises_its_type_and_message(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message

@@ -4,12 +4,17 @@ import random
 import pytest
 
 from reesloop import semigroup
-from reesloop.cli import iter_instances
+from reesloop.cli import _sandwiches, iter_instances
 from reesloop.semigroup import (
     BadIdentity,
+    FiniteSemigroup,
+    GeneratorMap,
+    SandwichMatrix,
+    SemigroupError,
     BadZero,
     EmptySubset,
     IndexOutOfRange,
+    NAMED_SEMIGROUPS,
     NonAssociative,
     NotASubsemigroup,
     NotGenerating,
@@ -18,6 +23,7 @@ from reesloop.semigroup import (
     NoZero,
     OrderTooLarge,
     ParseError,
+    ReesStructure,
     ZERO,
     adjoin_identity,
     adjoin_zero,
@@ -229,6 +235,64 @@ def corpus_rees_semigroups():
     return list(dict.fromkeys(found))
 
 
+def reference_rees_matrix(s, i_count, j_count, p, with_zero):
+    """rees_matrix as it was before it wrote each row in one pass: the
+    triples listed for the labels, again for the rows and a third time to
+    fill the zero's row and column, every cell through ReesStructure.encode,
+    s.mul and p.entry (its checks on P left out)."""
+    rs = ReesStructure(s, i_count, j_count, p, with_zero)
+    n = rs.order
+    zero = rs.zero_index
+    labels = []
+    for i in range(i_count):
+        for g in range(s.order):
+            for j in range(j_count):
+                labels.append(f"({i + 1},{s.labels[g]},{j + 1})")
+    if with_zero:
+        labels.append(semigroup._fresh_label(labels, "0"))
+    rows = [[0] * n for _ in range(n)]
+    triples = [(i, g, j) for i in range(i_count)
+               for g in range(s.order) for j in range(j_count)]
+    for a, (i1, g1, j1) in enumerate(triples):
+        for b, (i2, g2, j2) in enumerate(triples):
+            pe = p.entry(j1, i2)
+            if pe is None:
+                rows[a][b] = zero
+            else:
+                rows[a][b] = rs.encode(i1, s.mul(s.mul(g1, pe), g2), j2)
+    if with_zero:
+        for a in range(n):
+            rows[a][zero] = zero
+            rows[zero][a] = zero
+    m = semigroup._built(semigroup.FiniteSemigroup, tuple(labels),
+                         tuple(tuple(r) for r in rows), zero, None)
+    return m, rs
+
+
+def reference_rees_quotient(s, ideal, gmap):
+    """rees_quotient as it was before it wrote each survivor's row once: an
+    n x n table of zeros, overwritten cell by cell through s.mul (its ideal
+    check left out, and the induced map always checked)."""
+    t = frozenset(ideal)
+    survivors = [v for v in range(s.order) if v not in t]
+    zero_idx = len(survivors)
+    proj = [zero_idx] * s.order
+    for i, v in enumerate(survivors):
+        proj[v] = i
+    labels = tuple(s.labels[v] for v in survivors)
+    labels += (semigroup._fresh_label(labels, "0"),)
+    n = zero_idx + 1
+    rows = [[zero_idx] * n for _ in range(n)]
+    for i, a in enumerate(survivors):
+        for j, b in enumerate(survivors):
+            rows[i][j] = proj[s.mul(a, b)]
+    ident = None if s.identity is None or s.identity in t else proj[s.identity]
+    q = semigroup._built(semigroup.FiniteSemigroup, labels,
+                         tuple(tuple(r) for r in rows), zero_idx, ident)
+    image = tuple(proj[v] for v in gmap.image)
+    return q, tuple(proj), semigroup.GeneratorMap(gmap.alphabet, q, image)
+
+
 class TestMakeSemigroup:
     def test_trivial(self):
         s = make_semigroup(["e"], [[0]])
@@ -376,6 +440,35 @@ class TestReesMatrix:
     def test_regular_predicate(self):
         assert sandwich([[0, ZERO], [ZERO, 0]]).regular
         assert not sandwich([[ZERO, ZERO], [0, 0]]).regular
+
+
+class TestOnePassBuilders:
+    """rees_matrix and rees_quotient give what the references above give."""
+
+    @pytest.mark.parametrize("name", NAMED_SEMIGROUPS)
+    @pytest.mark.parametrize("with_zero", [False, True])
+    def test_rees_matrix_equals_the_reference(self, name, with_zero):
+        base = NAMED_SEMIGROUPS[name]()
+        count = 0
+        for ic, jc in itertools.product((1, 2), repeat=2):
+            for p in _sandwiches(base, ic, jc, allow_zero=with_zero):
+                m, rs = rees_matrix(base, ic, jc, p, with_zero)
+                assert (m, rs) == reference_rees_matrix(base, ic, jc, p, with_zero)
+                assert [rs.encode(*t) for t in rs.triples] == list(range(len(rs.triples)))
+                assert all(rs.decode(rs.encode(*t)) == t for t in rs.triples)
+                count += 1
+        n = base.order + with_zero
+        assert count == n + 2 * n ** 2 + n ** 4
+
+    def test_rees_quotient_equals_the_reference(self):
+        bases = [s for n in (1, 2, 3) for s in enumerate_semigroups(n)] + [brandt_b2()]
+        count = 0
+        for s in bases:
+            gmap = full_generator_map(s)
+            for t in all_ideals(s):
+                assert rees_quotient(s, t, gmap) == reference_rees_quotient(s, t, gmap)
+                count += 1
+        assert count == 294 + len(all_ideals(brandt_b2()))
 
 
 class TestStructure:
@@ -754,6 +847,86 @@ class TestTextFormat:
             parse_semigroup_text(text)
         assert str(exc.value) == f"Parse error at line {line}: {message}"
 
+
+def _c2_rees():
+    return rees_matrix(cyclic_group(2), 1, 1, sandwich([[0]]), False)[1]
+
+
+# (call, exception type, message): every input check of this module that no
+# other test reaches
+INPUT_CHECKS = [
+    pytest.param(lambda: FiniteSemigroup((), ()), SemigroupError,
+                 "a semigroup needs at least one element", id="no-elements"),
+    pytest.param(lambda: FiniteSemigroup(("a", "a"), ((0, 0), (0, 0))), SemigroupError,
+                 "labels must be distinct", id="repeated-labels"),
+    pytest.param(lambda: FiniteSemigroup(("a b",), ((0,),)), SemigroupError,
+                 "bad label 'a b'", id="bad-label"),
+    pytest.param(lambda: FiniteSemigroup(("a", "b"), ((0, 0),)), IndexOutOfRange,
+                 "table is not square", id="too-few-rows"),
+    pytest.param(lambda: FiniteSemigroup(("a", "b"), ((0, 0), (0,))), IndexOutOfRange,
+                 "table is not square", id="short-row"),
+    pytest.param(lambda: FiniteSemigroup(("a",), ((1,),)), IndexOutOfRange,
+                 "table entry 1 out of range", id="entry-out-of-range"),
+    pytest.param(lambda: FiniteSemigroup(("a",), ((0,),), zero=1), IndexOutOfRange,
+                 "zero index 1 out of range", id="zero-out-of-range"),
+    pytest.param(lambda: FiniteSemigroup(("a",), ((0,),), identity=-1), IndexOutOfRange,
+                 "identity index -1 out of range", id="identity-out-of-range"),
+    pytest.param(lambda: GeneratorMap(("x",), cyclic_group(2), (0, 1)), SemigroupError,
+                 "alphabet and image sizes differ", id="map-sizes-differ"),
+    pytest.param(lambda: GeneratorMap(("x", "x"), cyclic_group(2), (0, 1)), SemigroupError,
+                 "alphabet symbols must be distinct", id="map-repeated-symbols"),
+    pytest.param(lambda: GeneratorMap(("x",), cyclic_group(2), (2,)), IndexOutOfRange,
+                 "image index 2 out of range", id="map-image-out-of-range"),
+    pytest.param(lambda: GeneratorMap(("x",), left_zero(1), (0,), monoid=True), NoIdentity,
+                 "monoid generator map needs a designated identity", id="monoid-map-no-identity"),
+    pytest.param(lambda: sandwich([]), SemigroupError,
+                 "sandwich matrix must be nonempty", id="sandwich-empty"),
+    pytest.param(lambda: SandwichMatrix(2, 2, ((0, 0), (0,))), SemigroupError,
+                 "sandwich matrix shape mismatch", id="sandwich-ragged"),
+    pytest.param(lambda: sandwich([[-1]]), IndexOutOfRange,
+                 "bad sandwich entry -1", id="sandwich-bad-entry"),
+    pytest.param(lambda: rees_matrix(cyclic_group(2), 2, 1, sandwich([[0]]), False),
+                 SemigroupError, "sandwich matrix must be 1x2", id="rees-wrong-shape"),
+    pytest.param(lambda: rees_matrix(cyclic_group(2), 1, 1, sandwich([[2]]), False),
+                 IndexOutOfRange, "sandwich entry 2 out of range", id="rees-entry-too-large"),
+    pytest.param(lambda: _c2_rees().encode(0, 2, 0), IndexOutOfRange,
+                 "bad triple (0,2,0)", id="encode-out-of-range"),
+    pytest.param(lambda: _c2_rees().decode(2), IndexOutOfRange,
+                 "bad element index 2", id="decode-out-of-range"),
+    pytest.param(lambda: green_classes(cyclic_group(2)).class_of("r", 2), IndexOutOfRange,
+                 "element 2 not found", id="class-of-unknown"),
+    pytest.param(lambda: parse_semigroup_text(" \n"), ParseError,
+                 "Parse error at line 1: empty table file", id="parse-empty"),
+    pytest.param(lambda: parse_semigroup_text("two\n"), ParseError,
+                 "Parse error at line 1: expected element count, got 'two'", id="parse-count-nan"),
+    pytest.param(lambda: parse_semigroup_text("0\n"), ParseError,
+                 "Parse error at line 1: element count must be positive", id="parse-count-zero"),
+    pytest.param(lambda: parse_semigroup_text("2\na\na a\na a\n"), ParseError,
+                 "Parse error at line 2: expected 2 labels, got 1", id="parse-label-count"),
+    pytest.param(lambda: parse_semigroup_text("2\na a\na a\na a\n"), ParseError,
+                 "Parse error at line 2: duplicate labels", id="parse-repeated-labels"),
+    pytest.param(lambda: parse_semigroup_text("1\ne\ne\ne\n"), ParseError,
+                 "Parse error at line 4: unexpected line 'e'", id="parse-stray-line"),
+    pytest.param(lambda: parse_semigroup_text("1\ne\ne\nidentity f\n"), ParseError,
+                 "Parse error at line 4: unknown label 'f'", id="parse-unknown-mark"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS)
+def test_input_check_raises_its_type_and_message(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def test_a_subsemigroup_can_fail_to_be_pseudo_right_unitary():
+    """In B2, T = {(1,e,2), 0}: a = (1,e,1) keeps both elements of T inside
+    T, and no b in T acts on them as a does."""
+    b2 = brandt_b2()
+    t = frozenset({1, b2.zero})
+    assert is_subsemigroup(b2, t)
+    assert not is_pseudo_right_unitary(b2, t)
+    assert not is_weakly_pru(b2, t) and not is_right_unitary(b2, t)
 
 def reference_is_morphism(src, dst, phi):
     for a in range(src.order):

@@ -812,3 +812,30 @@ class TestGates:
         with pytest.raises(theorems.RestrictionNotOntoT) as err:
             verify_subsemigroup_intersection(s, full_generator_map(s), {0, 1}, ("e",))
         assert str(err.value) == "restricted generators do not generate T"
+
+
+# (call, exception type, message): the input checks of the verifiers that
+# the corpora never reach
+VERIFIER_CHECKS = [
+    pytest.param(lambda: verify_subsemigroup_intersection(
+                     cyclic_group(2), full_generator_map(cyclic_group(2)), {0}, ("g",),
+                     require_hypothesis=False),
+                 theorems.RestrictionNotOntoT, "generator 'g' maps outside T",
+                 id="generator-outside-t"),
+    pytest.param(lambda: verify_subsemigroup_intersection(
+                     cyclic_group(2), full_generator_map(cyclic_group(2)), {0}, ("e", "e")),
+                 semigroup.SemigroupError, "alphabet symbols must be distinct",
+                 id="repeated-symbols"),
+    pytest.param(lambda: verify_unit_sandwich(
+                     semigroup.left_zero(2), full_generator_map(semigroup.left_zero(2)),
+                     1, 1, sandwich([[0]])),
+                 semigroup.NoIdentity, "the base of the unit-sandwich theorem is a monoid",
+                 id="unit-sandwich-without-identity"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", VERIFIER_CHECKS)
+def test_verifier_check_raises_its_type_and_message(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message

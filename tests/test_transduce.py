@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reesloop.language import (
+    AlphabetMismatch,
     HatAlphabet,
     LanguageError,
     Nfa,
@@ -26,18 +27,25 @@ from reesloop.semigroup import (
 )
 from reesloop.transduce import (
     HasZero,
+    Transducer,
     accepts_pair,
     apply,
     build_rees_transducer,
     choose_words,
     normalize,
-    transducer,
 )
 
 from test_language import eps_nfas, ref_product
 
 X = HatAlphabet(("x",))
 Y = HatAlphabet(("p", "q"))
+
+
+def transducer(in_alphabet, out_alphabet, n_states, edges, initial, final) -> Transducer:
+    """A checked Transducer from any iterables of edges and states."""
+    return Transducer(in_alphabet, out_alphabet, n_states,
+                      frozenset((p, tuple(u), tuple(v), q) for p, u, v, q in edges),
+                      frozenset(initial), frozenset(final))
 
 
 def identity_transducer(alpha):
@@ -332,3 +340,26 @@ def test_apply_equals_the_product_reference_on_rees_images():
                 m, rs = rees_matrix(base, ic, jc, sandwich(entries), False)
                 t = build_rees_transducer(gmap, rs, full_generator_map(m))
                 assert apply(t, l) == ref_apply(t, l)
+
+
+# (call, exception type, message): the Transducer constructor's checks and
+# apply's alphabet check
+TRANSDUCER_CHECKS = [
+    pytest.param(lambda: transducer(X, Y, 1, [], {0}, {1}), LanguageError,
+                 "state 1 out of range", id="final-state"),
+    pytest.param(lambda: transducer(X, Y, 1, [(0, (), (), 1)], {0}, {0}), LanguageError,
+                 "edge state out of range", id="edge-state"),
+    pytest.param(lambda: transducer(X, Y, 1, [(0, (2,), (), 0)], {0}, {0}), LanguageError,
+                 "input letter 2 out of range", id="input-letter"),
+    pytest.param(lambda: transducer(X, Y, 1, [(0, (), (4,), 0)], {0}, {0}), LanguageError,
+                 "output letter 4 out of range", id="output-letter"),
+    pytest.param(lambda: apply(identity_transducer(X), word_set_nfa(Y, [()])), AlphabetMismatch,
+                 "language is not over the transducer input alphabet", id="apply-alphabet"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", TRANSDUCER_CHECKS)
+def test_transducer_check_raises_its_type_and_message(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message
