@@ -519,34 +519,34 @@ class TestCorpus:
         assert out.encode() == CORPUS_REFERENCE.read_bytes()
 
 
-# (spec text, message): parse_rees_spec's checks that no other test reaches,
-# on a spec beside the one-element table triv.tbl; {dir} is that directory
-SPEC_CHECKS = [
-    pytest.param("base none.tbl\ni 1\nj 1\nmatrix\ne\n",
+def _spec(text):
+    """parse_rees_spec on text, read in the directory it is given."""
+    return lambda directory: cli.parse_rees_spec(text, directory)
+
+
+# (call on a directory holding the one-element table triv.tbl, exception
+# type, message, {dir} standing for that directory): the checks of this
+# module that no other test reaches
+CLI_CHECKS = [
+    pytest.param(_spec("base none.tbl\ni 1\nj 1\nmatrix\ne\n"), ParseError,
                  "Parse error at line 1: cannot read base table: [Errno 2] "
                  "No such file or directory: '{dir}/none.tbl'", id="unreadable-base"),
-    pytest.param("base triv.tbl\nk 2\n", "Parse error at line 2: unexpected line 'k 2'",
-                 id="unknown-line"),
-    pytest.param("base triv.tbl\nmatrix\ne\n",
+    pytest.param(_spec("base triv.tbl\nk 2\n"), ParseError,
+                 "Parse error at line 2: unexpected line 'k 2'", id="unknown-line"),
+    pytest.param(_spec("base triv.tbl\nmatrix\ne\n"), ParseError,
                  "Parse error at line 1: spec needs base, i, j and matrix lines",
                  id="missing-i-and-j"),
-    pytest.param("base triv.tbl\ni 1\nj 1\nmatrix\ne e\n",
+    pytest.param(_spec("base triv.tbl\ni 1\nj 1\nmatrix\ne e\n"), ParseError,
                  "Parse error at line 5: matrix must have 1 rows of 1 entries",
                  id="matrix-shape"),
+    pytest.param(lambda directory: next(iter_instances("no-such-tag")), ValueError,
+                 "unknown theorem tag 'no-such-tag'", id="unknown-tag"),
 ]
 
 
-@pytest.mark.parametrize("spec, message", SPEC_CHECKS)
-def test_spec_check_raises_its_type_and_message(spec, message, tmp_path):
+@pytest.mark.parametrize("call, exc, message", CLI_CHECKS)
+def test_cli_check_raises_its_type_and_message(call, exc, message, tmp_path):
     (tmp_path / "triv.tbl").write_text("1\ne\ne\n")
-    with pytest.raises(ParseError) as err:
-        cli.parse_rees_spec(spec, tmp_path)
-    assert type(err.value) is ParseError
-    assert str(err.value) == message.format(dir=tmp_path)
-
-
-def test_an_unknown_tag_has_no_instances():
-    with pytest.raises(ValueError) as err:
-        next(iter_instances("no-such-tag"))
-    assert type(err.value) is ValueError
-    assert str(err.value) == "unknown theorem tag 'no-such-tag'"
+    with pytest.raises(exc) as err:
+        call(tmp_path)
+    assert type(err.value) is exc and str(err.value) == message.format(dir=tmp_path)

@@ -7,12 +7,10 @@ from reesloop import semigroup
 from reesloop.cli import _sandwiches, iter_instances
 from reesloop.semigroup import (
     BadIdentity,
-    FiniteSemigroup,
-    GeneratorMap,
-    SandwichMatrix,
-    SemigroupError,
     BadZero,
     EmptySubset,
+    FiniteSemigroup,
+    GeneratorMap,
     IndexOutOfRange,
     NAMED_SEMIGROUPS,
     NonAssociative,
@@ -24,6 +22,8 @@ from reesloop.semigroup import (
     OrderTooLarge,
     ParseError,
     ReesStructure,
+    SandwichMatrix,
+    SemigroupError,
     ZERO,
     adjoin_identity,
     adjoin_zero,
