@@ -361,13 +361,17 @@ def worker_count(jobs: int) -> int:
 
 def run_corpus(instances, stream=None) -> int:
     """Run instances (any iterable of (id, job)), print RESULT lines sorted
-    by instance id, return the count of failures."""
+    by instance id, return the count of failures.  With more than one
+    worker, a fresh pool runs the sorted instances in about 4 x workers
+    consecutive batches, each instance one `run_job` call, so that a pool
+    round trip is paid per batch, not per instance."""
     stream = stream or sys.stdout
     items = sorted(instances, key=lambda kv: kv[0])
     workers = worker_count(len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, items, chunksize=4))
+            chunksize = -(-len(items) // (4 * workers))
+            results = list(pool.map(run_job, items, chunksize=chunksize))
     else:
         results = [run_job(item) for item in items]
     failures = 0

@@ -373,7 +373,7 @@ class SandwichMatrix:
             raise SemigroupError("sandwich matrix shape mismatch")
         for row in self.entries:
             for v in row:
-                if v is not None and (not isinstance(v, int) or v < 0):
+                if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
                     raise IndexOutOfRange(f"bad sandwich entry {v!r}")
 
     def entry(self, j: int, i: int) -> int | None:
@@ -401,13 +401,26 @@ def sandwich(entries) -> SandwichMatrix:
 class ReesStructure:
     """Coordinate chart (i, s, j) <-> element index of a constructed Rees
     matrix semigroup, the triples in lexicographic order: (i, s, j) is
-    element (i|S| + s)|J| + j, and the zero, when present, the last."""
+    element (i|S| + s)|J| + j, and the zero, when present, the last.  P must
+    be J x I over S, with ZERO entries only when with_zero."""
 
     base: FiniteSemigroup
     i_count: int
     j_count: int
     sandwich: SandwichMatrix
     with_zero: bool
+
+    def __post_init__(self):
+        p = self.sandwich
+        if p.rows != self.j_count or p.cols != self.i_count:
+            raise SemigroupError(f"sandwich matrix must be {self.j_count}x{self.i_count}")
+        for row in p.entries:
+            for v in row:
+                if v is None:
+                    if not self.with_zero:
+                        raise ZeroEntryWithoutZero("ZERO entry in a zero-free construction")
+                elif v >= self.base.order:
+                    raise IndexOutOfRange(f"sandwich entry {v} out of range")
 
     @functools.cached_property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -444,15 +457,6 @@ def rees_matrix(s: FiniteSemigroup, i_count: int, j_count: int,
     (i1,g1,j1)(i2,g2,j2) = (i1, g1 P[j1][i2] g2, j2), or the zero when the
     sandwich entry is ZERO.  One pass over rs.triples writes the labels and
     the rows, the zero's column and row included, from S's table and P."""
-    if p.rows != j_count or p.cols != i_count:
-        raise SemigroupError(f"sandwich matrix must be {j_count}x{i_count}")
-    for row in p.entries:
-        for v in row:
-            if v is None:
-                if not with_zero:
-                    raise ZeroEntryWithoutZero("ZERO entry in a zero-free construction")
-            elif v >= s.order:
-                raise IndexOutOfRange(f"sandwich entry {v} out of range")
     rs = ReesStructure(s, i_count, j_count, p, with_zero)
     triples, table, zero = rs.triples, s.table, rs.zero_index
     index = {t: k for k, t in enumerate(triples)}

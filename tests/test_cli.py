@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -430,6 +431,55 @@ class TestWorkers:
         buf2 = io.StringIO()
         run_corpus(list(instances), stream=buf2)
         assert buf1.getvalue() == buf2.getvalue()
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 33])
+    def test_two_workers_give_the_serial_stream_for_any_count(self, monkeypatch, count):
+        instances = list(iter_instances("adjoin-zero", max_order=3))[:count]
+        serial = io.StringIO()
+        run_corpus(instances, stream=serial)
+        monkeypatch.setenv("REES_LOOP_WORKERS", "2")
+        pooled = io.StringIO()
+        run_corpus(instances, stream=pooled)
+        assert pooled.getvalue() == serial.getvalue()
+        assert len(serial.getvalue().splitlines()) == count
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 33])
+    def test_a_call_submits_at_most_four_tasks_per_worker(self, monkeypatch, workers, count):
+        pools, tasks, calls = [], [], []
+
+        class InlinePool(ProcessPoolExecutor):
+            """Records each pool and each task, and runs the tasks here."""
+
+            def __init__(self, max_workers, **_):
+                pools.append(max_workers)
+
+            def submit(self, fn, /, *args):
+                tasks.append(args)
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+            def shutdown(self, wait=True, **_):
+                pass
+
+        def counted(item):
+            calls.append(item[0])
+            return run_job(item)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "run_job", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("REES_LOOP_WORKERS", str(workers))
+        instances = list(iter_instances("adjoin-zero", max_order=3))[:count]
+        buf = io.StringIO()
+        assert run_corpus(instances, stream=buf) == 0
+        if count == 1:
+            assert pools == tasks == []
+        else:
+            assert pools == [workers] and 1 <= len(tasks) <= 4 * workers
+        assert sorted(calls) == sorted(iid for iid, _job in instances)
+        assert len(buf.getvalue().splitlines()) == count
 
     def test_large_value_is_capped_at_the_cpu_count_with_a_warning(
             self, monkeypatch, capsys):

@@ -25,6 +25,7 @@ from reesloop.semigroup import (
     SandwichMatrix,
     SemigroupError,
     ZERO,
+    ZeroEntryWithoutZero,
     adjoin_identity,
     adjoin_zero,
     all_ideals,
@@ -422,7 +423,6 @@ class TestReesMatrix:
         assert m.order == 5
 
     def test_zero_entry_without_zero_rejected(self):
-        from reesloop.semigroup import ZeroEntryWithoutZero
         with pytest.raises(ZeroEntryWithoutZero):
             rees_matrix(trivial_semigroup(), 2, 2,
                         sandwich([[0, ZERO], [ZERO, 0]]), False)
@@ -885,6 +885,18 @@ INPUT_CHECKS = [
                  "sandwich matrix shape mismatch", id="sandwich-ragged"),
     pytest.param(lambda: sandwich([[-1]]), IndexOutOfRange,
                  "bad sandwich entry -1", id="sandwich-bad-entry"),
+    pytest.param(lambda: sandwich([[True]]), IndexOutOfRange,
+                 "bad sandwich entry True", id="sandwich-bool-entry"),
+    pytest.param(lambda: sandwich([[0, False]]), IndexOutOfRange,
+                 "bad sandwich entry False", id="sandwich-false-entry"),
+    pytest.param(lambda: ReesStructure(cyclic_group(2), 2, 2, sandwich([[0]]), False),
+                 SemigroupError, "sandwich matrix must be 2x2", id="structure-wrong-shape"),
+    pytest.param(lambda: ReesStructure(cyclic_group(2), 1, 1, sandwich([[ZERO]]), False),
+                 ZeroEntryWithoutZero, "ZERO entry in a zero-free construction",
+                 id="structure-zero-entry-without-zero"),
+    pytest.param(lambda: ReesStructure(cyclic_group(2), 1, 1, sandwich([[2]]), True),
+                 IndexOutOfRange, "sandwich entry 2 out of range",
+                 id="structure-entry-too-large"),
     pytest.param(lambda: rees_matrix(cyclic_group(2), 2, 1, sandwich([[0]]), False),
                  SemigroupError, "sandwich matrix must be 1x2", id="rees-wrong-shape"),
     pytest.param(lambda: rees_matrix(cyclic_group(2), 1, 1, sandwich([[2]]), False),
