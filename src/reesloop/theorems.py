@@ -11,7 +11,7 @@ checking:
 * the Rees-quotient identity needs the Kleene star on its middle language,
   L union L_1T . L_TT* . L_T1: a collapsed ideal can be revisited any number
   of times, and consecutive inner visits need not chain through a common
-  element of T;
+  element of T; the star is epsilon jumps on one copy of L's rows;
 * the adjoin-zero identity admits every single letter as an inner loop at
   the sink vertex, besides the bracketed factors z-bar u z.
 """
@@ -147,10 +147,29 @@ def result_line(report: VerificationReport, instance_id: str) -> str:
     return f"RESULT {report.tag} {instance_id} {report.verdict()}"
 
 
+def _quotient_union(l: Nfa, l_1t: Nfa, l_tt: Nfa, l_t1: Nfa) -> Nfa:
+    """L union L_1T . L_TT* . L_T1 on L's own rows.  The quotients keep L's
+    rows and move one end set each: L_1T runs from L's initial states to a
+    set F, L_TT from a set I to F and L_T1 from I to L's final states.  So
+    L with an epsilon jump from each state of F to each state of I spells,
+    along a path of k jumps, L for k = 0 and L_1T . L_TT^(k-1) . L_T1 for
+    k >= 1."""
+    if (any(a.alphabet != l.alphabet or a.rows != l.rows or a.eps != l.eps
+            for a in (l_1t, l_tt, l_t1))
+            or l_1t.initial != l.initial or l_t1.final != l.final
+            or l_tt.final != l_1t.final or l_tt.initial != l_t1.initial):
+        raise InternalError("quotients do not share L's rows and end sets")
+    eps, jump = list(l.eps), sum(1 << q for q in l_tt.initial)
+    for f in l_tt.final:
+        eps[f] |= jump
+    return _built(Nfa, l.alphabet, l.n_states, l.rows, tuple(eps), l.initial, l.final)
+
+
 def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
     representative words of the ideal, plus the three path-language
-    cross-checks; l_nfa is L, gmap's loop automaton."""
+    cross-checks; l_nfa is L, gmap's loop automaton.  The right side is one
+    copy of L's rows, the star laid out as epsilon jumps (_quotient_union)."""
     big = l_nfa.alphabet
     words = choose_words(gmap)
     reps = [words[t] for t in sorted(ideal)]
@@ -159,7 +178,7 @@ def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, l
     l_1t = right_quotient(l_nfa, r_bar)
     l_t1 = left_quotient(r_nfa, l_nfa)
     l_tt = left_quotient(r_nfa, l_1t)
-    rhs = union(l_nfa, concat(l_1t, star(l_tt), l_t1))
+    rhs = _quotient_union(l_nfa, l_1t, l_tt, l_t1)
     ident = l_nfa.initial
     checks = []
     for name, formula, frm, to in (("L1T=path(1,T)", l_1t, ident, ideal),

@@ -6,9 +6,9 @@ import pytest
 
 from reesloop import language, semigroup, theorems
 from reesloop.cli import _sandwiches, iter_instances, run_job
-from reesloop.language import (HatAlphabet, empty_nfa, factor_closure, member,
-                               relabel, shortest_separator, star, sub_hat_letters,
-                               union, word_set_nfa)
+from reesloop.language import (HatAlphabet, concat, empty_nfa, factor_closure,
+                               member, minimal_dfa, relabel, shortest_separator,
+                               star, sub_hat_letters, union, word_set_nfa)
 from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
                             path_language)
 from reesloop.semigroup import (
@@ -53,6 +53,12 @@ from reesloop.transduce import apply, build_rees_transducer, choose_words
 
 from test_language import dfa_product_separator
 from test_semigroup import break_morphism_check
+
+
+def reference_quotient_union(l, l_1t, l_tt, l_t1):
+    """theorems._quotient_union as it was before it laid the star out on L's
+    rows: L, L_1T, L_TT and L_T1 side by side, by union, concat and star."""
+    return union(l, concat(l_1t, star(l_tt), l_t1))
 
 
 class TestReesQuotient:
@@ -106,6 +112,55 @@ class TestReesQuotient:
                     assert l_tt == language.right_quotient(l_t1, r_bar)
                     count += 1
         assert count > 122
+
+    def test_quotient_union_is_the_combinator_form_on_l_rows(self, monkeypatch):
+        """Every ideal of every semigroup of order <= 3 and of B2, and the
+        ideal I x {0} x J of M(S^0; I, J; P) in every default semitoreeszero
+        instance: the right side is L's own automaton with epsilon jumps
+        added, and its language is the combinator form's."""
+        real = theorems._quotient_union
+        calls = []
+
+        def checked(l, l_1t, l_tt, l_t1):
+            rhs = real(l, l_1t, l_tt, l_t1)
+            assert rhs.rows is l.rows and rhs.n_states == l.n_states
+            assert (rhs.initial, rhs.final) == (l.initial, l.final)
+            assert minimal_dfa(rhs) == minimal_dfa(
+                reference_quotient_union(l, l_1t, l_tt, l_t1))
+            calls.append(rhs)
+            return rhs
+
+        monkeypatch.setattr(theorems, "_quotient_union", checked)
+        semigroups = [s for n in (1, 2, 3) for s in enumerate_semigroups(n)]
+        for s in semigroups + [brandt_b2()]:
+            gmap = full_generator_map(s)
+            for ideal in semigroup.all_ideals(s):
+                assert verify_rees_quotient(s, gmap, ideal).holds
+        ideals = len(calls)
+        for _iid, (_tag, args) in iter_instances("semitoreeszero"):
+            assert verify_semitoreeszero(*args).holds
+        assert ideals > 122 and len(calls) - ideals == 128
+
+    @pytest.mark.parametrize("part, moved", [("l_tt", "final"), ("l_tt", "initial"),
+                                             ("l_1t", "initial"), ("l_t1", "final"),
+                                             ("l_tt", "eps"), ("l_tt", "rows")])
+    def test_quotient_union_rejects_quotients_off_l_rows(self, part, moved):
+        # L itself is all three quotients at once; one quotient with an end
+        # set moved to B2's other vertices, or other moves, is refused
+        l = loop_automaton(full_generator_map(brandt_b2()))
+        assert theorems._quotient_union(l, l, l, l).rows is l.rows
+        other = frozenset(range(l.n_states)) - l.initial
+        if moved == "eps":
+            broken = language.plus(l)
+        elif moved == "rows":
+            broken = star(l)
+        else:
+            ends = (other, l.final) if moved == "initial" else (l.initial, other)
+            broken = language._built(language.Nfa, l.alphabet, l.n_states, l.rows,
+                                     l.eps, *ends)
+        parts = dict.fromkeys(("l_1t", "l_tt", "l_t1"), l) | {part: broken}
+        with pytest.raises(theorems.InternalError, match="L's rows"):
+            theorems._quotient_union(l, parts["l_1t"], parts["l_tt"], parts["l_t1"])
 
     def test_a_verdict_reverses_three_automata(self, monkeypatch):
         # the involution image of R, then L and R-bar for L R-bar^-1
@@ -514,8 +569,15 @@ class TestFormulaMutations:
         assert member(rep.lhs, rep.separator) != member(rep.rhs, rep.separator)
         return rep
 
+    @staticmethod
+    def _drop_the_star_on_ltt(monkeypatch):
+        """The quotient formula's right side with L_TT taken once, not
+        starred: L union L_1T . L_TT . L_T1."""
+        monkeypatch.setattr(theorems, "_quotient_union",
+                            lambda l, l_1t, l_tt, l_t1: union(l, concat(l_1t, l_tt, l_t1)))
+
     def test_rees_quotient_needs_the_star_on_ltt(self, monkeypatch):
-        monkeypatch.setattr(theorems, "star", lambda a: a)
+        self._drop_the_star_on_ltt(monkeypatch)
         self._fails("rees-quotient", "n2i3:T=s0.s1", 2,
                     theorems.verify_rees_quotient, "s0.~s1.s0.~s1.s0.~s1")
 
@@ -580,7 +642,7 @@ class TestFormulaMutations:
                     theorems.verify_subsemigroup_intersection, "s1.~s1")
 
     def test_semitoreeszero_needs_the_star_on_ltt(self, monkeypatch):
-        monkeypatch.setattr(theorems, "star", lambda a: a)
+        self._drop_the_star_on_ltt(monkeypatch)
         self._fails("semitoreeszero", "trivial:I1J2:P=e;e", 1,
                     theorems.verify_semitoreeszero,
                     "(1,0,1).~(1,e,2).(1,e,1).~(1,e,2).(1,e,1).~(1,0,2)")
@@ -593,7 +655,7 @@ class TestFormulaMutations:
     def test_czeros_needs_the_star_in_its_semitoreeszero_leg(self, monkeypatch):
         # the main comparison of czeros still holds; the FAIL line carries
         # the separator of the semitoreeszero report on the Rees coordinates
-        monkeypatch.setattr(theorems, "star", lambda a: a)
+        self._drop_the_star_on_ltt(monkeypatch)
 
         def leg(s, _gmap):
             dec = theorems.rees_decompose(s)
