@@ -13,7 +13,8 @@ checking:
   of times, and consecutive inner visits need not chain through a common
   element of T; the star is epsilon jumps on one copy of L's rows;
 * the adjoin-zero identity admits every single letter as an inner loop at
-  the sink vertex, besides the bracketed factors z-bar u z.
+  the sink vertex, besides the bracketed factors z-bar u z; the single
+  letters are the self-loops of one sink state added to trim(L)'s rows.
 """
 
 from __future__ import annotations
@@ -26,19 +27,16 @@ from .language import (
     Dfa,
     HatAlphabet,
     Nfa,
-    concat,
+    _repack,
     epsilon_free,
     involution_image,
     left_quotient,
     minimal_dfa,
-    prefix_closure,
     right_quotient,
     shortest_separator,
     star,
-    factor_closure,
-    suffix_closure,
     sub_hat_letters,
-    union,
+    trim,
     word_set_nfa,
 )
 from .loops import loop_automaton, loop_problem, non_returning_language, path_language, table_loop_nfa
@@ -177,7 +175,8 @@ def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, l
     r_bar = involution_image(r_nfa)
     l_1t = right_quotient(l_nfa, r_bar)
     l_t1 = left_quotient(r_nfa, l_nfa)
-    l_tt = left_quotient(r_nfa, l_1t)
+    # R^-1 (L R-bar^-1): L's rows from l_t1's initial states to l_1t's finals
+    l_tt = _built(Nfa, big, l_nfa.n_states, l_nfa.rows, l_nfa.eps, l_t1.initial, l_1t.final)
     rhs = _quotient_union(l_nfa, l_1t, l_tt, l_t1)
     ident = l_nfa.initial
     checks = []
@@ -259,22 +258,35 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     return _adjoin_zero(s, gmap, extend_to_zero(gmap), t0)
 
 
+def _sink_union(l: Nfa, z: int) -> Nfa:
+    """L union (prefix(L).z)(z-bar.factor(L).z union any letter)*(z-bar.suffix(L))
+    on trim(L)'s rows plus one sink state: a z move from every state to the
+    sink, a move on every letter from the sink to itself, and a z-bar move
+    from the sink to every state.  A path that never visits the sink spells
+    L; one that does spells a prefix of L, z, bare letters and z-bar.u.z
+    excursions, then z-bar and a suffix of L, since every path of trim(L)
+    is a factor of L that extends to a word of L."""
+    t = trim(l)
+    n, bar = t.n_states, l.alphabet.bar(z)
+    to_sink = 1 << z * (n + 1) + n
+    rows = [_repack(r, n, n + 1) | to_sink for r in t.rows]
+    rows.append(sum(1 << x * (n + 1) + n for x in range(l.alphabet.size))
+                | ((1 << n) - 1) << bar * (n + 1))
+    return _built(Nfa, l.alphabet, n + 1, tuple(rows), t.eps + (0,), t.initial, t.final)
+
+
 def _adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap, tau: GeneratorMap,
                  t0: float) -> VerificationReport:
-    """verify_adjoin_zero with tau = extend_to_zero(gmap) given."""
+    """verify_adjoin_zero with tau = extend_to_zero(gmap) given: L is S's
+    loop automaton on the letters of S^0, and the right side is
+    _sink_union(L, z)."""
     lhs = loop_problem(tau)
     big = lhs.alphabet
     z_letter = big.letter(tau.alphabet[-1])
     l_big = table_loop_nfa(gmap.target, gmap.image, big,
                            sub_hat_letters(big, gmap.alphabet), gmap.monoid)
-    z_nfa = word_set_nfa(big, [(z_letter,)])
-    zbar_nfa = word_set_nfa(big, [(big.bar(z_letter),)])
-    bracketed = concat(zbar_nfa, factor_closure(l_big), z_nfa)
-    one_letter = word_set_nfa(big, [(x,) for x in range(big.size)])
-    middle = star(union(bracketed, one_letter))
-    rhs = union(l_big, concat(prefix_closure(l_big), z_nfa, middle, zbar_nfa,
-                              suffix_closure(l_big)))
-    return _finish("adjoin-zero", lhs, rhs, [], {"order": s.order}, t0)
+    return _finish("adjoin-zero", lhs, _sink_union(l_big, z_letter), [],
+                   {"order": s.order}, t0)
 
 
 def verify_semitorees(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,

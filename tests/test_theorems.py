@@ -3,12 +3,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reesloop import language, semigroup, theorems
 from reesloop.cli import _sandwiches, iter_instances, run_job
-from reesloop.language import (HatAlphabet, concat, empty_nfa, factor_closure,
-                               member, minimal_dfa, relabel, shortest_separator,
-                               star, sub_hat_letters, union, word_set_nfa)
+from reesloop.language import (HatAlphabet, concat, factor_closure, member,
+                               minimal_dfa, prefix_closure, relabel,
+                               shortest_separator, star, sub_hat_letters,
+                               suffix_closure, trim, union, word_set_nfa)
 from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
                             path_language)
 from reesloop.semigroup import (
@@ -51,7 +53,7 @@ from reesloop.theorems import (
 )
 from reesloop.transduce import apply, build_rees_transducer, choose_words
 
-from test_language import dfa_product_separator
+from test_language import any_nfa, dfa_product_separator, small_nfa
 from test_semigroup import break_morphism_check
 
 
@@ -59,6 +61,21 @@ def reference_quotient_union(l, l_1t, l_tt, l_t1):
     """theorems._quotient_union as it was before it laid the star out on L's
     rows: L, L_1T, L_TT and L_T1 side by side, by union, concat and star."""
     return union(l, concat(l_1t, star(l_tt), l_t1))
+
+
+def reference_sink_union(l, z, bare_letters=True):
+    """theorems._sink_union as it was before it laid the sink out on
+    trim(L)'s rows: L union prefix(L) z (z-bar factor(L) z union any
+    letter)* z-bar suffix(L), by union, concat and star over four copies of
+    L.  Without bare_letters the middle is the bracketed factors alone."""
+    big = l.alphabet
+    z_nfa = word_set_nfa(big, [(z,)])
+    zbar_nfa = word_set_nfa(big, [(big.bar(z),)])
+    middle = concat(zbar_nfa, factor_closure(l), z_nfa)
+    if bare_letters:
+        middle = union(middle, word_set_nfa(big, [(x,) for x in range(big.size)]))
+    return union(l, concat(prefix_closure(l), z_nfa, star(middle), zbar_nfa,
+                           suffix_closure(l)))
 
 
 class TestReesQuotient:
@@ -85,31 +102,27 @@ class TestReesQuotient:
 
 
     def test_l_tt_is_the_left_quotient_of_l_1t(self, monkeypatch):
-        """R^-1 (L R-bar^-1) is (R^-1 L) R-bar^-1: a quotient keeps L's rows
-        and moves one end set, so both forms are one Nfa."""
+        """L_TT, read off L's rows with L_T1's initial and L_1T's final
+        states, is R^-1 (L R-bar^-1) and (R^-1 L) R-bar^-1: a quotient keeps
+        L's rows and moves one end set."""
+        real = theorems._quotient_union
         calls = []
-
-        def recorded(f):
-            def call(*args):
-                out = f(*args)
-                calls.append((f.__name__, args, out))
-                return out
-            return call
-
-        for name in ("left_quotient", "right_quotient"):
-            monkeypatch.setattr(theorems, name, recorded(getattr(language, name)))
+        monkeypatch.setattr(theorems, "_quotient_union",
+                            lambda *args: calls.append(args) or real(*args))
         count = 0
         for n in (1, 2, 3):
             for s in enumerate_semigroups(n):
                 gmap = full_generator_map(s)
+                words = choose_words(gmap)
                 for ideal in semigroup.all_ideals(s):
+                    l_nfa = loop_automaton(gmap)
+                    theorems._quotient_formula_rhs(gmap, l_nfa, ideal)
+                    (l, l_1t, l_tt, l_t1), = calls
                     calls.clear()
-                    theorems._quotient_formula_rhs(gmap, loop_automaton(gmap), ideal)
-                    (_, (l_nfa, r_bar), l_1t), = [c for c in calls if c[0] == "right_quotient"]
-                    (_, (r_nfa, l), l_t1), (_, (r_nfa2, l_1t2), l_tt) = [
-                        c for c in calls if c[0] == "left_quotient"]
-                    assert l is l_nfa and r_nfa2 is r_nfa and l_1t2 is l_1t
-                    assert l_tt == language.right_quotient(l_t1, r_bar)
+                    r = word_set_nfa(l.alphabet, [words[t] for t in sorted(ideal)])
+                    assert l is l_nfa
+                    assert l_tt == language.left_quotient(r, l_1t) == \
+                        language.right_quotient(l_t1, language.involution_image(r))
                     count += 1
         assert count > 122
 
@@ -229,12 +242,12 @@ class TestAdjoinZero:
         assert rep.holds
 
     def test_l_is_written_on_the_letters_of_s_zero(self, monkeypatch):
-        # factor_closure reads L once per verdict, written from S's table;
-        # it is S's loop problem relabelled onto the letters of S^0
+        # _sink_union reads L once per verdict, written from S's table; it
+        # is S's loop problem relabelled onto the letters of S^0
         seen = []
-        real = theorems.factor_closure
-        monkeypatch.setattr(theorems, "factor_closure",
-                            lambda l: seen.append(l) or real(l))
+        real = theorems._sink_union
+        monkeypatch.setattr(theorems, "_sink_union",
+                            lambda l, z: seen.append(l) or real(l, z))
         checked = 0
         for _iid, (_tag, (s, gmap)) in iter_instances("adjoin-zero", max_order=4):
             assert verify_adjoin_zero(s, gmap).holds
@@ -243,6 +256,32 @@ class TestAdjoinZero:
             assert seen.pop() == want
             checked += 1
         assert checked == 1 + 8 + 113 + 3492 and not seen
+
+    def test_sink_union_is_the_combinator_form_on_trim_l_rows(self, monkeypatch):
+        """Every adjoin-zero instance of order <= 3, B2, and the adjoin-zero
+        leg of every default semitoreeszero instance: the right side is
+        trim(L) plus one sink state without epsilon moves of its own, and
+        its language is the combinator form's."""
+        real = theorems._sink_union
+        calls = []
+
+        def checked(l, z):
+            rhs, t = real(l, z), trim(l)
+            assert rhs.n_states == t.n_states + 1 and rhs.eps == t.eps + (0,)
+            assert (rhs.initial, rhs.final) == (t.initial, t.final)
+            assert minimal_dfa(rhs) == minimal_dfa(reference_sink_union(l, z))
+            calls.append(rhs)
+            return rhs
+
+        monkeypatch.setattr(theorems, "_sink_union", checked)
+        for _iid, (_tag, args) in iter_instances("adjoin-zero", max_order=3):
+            assert verify_adjoin_zero(*args).holds
+        b2 = brandt_b2()
+        assert verify_adjoin_zero(b2, full_generator_map(b2)).holds
+        instances = len(calls)
+        for _iid, (_tag, args) in iter_instances("semitoreeszero"):
+            assert verify_semitoreeszero(*args).holds
+        assert instances == 1 + 8 + 113 + 1 and len(calls) - instances == 128
 
     def test_bracketed_middle_alone_is_not_enough(self):
         # inner loops at the sink may be bare letters, not only factors
@@ -256,6 +295,14 @@ class TestAdjoinZero:
         z = a.letter(tau.alphabet[-1])
         assert member(lp, (z, z, a.bar(z)))
         assert member(lp, (z, a.letter("e"), a.bar(z)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_nfa, any_nfa), st.integers(0, 3))
+def test_sink_union_is_the_combinator_form_on_any_nfa(l, z):
+    # any letter of X^ as z, also one that L itself reads, over NFAs with
+    # epsilon moves, silent states and empty languages
+    assert minimal_dfa(theorems._sink_union(l, z)) == minimal_dfa(reference_sink_union(l, z))
 
 
 def embed_hat(a, target):
@@ -595,11 +642,10 @@ class TestFormulaMutations:
         assert member(la, ()) != member(path, ())
 
     def test_adjoin_zero_needs_the_single_letter_loops(self, monkeypatch):
-        # the single-letter set is the only word set of more than one word;
-        # the one-word sets z and z-bar are kept
-        monkeypatch.setattr(theorems, "word_set_nfa",
-                            lambda alphabet, words: empty_nfa(alphabet)
-                            if len(words) > 1 else word_set_nfa(alphabet, words))
+        # the right side without the sink's self-loops: the bracketed
+        # factors z-bar u z alone in the middle
+        monkeypatch.setattr(theorems, "_sink_union",
+                            lambda l, z: reference_sink_union(l, z, bare_letters=False))
         self._fails("adjoin-zero", "n1i0", 1, theorems.verify_adjoin_zero,
                     "z.s0.~z")
 
