@@ -29,10 +29,8 @@ from .language import (
     Nfa,
     _repack,
     epsilon_free,
-    involution_image,
     left_quotient,
     minimal_dfa,
-    right_quotient,
     shortest_separator,
     star,
     sub_hat_letters,
@@ -166,19 +164,21 @@ def _quotient_union(l: Nfa, l_1t: Nfa, l_tt: Nfa, l_t1: Nfa) -> Nfa:
 def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
     representative words of the ideal, plus the three path-language
-    cross-checks; l_nfa is L, gmap's loop automaton.  The right side is one
-    copy of L's rows, the star laid out as epsilon jumps (_quotient_union)."""
-    big = l_nfa.alphabet
+    cross-checks; l_nfa is L, gmap's loop automaton, one copy of whose rows
+    is the right side, the star laid out as epsilon jumps (_quotient_union).
+    The walk for R^-1 L finds the set E that R leads to from the identity.
+    L has no epsilon moves, the identity is its one initial and final state
+    and each move a --x--> b comes with b --x-bar--> a, so R-bar leads from
+    E back: L R-bar^-1 is L's rows from the identity to E, R^-1 L R-bar^-1
+    from E to E, and no automaton is reversed."""
+    if l_nfa.initial != l_nfa.final or any(l_nfa.eps):
+        raise InternalError("L is not a loop automaton")
+    big, ident = l_nfa.alphabet, l_nfa.initial
     words = choose_words(gmap)
-    reps = [words[t] for t in sorted(ideal)]
-    r_nfa = word_set_nfa(big, reps)
-    r_bar = involution_image(r_nfa)
-    l_1t = right_quotient(l_nfa, r_bar)
-    l_t1 = left_quotient(r_nfa, l_nfa)
-    # R^-1 (L R-bar^-1): L's rows from l_t1's initial states to l_1t's finals
-    l_tt = _built(Nfa, big, l_nfa.n_states, l_nfa.rows, l_nfa.eps, l_t1.initial, l_1t.final)
+    l_t1 = left_quotient(word_set_nfa(big, [words[t] for t in sorted(ideal)]), l_nfa)
+    l_1t, l_tt = (_built(Nfa, big, l_nfa.n_states, l_nfa.rows, l_nfa.eps, frm, l_t1.initial)
+                  for frm in (ident, l_t1.initial))
     rhs = _quotient_union(l_nfa, l_1t, l_tt, l_t1)
-    ident = l_nfa.initial
     checks = []
     for name, formula, frm, to in (("L1T=path(1,T)", l_1t, ident, ideal),
                                    ("LTT=path(T,T)", l_tt, ideal, ideal),

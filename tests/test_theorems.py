@@ -175,19 +175,50 @@ class TestReesQuotient:
         with pytest.raises(theorems.InternalError, match="L's rows"):
             theorems._quotient_union(l, parts["l_1t"], parts["l_tt"], parts["l_t1"])
 
-    def test_a_verdict_reverses_three_automata(self, monkeypatch):
-        # the involution image of R, then L and R-bar for L R-bar^-1
-        reverse = language._reverse
-        reversed_ = []
+    def test_l_1t_is_the_right_quotient_by_r_bar_with_no_reversal(self, monkeypatch):
+        """Every ideal of every semigroup of order <= 3 and of B2, and the
+        ideal I x {0} x J of every default semitoreeszero instance: L_1T,
+        read off the walk for R^-1 L, is L R-bar^-1 as right_quotient and
+        involution_image build it, and no verdict reverses an automaton."""
+        real_rhs, real_union = theorems._quotient_formula_rhs, theorems._quotient_union
+        reversed_, sides = [], []
 
-        def counted(a):
-            reversed_.append(a)
-            return reverse(a)
+        def rhs(gmap, l_nfa, ideal):
+            words = choose_words(gmap)
+            r = word_set_nfa(l_nfa.alphabet, [words[t] for t in sorted(ideal)])
+            sides.append([l_nfa, r])
+            return real_rhs(gmap, l_nfa, ideal)
 
-        monkeypatch.setattr(language, "_reverse", counted)
+        monkeypatch.setattr(language, "_reverse", lambda a: reversed_.append(a))
+        monkeypatch.setattr(theorems, "_quotient_formula_rhs", rhs)
+        monkeypatch.setattr(theorems, "_quotient_union",
+                            lambda *args: sides[-1].append(args[1]) or real_union(*args))
+        semigroups = [s for n in (1, 2, 3) for s in enumerate_semigroups(n)]
+        for s in semigroups + [brandt_b2()]:
+            gmap = full_generator_map(s)
+            for ideal in semigroup.all_ideals(s):
+                assert verify_rees_quotient(s, gmap, ideal).holds
+        ideals = len(sides)
+        for _iid, (_tag, args) in iter_instances("semitoreeszero"):
+            assert verify_semitoreeszero(*args).holds
+        assert ideals > 122 and len(sides) - ideals == 128
+        assert reversed_ == []
+        monkeypatch.undo()
+        for l, r, l_1t in sides:
+            assert l_1t == language.right_quotient(l, language.involution_image(r))
+
+    @pytest.mark.parametrize("broken", ["epsilon", "finals"])
+    def test_quotient_formula_needs_a_loop_automaton(self, broken):
+        # the end set E of R^-1 L's walk is that of L R-bar^-1 only for an
+        # automaton with no epsilon moves whose one final state is initial
         s = brandt_b2()
-        assert verify_rees_quotient(s, full_generator_map(s), {s.zero}).holds
-        assert len(reversed_) == 3
+        gmap = full_generator_map(s)
+        l = loop_automaton(gmap)
+        ideal = frozenset({s.zero})
+        theorems._quotient_formula_rhs(gmap, l, ideal)
+        other = star(l) if broken == "epsilon" else path_language(l, l.initial, ideal)
+        with pytest.raises(theorems.InternalError, match="loop automaton"):
+            theorems._quotient_formula_rhs(gmap, other, ideal)
 
 
 class TestSubsemigroup:
@@ -629,10 +660,11 @@ class TestFormulaMutations:
                     theorems.verify_rees_quotient, "s0.~s1.s0.~s1.s0.~s1")
 
     def test_rees_quotient_side_checks_see_a_wrong_quotient(self, monkeypatch):
-        # without the right quotient by R-bar, L1T is L itself, which has
-        # the moves of path(1,T) but other final states: the automata are
-        # not equal, so the side check walks them and FAILs
-        monkeypatch.setattr(theorems, "right_quotient", lambda l, r: l)
+        # with the left quotient by R dropped, R^-1 L is L and its end set
+        # the identity, so L1T is L itself, which has the moves of
+        # path(1,T) but other final states: the automata are not equal, so
+        # the side check walks them and FAILs
+        monkeypatch.setattr(theorems, "left_quotient", lambda r, l: l)
         jobs = dict(iter_instances("rees-quotient", max_order=2))
         s, gmap, ideal = jobs["n2i3:T=s0.s1"][1]
         rep = verify_rees_quotient(s, gmap, ideal)
@@ -640,6 +672,15 @@ class TestFormulaMutations:
         la = loop_automaton(gmap)
         path = path_language(la, la.initial, ideal)
         assert member(la, ()) != member(path, ())
+
+    def test_remove_zero_needs_the_restriction_to_x(self, monkeypatch):
+        # the right side as the whole L(tau) over S^0: the zero letter's
+        # loop z.~z is no loop of S
+        real = theorems._restriction_sides
+        monkeypatch.setattr(theorems, "_restriction_sides",
+                            lambda tau, *args: (real(tau, *args)[0], loop_problem(tau)))
+        self._fails("remove-zero", "n1i0", 1,
+                    theorems.verify_subsemigroup_intersection, "z.~z")
 
     def test_adjoin_zero_needs_the_single_letter_loops(self, monkeypatch):
         # the right side without the sink's self-loops: the bracketed
