@@ -18,17 +18,15 @@ members' closed rows.
 
 A state is silent when it has no letter move and is not final, as are most
 states of a transducer image, which only pass epsilon moves on.  A silent
-state in a subset changes neither its successors nor its acceptance, so
-determinize(a, keep_silent=False) drops them from every subset; minimal_dfa
-determinizes that way, and its result depends only on the language.  Plain
-determinize keeps the full closed subsets.  epsilon_free(a) closes a once
-and drops them, so every later reader of the result skips both steps.
+state in a closed set changes neither its successors nor its acceptance.
+Only epsilon_free(a) drops them: it closes a once and keeps the other
+states, so every later reader of the result skips both steps.  Every other
+reader, determinize included, works on the full closed sets.
 
 shortest_separator determinizes nothing.  Equal automata have equal
 languages, and it returns None for them at once; otherwise it walks pairs
-of closed state sets breadth-first over the closed rows of both sides
-without silent states, a Dfa side read as an Nfa.  No verdict reads the
-triples.
+of closed state sets breadth-first over the closed rows of both sides, a
+Dfa side read as an Nfa.  No verdict reads the triples.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ class HatAlphabet:
         return 2 * len(self.base)
 
     def bar(self, letter: int) -> int:
-        k = len(self.base)
+        k = self._check(letter)
         return letter - k if letter >= k else letter + k
 
     def is_positive(self, letter: int) -> bool:
@@ -76,8 +74,15 @@ class HatAlphabet:
         return tuple(self.bar(a) for a in reversed(word))
 
     def name(self, letter: int) -> str:
-        k = len(self.base)
+        k = self._check(letter)
         return self.base[letter] if letter < k else "~" + self.base[letter - k]
+
+    def _check(self, letter: int) -> int:
+        """The number of base symbols, once letter is shown to be a letter."""
+        k = len(self.base)
+        if not 0 <= letter < 2 * k:
+            raise LanguageError(f"letter {letter} out of range")
+        return k
 
     def letter(self, name: str) -> int:
         if name.startswith("~"):
@@ -247,19 +252,18 @@ def _repack(row: int, n: int, new_n: int, by: int = 0) -> int:
 
 
 class _Core(NamedTuple):
-    close: list[int]  # close[p]: epsilon closure of p, less dropped silent states
+    close: list[int]  # close[p]: epsilon closure of p
     rows: list[int] | tuple[int, ...]  # rows[p]: closed successors of p, one n-bit chunk per letter
     active: int  # the states with a letter move; rows[p] is 0 for the rest
-    start: int  # the closure of the initial states, less dropped silent states
+    start: int  # the closure of the initial states
     final: int  # the final states
 
 
-def _core(a: Nfa, keep_silent: bool = True) -> _Core:
+def _core(a: Nfa) -> _Core:
     """The closures and closed rows of a.  Only the states with an epsilon
     move (the wide states) are searched; every other state closes to
     itself, so a row none of whose chunks holds a wide state is closed
-    already.  With keep_silent=False each closure drops the silent states,
-    and so does every chunk of every row."""
+    already."""
     n = a.n_states
     rows, eps = a.rows, a.eps
     close = [1 << p for p in range(n)]
@@ -272,30 +276,23 @@ def _core(a: Nfa, keep_silent: bool = True) -> _Core:
     for p, row in enumerate(rows):
         if row:
             active |= 1 << p
-    final = _mask(a.final)
-    everything = (1 << n) - 1
-    keep = everything if keep_silent else active | final
-    if keep != everything:
-        close = [c & keep for c in close]
-    if wide or keep != everything:
-        spread = sum(1 << x * n for x in range(a.alphabet.size))
-        keep_all, wide_all = keep * spread, wide * spread  # in every chunk
+    if wide:
+        full = (1 << n) - 1
+        wide_all = wide * sum(1 << x * n for x in range(a.alphabet.size))  # in every chunk
         closed = []
         for row in rows:
             if row & wide_all:
                 packed = shift = 0
                 while row:
-                    m = row & everything
+                    m = row & full
                     if m:
-                        packed |= (_union(close, m) if m & wide else m & keep) << shift
+                        packed |= (_union(close, m) if m & wide else m) << shift
                     row >>= n
                     shift += n
                 row = packed
-            else:
-                row &= keep_all
             closed.append(row)
         rows = closed
-    return _Core(close, rows, active, _union(close, _mask(a.initial)), final)
+    return _Core(close, rows, active, _union(close, _mask(a.initial)), _mask(a.final))
 
 
 def _union(rows: list[int], mask: int) -> int:
@@ -322,17 +319,11 @@ def _reach(start: int, succ) -> int:
     return seen
 
 
-def determinize(a: Nfa, *, keep_silent: bool = True) -> Dfa:
+def determinize(a: Nfa) -> Dfa:
     """Subset construction over the closed rows; no dead state is kept.
-    Subsets are numbered breadth-first, letters in order, as by minimize.
-
-    By default each subset is the full epsilon-closed state set.  With
-    keep_silent=False every subset drops its silent states (no letter move,
-    not final): they change neither a subset's successors nor its
-    acceptance, so the language is the same and there are never more
-    subsets.  The states are masked once per call, in the closures that
-    the start set and the rows are built from."""
-    _close, rows, active, start, fmask = _core(a, keep_silent)
+    Each subset is a full epsilon-closed state set, and the subsets are
+    numbered breadth-first, letters in order, as by minimize."""
+    _close, rows, active, start, fmask = _core(a)
     n = a.n_states
     full = (1 << n) - 1
     nletters = a.alphabet.size
@@ -422,7 +413,7 @@ def minimize(d: Dfa) -> Dfa:
 
 
 def minimal_dfa(a: Nfa | Dfa) -> Dfa:
-    return minimize(a if isinstance(a, Dfa) else determinize(a, keep_silent=False))
+    return minimize(a if isinstance(a, Dfa) else determinize(a))
 
 
 def member(a: Nfa | Dfa, word) -> bool:
@@ -448,14 +439,14 @@ def shortest_separator(a: Nfa | Dfa, b: Nfa | Dfa):
     a breadth-first walk over pairs of closed state sets, one per side,
     tries the letters in order and stops at the first pair whose acceptance
     differs; a pair is one int, the first side's set in its low n_a bits.
-    Each side is read as an Nfa, through its rows without silent states, so
-    neither side is determinized."""
+    Each side is read as an Nfa, through its closed rows, so neither side is
+    determinized."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("cannot compare over different alphabets")
     if a == b:
         return None
     a, b = as_nfa(a), as_nfa(b)
-    core_a, core_b = _core(a, keep_silent=False), _core(b, keep_silent=False)
+    core_a, core_b = _core(a), _core(b)
     final_a, final_b = core_a.final, core_b.final
     if bool(core_a.start & final_a) != bool(core_b.start & final_b):
         return ()
@@ -647,17 +638,12 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     return _product_nfa(a.alphabet, a, _moves(b), b.initial, b.final)
 
 
-def _induced(a: Nfa, keep, letters) -> Nfa:
-    """a on the sorted states keep, renumbered in that order, with its
-    epsilon moves and its moves on the distinct letters between them."""
+def _induced(a: Nfa, keep) -> Nfa:
+    """a on the sorted states keep, renumbered in that order, with the moves
+    between them; a itself when keep is every state."""
     n = a.n_states
-    full = (1 << n) - 1
-    if n and len(keep) == n:  # every state, in its own place
-        rows = a.rows
-        if len(letters) < a.alphabet.size:
-            allowed = sum(full << x * n for x in letters)
-            rows = tuple(r & allowed for r in rows)
-        return _built(Nfa, a.alphabet, n, rows, a.eps, a.initial, a.final)
+    if n and len(keep) == n:
+        return a
     new_n = max(len(keep), 1)
     idx = [0] * n
     kept = 0
@@ -675,7 +661,7 @@ def _induced(a: Nfa, keep, letters) -> Nfa:
                 out |= 1 << (new_shift + idx[low.bit_length() - 1])
         return out
 
-    chunks = [(x * n, x * new_n) for x in letters]
+    chunks = [(x * n, x * new_n) for x in range(a.alphabet.size)]
     pad = (0,) * (new_n - len(keep))
     rows, eps = a.rows, a.eps
     return _built(Nfa, a.alphabet, new_n,
@@ -686,40 +672,29 @@ def _induced(a: Nfa, keep, letters) -> Nfa:
 
 
 def epsilon_free(a: Nfa) -> Nfa:
-    """a's language without epsilon moves or silent states: the states with
-    a letter move or that are final, renumbered in order, with their closed
-    rows and the closure of a's initial states; a state whose letter moves
-    all end in silent states goes too, until none does."""
-    core = _core(a, keep_silent=False)
+    """a's language without epsilon moves or silent states (no letter move,
+    not final), which change neither a closed set's successors nor its
+    acceptance: the other states, renumbered in order, with their closed
+    rows cut to them and the closure of a's initial states; a state whose
+    letter moves all end in silent states goes too, until none does."""
+    core = _core(a)
     n, rows, final = a.n_states, core.rows, core.final
     spread = sum(1 << x * n for x in range(a.alphabet.size))
-    keep, live = core.active | final, final | _mask(p for p, r in enumerate(rows) if r)
+    keep, live = None, core.active | final
     while live != keep:
-        keep, rows = live, [r & live * spread for r in rows]
+        keep, kept = live, live * spread  # kept: keep in every chunk
+        rows = [r & kept for r in rows]
         live = final | _mask(p for p, r in enumerate(rows) if r)
     closed = _built(Nfa, a.alphabet, n, tuple(rows), (0,) * n,
-                    frozenset(_bits(core.start)), a.final)
-    return _induced(closed, list(_bits(keep)), range(a.alphabet.size))
+                    frozenset(_bits(core.start & keep)), a.final)
+    return _induced(closed, list(_bits(keep)))
 
 
-def restrict(a: Nfa, letters) -> Nfa:
-    """a without the moves on letters outside the given ones: its epsilon
-    moves and its moves on letters, between the states they reach from
-    a.initial, renumbered in sorted order.  It has the states and moves of
-    the product of a with the one-state automaton of all words over letters,
-    without a product walk: only the chunks of the allowed letters are
-    read."""
-    allowed = sorted({x for x in letters
-                      if x is not None and 0 <= x < a.alphabet.size})
-    succ = _successors(a, allowed)
-    return _induced(a, list(_bits(_reach(_mask(a.initial), succ))), allowed)
-
-
-def _successors(a: Nfa, letters) -> list[int]:
-    """Each state's successors on the given letters or epsilon: the low n
-    bits of the OR of its row shifted down by x*n for each letter x."""
+def _successors(a: Nfa) -> list[int]:
+    """Each state's successors on any letter or epsilon: the low n bits of
+    the OR of its row shifted down by x*n for each letter x."""
     n = a.n_states
-    shifts = [x * n for x in letters]
+    shifts = [x * n for x in range(a.alphabet.size)]
     full = (1 << n) - 1
     out = []
     for row, e in zip(a.rows, a.eps):
@@ -764,14 +739,13 @@ def involution_image(a: Nfa) -> Nfa:
 def trim(a: Nfa) -> Nfa:
     """Keep only states both reachable and co-accessible."""
     n = a.n_states
-    letters = range(a.alphabet.size)
-    succ = _successors(a, letters)
+    succ = _successors(a)
     pred = [0] * n
     for p, m in enumerate(succ):
         for q in _bits(m):
             pred[q] |= 1 << p
     keep = _reach(_mask(a.initial), succ) & _reach(_mask(a.final), pred)
-    return _induced(a, list(_bits(keep)), letters) if keep else empty_nfa(a.alphabet)
+    return _induced(a, list(_bits(keep))) if keep else empty_nfa(a.alphabet)
 
 
 def _trimmed_closure(a: Nfa, initial: bool, final: bool) -> Nfa:
@@ -851,8 +825,8 @@ def relabel(a: Nfa, target: HatAlphabet, letter_map) -> Nfa:
 def sub_hat_letters(target: HatAlphabet, base_symbols) -> list[int]:
     """The letters of target for the given base symbols, by name, then for
     their bars.  The list is indexed by the letters of HatAlphabet(base
-    symbols), so it is both relabel's letter map from that alphabet into
-    target and restrict's letter set."""
+    symbols), so it is relabel's letter map from that alphabet into
+    target."""
     return ([target.letter(b) for b in base_symbols]
             + [target.letter("~" + b) for b in base_symbols])
 

@@ -219,6 +219,9 @@ class GeneratorMap:
 
     def evaluate(self, word) -> int:
         """Image of a positive word (a sequence of letter indices)."""
+        for x in word:
+            if not 0 <= x < len(self.image):
+                raise IndexOutOfRange(f"letter {x} out of range")
         if not word:
             if self.monoid:
                 return self.target.identity

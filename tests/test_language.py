@@ -29,7 +29,6 @@ from reesloop.language import (
     plus,
     prefix_closure,
     relabel,
-    restrict,
     right_quotient,
     shortest_separator,
     star,
@@ -494,7 +493,7 @@ def test_minimize_partial_dfas(d, data):
     assert minimize(data.draw(st.composite(with_unreachable)(d))) == m
 
 
-# -- subsets without silent states ---------------------------------------------
+# -- silent states -----------------------------------------------------------------
 
 ROLES = ("silent", "epsilon-final", "dead-end", "letters")
 
@@ -527,17 +526,17 @@ role_nfa = st.composite(role_nfas)(HatAlphabet(("x", "y")))
 @settings(max_examples=200, deadline=None)
 @given(role_nfa)
 def test_dropping_silent_states_keeps_the_minimal_dfa(a):
-    full = determinize(a)
-    cut = determinize(a, keep_silent=False)
-    assert minimize(cut) == minimize(full)
-    assert cut.n_states <= full.n_states
+    # epsilon_free is the one construction that drops silent states
+    cut = epsilon_free(a)
+    assert minimal_dfa(cut) == minimal_dfa(a)
+    assert determinize(cut).n_states <= determinize(a).n_states
 
 
 @settings(max_examples=200, deadline=None)
 @given(role_nfa, role_nfa)
 def test_nfa_separator_is_the_separator_of_the_full_dfas(a, b):
-    # the separator walk reads NFA rows without their silent states; the
-    # full subset automata are the reference
+    # the separator walk reads the closed NFA rows; the full subset
+    # automata are the reference
     assert shortest_separator(a, b) == shortest_separator(determinize(a), determinize(b))
     assert shortest_separator(a, determinize(a)) is None
 
@@ -558,11 +557,13 @@ def rees_probe_star_image():
 
 
 def test_rees_probe_subsets_with_and_without_silent_states():
-    # 17 of the 358 states of star(image) have a letter move and one is final
+    # 17 of the 358 states of star(image) have a letter move and one is final;
+    # determinize keeps them all, epsilon_free drops the silent ones
     rhs = rees_probe_star_image()
     assert rhs.n_states == 358
     assert determinize(rhs).n_states == 1969
-    assert determinize(rhs, keep_silent=False).n_states == 132
+    assert minimal_dfa(rhs).n_states == 132
+    assert minimal_dfa(star(epsilon_free(rees_probe_image()))).n_states == 132
 
 
 # -- the one-pass index ---------------------------------------------------------
@@ -580,39 +581,37 @@ any_nfa = st.one_of(eps_nfa, role_nfa, eps_nfa.map(without_epsilon))
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_nfa, st.booleans())
+@given(any_nfa)
 # an epsilon cycle that a letter move leads back into, an epsilon self-loop
 # on a final state with only epsilon moves, and an NFA with no epsilon move
 @example(Nfa(Y, 4, frozenset({(0, None, 1), (1, None, 0), (1, 0, 0), (1, 1, 2),
                               (2, None, 2), (2, None, 3), (3, None, 1)}),
-             frozenset({0}), frozenset({2})), False)
+             frozenset({0}), frozenset({2})))
 @example(Nfa(Y, 3, frozenset({(0, 0, 1), (1, 2, 2), (2, 3, 0)}),
-             frozenset({0}), frozenset({2})), True)
-def test_core_rows_are_the_closed_reference_successors(a, keep_silent):
-    assert_core_is_the_reference(a, keep_silent)
+             frozenset({0}), frozenset({2})))
+def test_core_rows_are_the_closed_reference_successors(a):
+    assert_core_is_the_reference(a)
 
 
-def assert_core_is_the_reference(a, keep_silent):
+def assert_core_is_the_reference(a):
     # chunk x of row p, bits x*n .. x*n+n-1, is the reference closure of the
-    # successors of p under x, less the dropped silent states (no letter
-    # move, not final); a state without a letter move has the row 0
+    # successors of p under x; a state without a letter move has the row 0
     moves = ref_moves(a)
     lettered = {p for p, x in moves if x is not None}
-    keep = set(range(a.n_states)) if keep_silent else lettered | a.final
-    core = _core(a, keep_silent)
+    core = _core(a)
     n = a.n_states
     assert core.active == _mask(lettered)
     assert core.start == _union(core.close, _mask(a.initial)) \
-        == _mask(ref_close(moves, a.initial) & keep)
+        == _mask(ref_close(moves, a.initial))
     assert core.final == _mask(a.final)
     for p in range(n):
-        assert core.close[p] == _mask(ref_close(moves, {p}) & keep)
+        assert core.close[p] == _mask(ref_close(moves, {p}))
         row = core.rows[p]
         if p not in lettered:
             assert row == 0
             continue
         for x in range(a.alphabet.size):
-            want = _mask(ref_close(moves, moves.get((p, x), ())) & keep)
+            want = _mask(ref_close(moves, moves.get((p, x), ())))
             assert row >> x * n & (1 << n) - 1 == want
         assert row >> a.alphabet.size * n == 0
 
@@ -723,7 +722,7 @@ def unary_combinators(a):
     wider = HatAlphabet(a.alphabet.base + ("w",))
     return [star(a), plus(a), trim(a), prefix_closure(a), suffix_closure(a),
             factor_closure(a), involution_image(a),
-            restrict(a, {0, a.alphabet.size - 1}),
+            ref_restrict(a, {0, a.alphabet.size - 1}),
             relabel(a, wider, sub_hat_letters(wider, a.alphabet.base)),
             as_nfa(determinize(a)), as_nfa(minimal_dfa(a))]
 
@@ -755,8 +754,7 @@ def test_every_combinator_equals_its_rebuild_from_triples():
         again = Nfa(r.alphabet, r.n_states, r.transitions, r.initial, r.final)
         assert again == r and hash(again) == hash(r)
         assert len(r.rows) == len(r.eps) == r.n_states
-        for keep_silent in (True, False):
-            assert_core_is_the_reference(r, keep_silent)
+        assert_core_is_the_reference(r)
 
 
 def test_triples_in_any_order_pack_to_one_automaton():
@@ -850,7 +848,7 @@ def _tuple_closed(close, mask):
     return out
 
 
-def tuple_core(a, keep_silent):
+def tuple_core(a):
     n = a.n_states
     nletters = a.alphabet.size
     dense, eps = {}, {}
@@ -872,12 +870,9 @@ def tuple_core(a, keep_silent):
         close[p] = mask
         wide |= 1 << p
     active = sum(1 << p for p in dense)
-    everything = (1 << n) - 1
-    keep = everything if keep_silent else active | sum(1 << p for p in a.final)
-    close = [c & keep for c in close]
     rows = [()] * n
     for p, row in dense.items():
-        rows[p] = tuple(_tuple_closed(close, m) if m & wide else m & keep for m in row)
+        rows[p] = tuple(_tuple_closed(close, m) if m & wide else m for m in row)
     return close, rows, active
 
 
@@ -889,8 +884,8 @@ def tuple_post(rows, active, mask, nletters):
     return out
 
 
-def tuple_determinize(a, keep_silent=True):
-    close, rows, active = tuple_core(a, keep_silent)
+def tuple_determinize(a):
+    close, rows, active = tuple_core(a)
     start = _tuple_closed(close, sum(1 << p for p in a.initial))
     fmask = sum(1 << p for p in a.final)
     nletters = a.alphabet.size
@@ -946,26 +941,21 @@ def wide_nfa(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(any_nfa, st.booleans())
-def test_determinize_matches_the_tuple_row_reference(a, keep_silent):
-    d = determinize(a, keep_silent=keep_silent)
-    assert d == breadth_first(tuple_determinize(a, keep_silent))
+@given(any_nfa)
+def test_determinize_matches_the_tuple_row_reference(a):
+    assert determinize(a) == breadth_first(tuple_determinize(a))
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_determinize_matches_the_tuple_row_reference_on_wide_nfas(seed):
     a = wide_nfa(seed)
     assert a.n_states >= 30
-    for keep_silent in (True, False):
-        d = determinize(a, keep_silent=keep_silent)
-        assert d == breadth_first(tuple_determinize(a, keep_silent))
+    assert determinize(a) == breadth_first(tuple_determinize(a))
 
 
 def test_determinize_matches_the_tuple_row_reference_on_the_probe():
     rhs = rees_probe_star_image()
-    for keep_silent in (True, False):
-        d = determinize(rhs, keep_silent=keep_silent)
-        assert d == breadth_first(tuple_determinize(rhs, keep_silent))
+    assert determinize(rhs) == breadth_first(tuple_determinize(rhs))
 
 
 # -- Moore refinement ----------------------------------------------------------------
@@ -1036,10 +1026,11 @@ def test_minimize_matches_the_full_refinement_reference(kind):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(eps_nfa, role_nfa), st.booleans())
-def test_minimize_matches_the_full_refinement_reference_on_subset_dfas(a, keep_silent):
-    d = determinize(a, keep_silent=keep_silent)
-    assert minimize(d) == reference_minimize(d)
+@given(st.one_of(eps_nfa, role_nfa))
+def test_minimize_matches_the_full_refinement_reference_on_subset_dfas(a):
+    # the subsets of a, and those of a without its silent states
+    for d in (determinize(a), determinize(epsilon_free(a))):
+        assert minimize(d) == reference_minimize(d)
 
 
 # -- minimize on minimal input -------------------------------------------------
@@ -1095,7 +1086,7 @@ def test_minimize_on_dfas_that_look_minimal_but_are_not(d, expected):
 @settings(max_examples=200, deadline=None)
 @given(any_nfa, st.data())
 def test_minimize_does_not_depend_on_the_subset_numbering(a, data):
-    d = determinize(a, keep_silent=False)
+    d = determinize(a)
     perm = data.draw(st.permutations(range(d.n_states)))
     m = minimize(d)
     assert minimize(renumbered(d, perm)) == m
@@ -1107,13 +1098,12 @@ def test_minimize_does_not_depend_on_the_subset_numbering(a, data):
 # -- the separator walk -------------------------------------------------------------
 #
 # The separator as it ran on the DFA product, kept as the reference for the
-# walk over subset pairs: each Nfa side determinized without its silent
-# states, then a breadth-first search of the product of the two DFAs with
-# implicit dead states.
+# walk over subset pairs: each Nfa side determinized, then a breadth-first
+# search of the product of the two DFAs with implicit dead states.
 
 def dfa_product_separator(a, b):
-    da = a if isinstance(a, Dfa) else determinize(a, keep_silent=False)
-    db = b if isinstance(b, Dfa) else determinize(b, keep_silent=False)
+    da = a if isinstance(a, Dfa) else determinize(a)
+    db = b if isinstance(b, Dfa) else determinize(b)
     start = (da.initial, db.initial)
     seen = {start: None}
     queue = [start]
@@ -1211,7 +1201,9 @@ def test_equal_operands_return_none_without_a_core(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(eps_nfa, st.frozensets(st.integers(0, 3)))
 def test_restrict_is_the_intersection_with_a_universe(a, letters):
-    r = restrict(a, letters)
+    # the reference restriction, which TestTableWriter reads, is the product
+    # of a with the one-state automaton of all words over letters
+    r = ref_restrict(a, letters)
     prod = intersect(a, universe_nfa(a.alphabet, letters))
     def counts(b):
         return b.n_states, len(b.transitions), len(b.initial), len(b.final)
@@ -1222,8 +1214,9 @@ def test_restrict_is_the_intersection_with_a_universe(a, letters):
 
 # -- the cut, closure and product references ----------------------------------
 #
-# restrict, trim, the three closures and the product walk written out over
-# the triples of Nfa.transitions, which the engine's packed rows never read.
+# A restriction to letters, trim, the three closures and the product walk
+# written out over the triples of Nfa.transitions, which the engine's packed
+# rows never read.
 # Product states are numbered in the order the product walk documents, and
 # the start pairs in the order frozensets iterate, which may change from one
 # process to the next, so each pin compares the two in the same process.
@@ -1336,9 +1329,8 @@ def ref_intersect(a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_nfa, any_nfa, st.frozensets(st.integers(0, 3)))
-def test_cuts_closures_and_products_equal_their_references(a, b, letters):
-    assert restrict(a, letters) == ref_restrict(a, letters)
+@given(any_nfa, any_nfa)
+def test_cuts_closures_and_products_equal_their_references(a, b):
     assert trim(a) == ref_trim(a)
     assert prefix_closure(a) == ref_prefix_closure(a)
     assert suffix_closure(a) == ref_suffix_closure(a)
@@ -1509,6 +1501,30 @@ DFA_CHECKS = [
 
 @pytest.mark.parametrize("call, exc, message", DFA_CHECKS)
 def test_dfa_check_raises_its_type_and_message(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message
+
+
+# (call, exception type, message): HatAlphabet's letter readers, which take
+# only the letters 0 .. size - 1
+AB = HatAlphabet(("a", "b"))
+ALPHABET_CHECKS = [
+    pytest.param(lambda: AB.name(-1), LanguageError, "letter -1 out of range",
+                 id="name-negative"),
+    pytest.param(lambda: AB.name(4), LanguageError, "letter 4 out of range",
+                 id="name-too-large"),
+    pytest.param(lambda: AB.bar(-1), LanguageError, "letter -1 out of range",
+                 id="bar-negative"),
+    pytest.param(lambda: AB.bar(4), LanguageError, "letter 4 out of range",
+                 id="bar-too-large"),
+    pytest.param(lambda: AB.bar_word((0, 5)), LanguageError, "letter 5 out of range",
+                 id="bar-word-too-large"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", ALPHABET_CHECKS)
+def test_alphabet_check_raises_its_type_and_message(call, exc, message):
     with pytest.raises(exc) as err:
         call()
     assert type(err.value) is exc and str(err.value) == message

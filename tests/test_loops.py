@@ -11,7 +11,6 @@ from reesloop.language import (
     member,
     prefix_closure,
     relabel,
-    restrict,
     sub_hat_letters,
 )
 from reesloop.loops import (
@@ -47,6 +46,7 @@ from reesloop.semigroup import (
     trivial_semigroup,
 )
 from reesloop.theorems import extend_to_zero
+from test_language import ref_restrict
 
 
 def bfs_words(transitions, n_states, initial, final, alphabet_size, max_len):
@@ -253,7 +253,7 @@ class TestTableWriter:
     fresh identity, the positive reach of X's images is the loop automaton
     of T^1, T the subsemigroup X generates, moved onto tau's letters by
     relabel; the reach along moves of both kinds is L(tau) cut to X's
-    letters by restrict.  loop_problem, the writer on all of a map's
+    letters by ref_restrict.  loop_problem, the writer on all of a map's
     letters, is pinned to loop_automaton in TestLoopAutomaton."""
 
     @staticmethod
@@ -267,7 +267,7 @@ class TestTableWriter:
         return ((table_loop_nfa(tau.target, image, big, letters),
                  relabel(loop_problem(sigma), big, letters)),
                 (table_loop_nfa(tau.target, image, big, letters, tau.monoid, both=True),
-                 restrict(loop_problem(tau), letters)))
+                 ref_restrict(loop_problem(tau), letters)))
 
     def test_every_subsemigroup_up_to_order_three(self):
         checked = short = 0

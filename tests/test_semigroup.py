@@ -879,6 +879,10 @@ INPUT_CHECKS = [
                  "image index 2 out of range", id="map-image-out-of-range"),
     pytest.param(lambda: GeneratorMap(("x",), left_zero(1), (0,), monoid=True), NoIdentity,
                  "monoid generator map needs a designated identity", id="monoid-map-no-identity"),
+    pytest.param(lambda: full_generator_map(cyclic_group(3)).evaluate((-1,)), IndexOutOfRange,
+                 "letter -1 out of range", id="evaluate-negative-letter"),
+    pytest.param(lambda: full_generator_map(cyclic_group(3)).evaluate((0, 3)), IndexOutOfRange,
+                 "letter 3 out of range", id="evaluate-letter-too-large"),
     pytest.param(lambda: sandwich([]), SemigroupError,
                  "sandwich matrix must be nonempty", id="sandwich-empty"),
     pytest.param(lambda: SandwichMatrix(2, 2, ((0, 0), (0,))), SemigroupError,
