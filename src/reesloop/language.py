@@ -67,7 +67,7 @@ class HatAlphabet:
         return letter - k if letter >= k else letter + k
 
     def is_positive(self, letter: int) -> bool:
-        return letter < len(self.base)
+        return letter < self._check(letter)
 
     def bar_word(self, word) -> tuple[int, ...]:
         """Reverse the word and bar each letter."""

@@ -1520,6 +1520,8 @@ ALPHABET_CHECKS = [
                  id="bar-too-large"),
     pytest.param(lambda: AB.bar_word((0, 5)), LanguageError, "letter 5 out of range",
                  id="bar-word-too-large"),
+    pytest.param(lambda: AB.is_positive(-1), LanguageError, "letter -1 out of range",
+                 id="is-positive-negative"),
 ]
 
 
