@@ -12,8 +12,8 @@ the product of the two reverses.  Each operation that simulates an Nfa
 (determinize, member, enumerate_words, shortest_separator) closes its
 epsilon moves once per automaton with _core: only the states with an
 epsilon move are searched for their closures, and only chunks that hold
-one of them are closed, so an epsilon-free automaton's rows are its closed
-rows.  A state set's successors under every letter are then one OR of its
+one of them are closed; an epsilon-free automaton's rows are returned as
+they are.  A state set's successors under every letter are then one OR of its
 members' closed rows.
 
 A state is silent when it has no letter move and is not final, as are most
@@ -252,7 +252,6 @@ def _repack(row: int, n: int, new_n: int, by: int = 0) -> int:
 
 
 class _Core(NamedTuple):
-    close: list[int]  # close[p]: epsilon closure of p
     rows: list[int] | tuple[int, ...]  # rows[p]: closed successors of p, one n-bit chunk per letter
     active: int  # the states with a letter move; rows[p] is 0 for the rest
     start: int  # the closure of the initial states
@@ -260,39 +259,39 @@ class _Core(NamedTuple):
 
 
 def _core(a: Nfa) -> _Core:
-    """The closures and closed rows of a.  Only the states with an epsilon
-    move (the wide states) are searched; every other state closes to
-    itself, so a row none of whose chunks holds a wide state is closed
-    already."""
+    """The closed rows of a.  An epsilon-free automaton's rows are returned
+    as they are.  Otherwise only the states with an epsilon move (the wide
+    states) are searched; every other state closes to itself, so a row none
+    of whose chunks holds a wide state is closed already."""
     n = a.n_states
     rows, eps = a.rows, a.eps
+    active = 0
+    for p, row in enumerate(rows):
+        if row:
+            active |= 1 << p
+    if not any(eps):
+        return _Core(rows, active, _mask(a.initial), _mask(a.final))
     close = [1 << p for p in range(n)]
     wide = 0
     for p, e in enumerate(eps):
         if e:
             close[p] = _reach(1 << p, eps)
             wide |= 1 << p
-    active = 0
-    for p, row in enumerate(rows):
-        if row:
-            active |= 1 << p
-    if wide:
-        full = (1 << n) - 1
-        wide_all = wide * sum(1 << x * n for x in range(a.alphabet.size))  # in every chunk
-        closed = []
-        for row in rows:
-            if row & wide_all:
-                packed = shift = 0
-                while row:
-                    m = row & full
-                    if m:
-                        packed |= (_union(close, m) if m & wide else m) << shift
-                    row >>= n
-                    shift += n
-                row = packed
-            closed.append(row)
-        rows = closed
-    return _Core(close, rows, active, _union(close, _mask(a.initial)), _mask(a.final))
+    full = (1 << n) - 1
+    wide_all = wide * sum(1 << x * n for x in range(a.alphabet.size))  # in every chunk
+    closed = []
+    for row in rows:
+        if row & wide_all:
+            packed = shift = 0
+            while row:
+                m = row & full
+                if m:
+                    packed |= (_union(close, m) if m & wide else m) << shift
+                row >>= n
+                shift += n
+            row = packed
+        closed.append(row)
+    return _Core(closed, active, _union(close, _mask(a.initial)), _mask(a.final))
 
 
 def _union(rows: list[int], mask: int) -> int:
@@ -323,7 +322,7 @@ def determinize(a: Nfa) -> Dfa:
     """Subset construction over the closed rows; no dead state is kept.
     Each subset is a full epsilon-closed state set, and the subsets are
     numbered breadth-first, letters in order, as by minimize."""
-    _close, rows, active, start, fmask = _core(a)
+    rows, active, start, fmask = _core(a)
     n = a.n_states
     full = (1 << n) - 1
     nletters = a.alphabet.size
@@ -423,7 +422,7 @@ def member(a: Nfa | Dfa, word) -> bool:
     for x in word:
         if not 0 <= x < a.alphabet.size:
             raise LanguageError(f"letter {x} out of range")
-    _close, rows, active, mask, fmask = _core(a)
+    rows, active, mask, fmask = _core(a)
     n = a.n_states
     full = (1 << n) - 1
     for x in word:
@@ -638,18 +637,19 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     return _product_nfa(a.alphabet, a, _moves(b), b.initial, b.final)
 
 
-def _induced(a: Nfa, keep) -> Nfa:
-    """a on the sorted states keep, renumbered in that order, with the moves
-    between them; a itself when keep is every state."""
-    n = a.n_states
-    if n and len(keep) == n:
+def _induced(a: Nfa, parts) -> Nfa:
+    """a on one state per part of a's states, numbered in order: the states
+    of a part merge into one, with the moves of them all, and a state in no
+    part goes with its moves.  One state is left if there is no part, and a
+    itself when the parts are its states in order."""
+    n, new_n = a.n_states, max(len(parts), 1)
+    idx, kept = [None] * n, 0
+    for i, part in enumerate(parts):
+        for p in part:
+            idx[p] = i
+            kept |= 1 << p
+    if n == new_n and idx == list(range(n)):
         return a
-    new_n = max(len(keep), 1)
-    idx = [0] * n
-    kept = 0
-    for i, p in enumerate(keep):
-        idx[p] = i
-        kept |= 1 << p
 
     def renumbered(row, shifts):
         out = 0
@@ -662,11 +662,13 @@ def _induced(a: Nfa, keep) -> Nfa:
         return out
 
     chunks = [(x * n, x * new_n) for x in range(a.alphabet.size)]
-    pad = (0,) * (new_n - len(keep))
-    rows, eps = a.rows, a.eps
-    return _built(Nfa, a.alphabet, new_n,
-                  tuple(rows[p] and renumbered(rows[p], chunks) for p in keep) + pad,
-                  tuple(eps[p] and renumbered(eps[p], ((0, 0),)) for p in keep) + pad,
+    rows, eps = [0] * new_n, [0] * new_n
+    for p in _bits(kept):
+        if a.rows[p]:
+            rows[idx[p]] |= renumbered(a.rows[p], chunks)
+        if a.eps[p]:
+            eps[idx[p]] |= renumbered(a.eps[p], ((0, 0),))
+    return _built(Nfa, a.alphabet, new_n, tuple(rows), tuple(eps),
                   frozenset(idx[p] for p in a.initial if kept >> p & 1),
                   frozenset(idx[p] for p in a.final if kept >> p & 1))
 
@@ -687,7 +689,7 @@ def epsilon_free(a: Nfa) -> Nfa:
         live = final | _mask(p for p, r in enumerate(rows) if r)
     closed = _built(Nfa, a.alphabet, n, tuple(rows), (0,) * n,
                     frozenset(_bits(core.start & keep)), a.final)
-    return _induced(closed, list(_bits(keep)))
+    return _induced(closed, [(p,) for p in _bits(keep)])
 
 
 def _successors(a: Nfa) -> list[int]:
@@ -745,7 +747,7 @@ def trim(a: Nfa) -> Nfa:
         for q in _bits(m):
             pred[q] |= 1 << p
     keep = _reach(_mask(a.initial), succ) & _reach(_mask(a.final), pred)
-    return _induced(a, list(_bits(keep))) if keep else empty_nfa(a.alphabet)
+    return _induced(a, [(p,) for p in _bits(keep)]) if keep else empty_nfa(a.alphabet)
 
 
 def _trimmed_closure(a: Nfa, initial: bool, final: bool) -> Nfa:
@@ -774,7 +776,7 @@ def factor_closure(a: Nfa) -> Nfa:
 def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
     """All accepted words of length <= max_len in length-lex order."""
     a = as_nfa(a)
-    _close, rows, active, start, fmask = _core(a)
+    rows, active, start, fmask = _core(a)
     n = a.n_states
     full = (1 << n) - 1
     if not start:
@@ -802,7 +804,10 @@ def enumerate_words(a: Nfa | Dfa, max_len: int) -> list[tuple[int, ...]]:
 def relabel(a: Nfa, target: HatAlphabet, letter_map) -> Nfa:
     """Transport an automaton onto another alphabet via a letter map: chunk
     x of every row moves to chunk letter_map[x], which must be a letter of
-    target."""
+    target; the map covers every letter of a's alphabet."""
+    if len(letter_map) < a.alphabet.size:
+        raise LanguageError(f"letter map of {len(letter_map)} letters for "
+                            f"an alphabet of {a.alphabet.size}")
     n = a.n_states
     full = (1 << n) - 1
     nletters = target.size

@@ -11,7 +11,8 @@ checking:
 * the Rees-quotient identity needs the Kleene star on its middle language,
   L union L_1T . L_TT* . L_T1: a collapsed ideal can be revisited any number
   of times, and consecutive inner visits need not chain through a common
-  element of T; the star is epsilon jumps on one copy of L's rows;
+  element of T; the star merges the end set E of the three quotients,
+  which is T, into one state of L, S/T's zero;
 * the adjoin-zero identity admits every single letter as an inner loop at
   the sink vertex, besides the bracketed factors z-bar u z; the single
   letters are the self-loops of one sink state added to trim(L)'s rows.
@@ -27,6 +28,7 @@ from .language import (
     Dfa,
     HatAlphabet,
     Nfa,
+    _induced,
     _repack,
     epsilon_free,
     left_quotient,
@@ -127,14 +129,18 @@ def _render(alphabet, word) -> str | None:
 
 def _finish(tag: str, lhs_nfa: Nfa, rhs_nfa: Nfa, extra_checks, stats, t0) -> VerificationReport:
     """Minimize both sides, compare, and put the main comparison ahead of
-    the extra named checks.  The minimal DFAs are canonical, so == decides
-    the main comparison; only when they differ is the separator found, by
-    walking the two NFAs."""
+    the extra named checks.  Two sides built as the same automaton are
+    minimized once.  The minimal DFAs are canonical, so == decides the main
+    comparison; only when they differ is the separator found, by walking
+    the two NFAs.  stats["main"] records what was compared: "==" for the
+    two sides themselves, or "minimal DFAs"."""
     lhs = minimal_dfa(lhs_nfa)
-    rhs = lhs if rhs_nfa == lhs_nfa else minimal_dfa(rhs_nfa)
+    same = rhs_nfa == lhs_nfa
+    rhs = lhs if same else minimal_dfa(rhs_nfa)
     sep = None if lhs == rhs else shortest_separator(lhs_nfa, rhs_nfa)
     checks = (("main", sep is None, _render(lhs.alphabet, sep)), *extra_checks)
-    stats = {**stats, "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
+    stats = {**stats, "main": "==" if same else "minimal DFAs",
+             "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
              "elapsed": round(time.perf_counter() - t0, 6)}
     return VerificationReport(tag, lhs, rhs, sep, checks, stats)
 
@@ -144,29 +150,31 @@ def result_line(report: VerificationReport, instance_id: str) -> str:
 
 
 def _quotient_union(l: Nfa, l_1t: Nfa, l_tt: Nfa, l_t1: Nfa) -> Nfa:
-    """L union L_1T . L_TT* . L_T1 on L's own rows.  The quotients keep L's
-    rows and move one end set each: L_1T runs from L's initial states to a
-    set F, L_TT from a set I to F and L_T1 from I to L's final states.  So
-    L with an epsilon jump from each state of F to each state of I spells,
-    along a path of k jumps, L for k = 0 and L_1T . L_TT^(k-1) . L_T1 for
-    k >= 1."""
+    """L union L_1T . L_TT* . L_T1 as L with one set E of states merged.
+    The quotients keep L's rows and move one end set each to E: L_1T runs
+    from L's initial states to E, L_TT from E to E and L_T1 from E to L's
+    final states, so a path through the merged state k times spells L for
+    k = 0 and L_1T . L_TT^(k-1) . L_T1 for k >= 1.  The states are numbered
+    as rees_quotient numbers S/T: the states outside E in order, then E,
+    then L's identity unless E holds it.  For E = T, where R's positive
+    words lead, that is S/T's loop automaton, E its zero."""
     if (any(a.alphabet != l.alphabet or a.rows != l.rows or a.eps != l.eps
             for a in (l_1t, l_tt, l_t1))
             or l_1t.initial != l.initial or l_t1.final != l.final
-            or l_tt.final != l_1t.final or l_tt.initial != l_t1.initial):
+            or l_tt.final != l_1t.final or l_tt.initial != l_t1.initial
+            or l_tt.initial != l_tt.final):
         raise InternalError("quotients do not share L's rows and end sets")
-    eps, jump = list(l.eps), sum(1 << q for q in l_tt.initial)
-    for f in l_tt.final:
-        eps[f] |= jump
-    return _built(Nfa, l.alphabet, l.n_states, l.rows, tuple(eps), l.initial, l.final)
+    e, ends = l_tt.final, l_tt.final | l.initial
+    parts = [(p,) for p in range(l.n_states) if p not in ends]
+    return _induced(l, [*parts, e, *((p,) for p in sorted(l.initial - e))])
 
 
 def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
     representative words of the ideal, plus the three path-language
-    cross-checks; l_nfa is L, gmap's loop automaton, one copy of whose rows
-    is the right side, the star laid out as epsilon jumps (_quotient_union).
-    The walk for R^-1 L finds the set E that R leads to from the identity.
+    cross-checks; l_nfa is L, gmap's loop automaton, and the right side is
+    L with the set E that R leads to from the identity merged into one
+    state, S/T's zero (_quotient_union).  The walk for R^-1 L finds E.
     L has no epsilon moves, the identity is its one initial and final state
     and each move a --x--> b comes with b --x-bar--> a, so R-bar leads from
     E back: L R-bar^-1 is L's rows from the identity to E, R^-1 L R-bar^-1

@@ -40,7 +40,6 @@ from reesloop.language import (
     _bits,
     _core,
     _mask,
-    _union,
 )
 from reesloop import language
 from reesloop.loops import (loop_automaton, loop_problem, non_returning_language,
@@ -601,11 +600,11 @@ def assert_core_is_the_reference(a):
     core = _core(a)
     n = a.n_states
     assert core.active == _mask(lettered)
-    assert core.start == _union(core.close, _mask(a.initial)) \
-        == _mask(ref_close(moves, a.initial))
+    assert core.start == _mask(ref_close(moves, a.initial))
     assert core.final == _mask(a.final)
     for p in range(n):
-        assert core.close[p] == _mask(ref_close(moves, {p}))
+        from_p = _built(Nfa, a.alphabet, n, a.rows, a.eps, {p}, a.final)
+        assert _core(from_p).start == _mask(ref_close(moves, {p}))
         row = core.rows[p]
         if p not in lettered:
             assert row == 0
@@ -775,6 +774,17 @@ def test_relabel_moves_each_chunk_to_its_letter():
     assert r.transitions == {(p, letters[x], q) for p, x, q in EF.transitions}
     with pytest.raises(LanguageError, match="letter 6 out of range"):
         relabel(EF, wider, [0, 1, 6, 4])
+
+
+@pytest.mark.parametrize("words, letter_map", [([(0, 1)], [0]), ([(0,)], [0]),
+                                               ([()], []), ([(1,)], {0: 1})])
+def test_relabel_rejects_a_letter_map_shorter_than_the_alphabet(words, letter_map):
+    # the length is checked before any row is read, so a map that misses a
+    # letter is refused whether or not a move reads that letter
+    a = word_set_nfa(HatAlphabet(("x",)), words)
+    with pytest.raises(LanguageError,
+                       match=f"letter map of {len(letter_map)} letters for an alphabet of 2"):
+        relabel(a, HatAlphabet(("y", "z")), letter_map)
 
 
 # -- the n-ary layout -------------------------------------------------------------

@@ -129,20 +129,26 @@ class TestReesQuotient:
     def test_quotient_union_is_the_combinator_form_on_l_rows(self, monkeypatch):
         """Every ideal of every semigroup of order <= 3 and of B2, and the
         ideal I x {0} x J of M(S^0; I, J; P) in every default semitoreeszero
-        instance: the right side is L's own automaton with epsilon jumps
-        added, and its language is the combinator form's."""
-        real = theorems._quotient_union
-        calls = []
+        instance: the right side, L's rows with the end set E merged into
+        one state, is S/T's loop automaton itself, and its language is the
+        combinator form's."""
+        real, real_quotient = theorems._quotient_union, theorems.rees_quotient
+        calls, quotients = [], []
 
         def checked(l, l_1t, l_tt, l_t1):
             rhs = real(l, l_1t, l_tt, l_t1)
-            assert rhs.rows is l.rows and rhs.n_states == l.n_states
-            assert (rhs.initial, rhs.final) == (l.initial, l.final)
+            assert rhs == loop_problem(quotients[-1])
             assert minimal_dfa(rhs) == minimal_dfa(
                 reference_quotient_union(l, l_1t, l_tt, l_t1))
             calls.append(rhs)
             return rhs
 
+        def quotient(*args):
+            out = real_quotient(*args)
+            quotients.append(out[2])
+            return out
+
+        monkeypatch.setattr(theorems, "rees_quotient", quotient)
         monkeypatch.setattr(theorems, "_quotient_union", checked)
         semigroups = [s for n in (1, 2, 3) for s in enumerate_semigroups(n)]
         for s in semigroups + [brandt_b2()]:
@@ -156,10 +162,13 @@ class TestReesQuotient:
 
     @pytest.mark.parametrize("part, moved", [("l_tt", "final"), ("l_tt", "initial"),
                                              ("l_1t", "initial"), ("l_t1", "final"),
-                                             ("l_tt", "eps"), ("l_tt", "rows")])
+                                             ("l_tt", "eps"), ("l_tt", "rows"),
+                                             ("l_1t l_tt", "final")])
     def test_quotient_union_rejects_quotients_off_l_rows(self, part, moved):
         # L itself is all three quotients at once; one quotient with an end
-        # set moved to B2's other vertices, or other moves, is refused
+        # set moved to B2's other vertices, or other moves, is refused, and
+        # so is an L_TT that runs between two end sets, which no one merged
+        # state can stand for
         l = loop_automaton(full_generator_map(brandt_b2()))
         assert theorems._quotient_union(l, l, l, l).rows is l.rows
         other = frozenset(range(l.n_states)) - l.initial
@@ -171,7 +180,7 @@ class TestReesQuotient:
             ends = (other, l.final) if moved == "initial" else (l.initial, other)
             broken = language._built(language.Nfa, l.alphabet, l.n_states, l.rows,
                                      l.eps, *ends)
-        parts = dict.fromkeys(("l_1t", "l_tt", "l_t1"), l) | {part: broken}
+        parts = dict.fromkeys(("l_1t", "l_tt", "l_t1"), l) | dict.fromkeys(part.split(), broken)
         with pytest.raises(theorems.InternalError, match="L's rows"):
             theorems._quotient_union(l, parts["l_1t"], parts["l_tt"], parts["l_t1"])
 
@@ -796,6 +805,14 @@ class TestReporting:
             assert run_job((iid, job)) == (
                 iid, False, f"RESULT {tag} {iid} FAIL {nested.witness()}")
 
+    def test_stats_say_how_the_main_comparison_was_decided(self):
+        # a Rees-quotient right side is the left side's automaton; the
+        # adjoin-zero sides number the zero and the identity apart
+        s = adjoin_zero(cyclic_group(2))
+        gmap = full_generator_map(s)
+        assert verify_rees_quotient(s, gmap, {s.zero}).stats["main"] == "=="
+        assert verify_adjoin_zero(s, gmap).stats["main"] == "minimal DFAs"
+
     def test_fail_line_carries_separator(self):
         s = make_semigroup(None, ((0, 0, 0, 0), (0, 0, 0, 0),
                                   (0, 0, 0, 0), (0, 0, 1, 0)))
@@ -810,12 +827,14 @@ class TestReporting:
 
 def two_call_finish(tag, lhs_nfa, rhs_nfa, extra_checks, stats, t0):
     """_finish as it was before equal sides were minimized once: both sides
-    go through minimal_dfa."""
+    go through minimal_dfa.  stats["main"] names what _finish would decide
+    the pair by, so that the two reports compare equal."""
     lhs = theorems.minimal_dfa(lhs_nfa)
     rhs = theorems.minimal_dfa(rhs_nfa)
     sep = None if lhs == rhs else theorems.shortest_separator(lhs_nfa, rhs_nfa)
     checks = (("main", sep is None, theorems._render(lhs.alphabet, sep)), *extra_checks)
-    stats = {**stats, "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
+    stats = {**stats, "main": "==" if rhs_nfa == lhs_nfa else "minimal DFAs",
+             "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
              "elapsed": round(time.perf_counter() - t0, 6)}
     return theorems.VerificationReport(tag, lhs, rhs, sep, checks, stats)
 
@@ -875,6 +894,21 @@ class TestMinimizeOnce:
             monkeypatch, verify_adjoin_zero, s, full_generator_map(s))
         assert calls == 2 and report.holds
         self._same_report(report, reference)
+
+    def test_rees_quotient_minimizes_once(self, monkeypatch):
+        # the right side is S/T's loop automaton, == to the left side, for
+        # every ideal of every semigroup of order <= 3 and of B2
+        count = 0
+        for s in [s for n in (1, 2, 3) for s in enumerate_semigroups(n)] + [brandt_b2()]:
+            gmap = full_generator_map(s)
+            for ideal in semigroup.all_ideals(s):
+                report, reference, calls = self._run(
+                    monkeypatch, verify_rees_quotient, s, gmap, ideal)
+                monkeypatch.undo()
+                assert calls == 1 and report.holds and report.stats["main"] == "=="
+                self._same_report(report, reference)
+                count += 1
+        assert count > 122
 
 
 class TestGates:
