@@ -56,46 +56,37 @@ from .semigroup import (
 
 
 def parse_rees_spec(text: str, directory: Path) -> FiniteSemigroup:
-    """The Rees matrix semigroup a spec file describes."""
+    """The Rees matrix semigroup a spec file describes: header lines up to
+    the `matrix` line, then one matrix row per line."""
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    base = None
-    i_count = j_count = None
-    with_zero = False
-    matrix_rows: list[tuple[int, list[str]]] = []
-    in_matrix = False
-    seen: set[str] = set()
-    for no, ln in lines:
-        toks = ln.split()
-        if in_matrix:
-            matrix_rows.append((no, toks))
-            continue
-        if toks[0] in seen:
-            raise ParseError(f"repeated {toks[0]} line", no)
-        seen.add(toks[0])
-        if toks[0] == "base":
-            name = " ".join(toks[1:])
+    rest = iter(lines)
+    header: dict = {}
+    for no, ln in rest:
+        key, *vals = ln.split()
+        if key == "matrix":
+            if vals:
+                raise ParseError("matrix line takes no value", no)
+            break
+        if key in header:
+            raise ParseError(f"repeated {key} line", no)
+        if key == "base":
+            name = " ".join(vals)
             try:
-                base = parse_semigroup_text((directory / name).read_text())
+                header[key] = parse_semigroup_text((directory / name).read_text())
             except OSError as e:
                 raise ParseError(f"cannot read base table: {e}", no) from None
             except ParseError as e:
                 raise ParseError(f"base table {name}, line {e.line}: {e.message}",
                                  no) from None
-        elif toks[0] in ("i", "j", "zero"):
-            if len(toks) != 2:
-                raise ParseError(f"{toks[0]} line takes one value", no)
-            if toks[0] == "zero":
-                if toks[1].lower() not in ("true", "yes", "1", "false", "no", "0"):
-                    raise ParseError(f"zero takes true or false, got {toks[1]!r}", no)
-                with_zero = toks[1].lower() in ("true", "yes", "1")
-            elif toks[0] == "i":
-                i_count = _spec_count(toks[1], no)
-            else:
-                j_count = _spec_count(toks[1], no)
-        elif toks[0] == "matrix":
-            in_matrix = True
+        elif key in _SPEC_VALUES:
+            if len(vals) != 1:
+                raise ParseError(f"{key} line takes one value", no)
+            header[key] = _SPEC_VALUES[key](vals[0], no)
         else:
             raise ParseError(f"unexpected line {ln!r}", no)
+    base, i_count, j_count = (header.get(key) for key in ("base", "i", "j"))
+    with_zero = header.get("zero", False)
+    matrix_rows = [(no, ln.split()) for no, ln in rest]
     if base is None or i_count is None or j_count is None:
         raise ParseError("spec needs base, i, j and matrix lines", 1)
     if len(matrix_rows) != j_count or any(len(r) != i_count for _no, r in matrix_rows):
@@ -126,6 +117,16 @@ def _spec_count(tok: str, no: int) -> int:
     if count < 1:
         raise ParseError("count must be positive", no)
     return count
+
+
+def _spec_truth(tok: str, no: int) -> bool:
+    if tok.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ParseError(f"zero takes true or false, got {tok!r}", no)
+    return tok.lower() in ("true", "yes", "1")
+
+
+# the one-value header lines of a spec and the reader of each value
+_SPEC_VALUES = {"i": _spec_count, "j": _spec_count, "zero": _spec_truth}
 
 
 def _load_table(path: str) -> FiniteSemigroup:
@@ -304,6 +305,9 @@ def iter_instances(tag: str, max_order: int = 3, bases=None,
     if tag not in REGISTRY:
         raise ValueError(f"unknown theorem tag {tag!r}")
     bases = tuple(dict.fromkeys(REGISTRY[tag].bases if bases is None else bases))
+    for name in bases:
+        if name not in NAMED_SEMIGROUPS:
+            raise ValueError(f"unknown base semigroup {name!r}")
     for iid, args in REGISTRY[tag].instances(max_order=max_order, bases=bases,
                                              imax=imax, jmax=jmax, seed=seed):
         yield iid, (tag, args)
@@ -384,7 +388,7 @@ def run_corpus(instances, stream=None) -> int:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    s = _load_table(args.table)
+    s = _load_table(args.file)
     ids = sorted(idempotents(s))
     lines = [f"order {s.order}",
              f"idempotents {len(ids)}: " + " ".join(s.labels[e] for e in ids),
@@ -394,8 +398,7 @@ def cmd_info(args) -> int:
     if s.zero is None:
         lines.append("completely zero-simple: no designated zero")
     elif is_completely_zero_simple(s):
-        ids_nz = [e for e in ids if e != s.zero]
-        grp, _ = maximal_subgroup(s, ids_nz[0])
+        grp, _ = maximal_subgroup(s, next(e for e in ids if e != s.zero))
         lines.append(f"completely zero-simple: yes, max subgroup order {grp.order}")
     else:
         lines.append("completely zero-simple: no")
@@ -403,15 +406,20 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _gen_map(s: FiniteSemigroup, labels) -> GeneratorMap:
-    if not labels:
-        return full_generator_map(s)
-    return generator_map(s, labels)
+def _generator_map(args) -> GeneratorMap:
+    """The table's generators: the LABEL elements, or all of them."""
+    s = _load_table(args.file)
+    return generator_map(s, args.labels) if args.labels else full_generator_map(s)
+
+
+def _labelled_subset(args) -> tuple[FiniteSemigroup, frozenset[int]]:
+    """The table and the set of its LABEL elements."""
+    s = _load_table(args.file)
+    return s, frozenset(s.index(lab) for lab in args.labels)
 
 
 def cmd_loop(args) -> int:
-    s = _load_table(args.table)
-    gmap = _gen_map(s, args.generators)
+    gmap = _generator_map(args)
     if args.dot:
         Path(args.dot).write_text(loop_automaton_dot(gmap))
     _emit(format_automaton(minimal_dfa(loop_automaton(gmap))), args.output)
@@ -419,69 +427,49 @@ def cmd_loop(args) -> int:
 
 
 def cmd_cayley(args) -> int:
-    s = _load_table(args.table)
-    gmap = _gen_map(s, args.generators)
+    gmap = _generator_map(args)
     if args.monoid:
-        if s.identity is None:
+        if gmap.target.identity is None:
             raise SemigroupError("--monoid needs a designated identity")
-        gmap = GeneratorMap(gmap.alphabet, s, gmap.image, monoid=True)
+        gmap = GeneratorMap(gmap.alphabet, gmap.target, gmap.image, monoid=True)
     else:
         gmap = lift_to_monoid(gmap)
     _emit(cayley_dot(gmap), args.output)
     return 0
 
 
-def cmd_rees(args) -> int:
-    m = parse_rees_spec(Path(args.spec).read_text(), Path(args.spec).parent)
-    _emit(format_semigroup(m), args.output)
-    return 0
+# the table-writing subcommands: each builds a semigroup from its parsed
+# arguments, and cmd_build writes it as a table
+_BUILDERS = {
+    "rees": lambda args: parse_rees_spec(Path(args.file).read_text(), Path(args.file).parent),
+    "quotient": lambda args: rees_quotient(*_labelled_subset(args))[0],
+    "adjoin-zero": lambda args: adjoin_zero(_load_table(args.file)),
+    "adjoin-identity": lambda args: adjoin_identity(_load_table(args.file)),
+}
 
 
-def cmd_quotient(args) -> int:
-    s = _load_table(args.table)
-    t = frozenset(s.index(lab) for lab in args.ideal)
-    q, _proj = rees_quotient(s, t)
-    _emit(format_semigroup(q), args.output)
-    return 0
-
-
-def cmd_adjoin_zero(args) -> int:
-    _emit(format_semigroup(adjoin_zero(_load_table(args.table))), args.output)
-    return 0
-
-
-def cmd_adjoin_identity(args) -> int:
-    _emit(format_semigroup(adjoin_identity(_load_table(args.table))), args.output)
+def cmd_build(args) -> int:
+    _emit(format_semigroup(_BUILDERS[args.command](args)), args.output)
     return 0
 
 
 def cmd_check_ideal(args) -> int:
-    s = _load_table(args.table)
-    t = frozenset(s.index(lab) for lab in args.subset)
-    ok = is_ideal(s, t)
+    ok = is_ideal(*_labelled_subset(args))
     print("ideal" if ok else "not an ideal")
     return 0 if ok else 1
 
 
 def cmd_check_pru(args) -> int:
-    s = _load_table(args.table)
-    t = frozenset(s.index(lab) for lab in args.subset)
-    ru = is_right_unitary(s, t)
-    pru = is_pseudo_right_unitary(s, t)
-    wpru = is_weakly_pru(s, t)
-    print(f"right-unitary {ru}")
-    print(f"pseudo-right-unitary {pru}")
-    print(f"weakly-pseudo-right-unitary {wpru}")
+    s, t = _labelled_subset(args)
+    ru, pru, wpru = (f(s, t) for f in (is_right_unitary, is_pseudo_right_unitary,
+                                       is_weakly_pru))
+    print(f"right-unitary {ru}\npseudo-right-unitary {pru}\nweakly-pseudo-right-unitary {wpru}")
     return 0 if wpru else 1
 
 
 def cmd_decompose(args) -> int:
-    s = _load_table(args.table)
-    dec = theorems.rees_decompose(s)
-    print(f"group order {dec.group.order}")
-    print(f"i {dec.i_count}")
-    print(f"j {dec.j_count}")
-    print("matrix")
+    dec = theorems.rees_decompose(_load_table(args.file))
+    print(f"group order {dec.group.order}\ni {dec.i_count}\nj {dec.j_count}\nmatrix")
     for row in dec.sandwich.entries:
         print(" ".join("0" if v is None else dec.group.labels[v] for v in row))
     print("group table:")
@@ -545,10 +533,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loop problems of finite semigroups and Rees matrix constructions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def table_cmd(name, fn, help_):
+    def file_cmd(name, fn, help_, file="table", labels=None, output=True):
+        """A subcommand that reads one TABLE or SPEC file, then LABELs when
+        `labels` is their nargs, and writes to -o when `output`."""
         p = sub.add_parser(name, help=help_)
-        p.add_argument("table", help="semigroup table file")
-        p.add_argument("-o", "--output", help="output file (default stdout)")
+        p.add_argument("file", metavar=file, help="semigroup table file"
+                       if file == "table" else "Rees construction spec file")
+        if labels:
+            p.add_argument("labels", nargs=labels, metavar="LABEL",
+                           help="element labels" if labels == "+"
+                           else "generator element labels (default: all elements)")
+        if output:
+            p.add_argument("-o", "--output", help="output file (default stdout)")
         p.set_defaults(fn=fn)
         return p
 
@@ -559,44 +555,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(_VERIFY_OPTIONS[name], type=int if name == "seed" else _positive_int,
                            help=f"{what} (default {_CORPUS_DEFAULTS[name]})")
 
-    p = sub.add_parser("info", help="summarize a semigroup table file")
-    p.add_argument("table")
-    p.set_defaults(fn=cmd_info)
-
-    p = table_cmd("loop", cmd_loop, "minimal DFA of the loop problem")
-    p.add_argument("generators", nargs="*", metavar="LABEL",
-                   help="generator element labels (default: all elements)")
-    p.add_argument("--dot", help="also write the loop automaton as DOT")
-
-    p = table_cmd("cayley", cmd_cayley, "Cayley graph DOT export")
-    p.add_argument("generators", nargs="*", metavar="LABEL")
-    p.add_argument("--monoid", action="store_true",
-                   help="use the designated identity instead of adjoining one")
-
-    p = sub.add_parser("rees", help="build a Rees matrix semigroup from a spec file")
-    p.add_argument("spec")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_rees)
-
-    p = table_cmd("quotient", cmd_quotient, "Rees quotient by an ideal")
-    p.add_argument("ideal", nargs="+", metavar="LABEL")
-
-    table_cmd("adjoin-zero", cmd_adjoin_zero, "adjoin a fresh zero")
-    table_cmd("adjoin-identity", cmd_adjoin_identity, "adjoin a fresh identity")
-
-    p = sub.add_parser("check-ideal", help="test whether labels form an ideal")
-    p.add_argument("table")
-    p.add_argument("subset", nargs="+", metavar="LABEL")
-    p.set_defaults(fn=cmd_check_ideal)
-
-    p = sub.add_parser("check-pru", help="right-unitary / pseudo / weakly verdicts")
-    p.add_argument("table")
-    p.add_argument("subset", nargs="+", metavar="LABEL")
-    p.set_defaults(fn=cmd_check_pru)
-
-    p = sub.add_parser("decompose", help="Rees coordinates of a completely zero-simple semigroup")
-    p.add_argument("table")
-    p.set_defaults(fn=cmd_decompose)
+    file_cmd("info", cmd_info, "summarize a semigroup table file", output=False)
+    file_cmd("loop", cmd_loop, "minimal DFA of the loop problem", labels="*").add_argument(
+        "--dot", help="also write the loop automaton as DOT")
+    file_cmd("cayley", cmd_cayley, "Cayley graph DOT export", labels="*").add_argument(
+        "--monoid", action="store_true",
+        help="use the designated identity instead of adjoining one")
+    file_cmd("rees", cmd_build, "build a Rees matrix semigroup from a spec file", file="spec")
+    file_cmd("quotient", cmd_build, "Rees quotient by an ideal", labels="+")
+    file_cmd("adjoin-zero", cmd_build, "adjoin a fresh zero")
+    file_cmd("adjoin-identity", cmd_build, "adjoin a fresh identity")
+    file_cmd("check-ideal", cmd_check_ideal, "test whether labels form an ideal",
+             labels="+", output=False)
+    file_cmd("check-pru", cmd_check_pru, "right-unitary / pseudo / weakly verdicts",
+             labels="+", output=False)
+    file_cmd("decompose", cmd_decompose,
+             "Rees coordinates of a completely zero-simple semigroup", output=False)
 
     p = sub.add_parser("verify", help="run one theorem verifier over its corpus")
     p.add_argument("tag", choices=VERIFY_TAGS)

@@ -119,6 +119,13 @@ class VerificationReport:
         return out if w is None else f"{out} {w}"
 
 
+def _check_onto(s: FiniteSemigroup, gmap: GeneratorMap) -> None:
+    """Raise SemigroupError unless gmap maps onto S: the same object, as in
+    every corpus instance, or an equal one."""
+    if gmap.target is not s and gmap.target != s:
+        raise SemigroupError("the generator map is not onto S")
+
+
 def _render(alphabet, word) -> str | None:
     if word is None:
         return None
@@ -201,6 +208,7 @@ def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> Verif
     problem of S, with the three quotient languages cross-checked against
     path languages read off the loop automaton directly."""
     t0 = time.perf_counter()
+    _check_onto(s, gmap)
     tset = frozenset(ideal)
     _q, _proj, q_gmap = rees_quotient(s, tset, gmap)
     lhs = loop_problem(q_gmap)
@@ -231,6 +239,7 @@ def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
     automaton is S^1's on the vertices X's images reach: T and 1 exactly
     when X generates T."""
     t0 = time.perf_counter()
+    _check_onto(s, tau)
     tset = _subsemigroup_set(s, tset)  # the one closure check
     wpru = _weakly_pru(s.table, tset)
     if require_hypothesis and not wpru:
@@ -263,6 +272,7 @@ def verify_adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationRe
     """Loop problem of S^0 against
     L union (prefix(L).z)(z-bar.factor(L).z union any letter)*(z-bar.suffix(L))."""
     t0 = time.perf_counter()
+    _check_onto(s, gmap)
     return _adjoin_zero(s, gmap, extend_to_zero(gmap), t0)
 
 
@@ -304,6 +314,7 @@ def verify_semitorees(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     transducer image of the loop problem of S, closed once by epsilon_free;
     the non-returning loop language K is checked against it as well."""
     t0 = time.perf_counter()
+    _check_onto(s, gmap)
     m, rs = rees_matrix(s, i_count, j_count, p, with_zero=False)
     tau = full_generator_map(m)
     return _semitorees(s, gmap, rs, tau, loop_automaton(tau), rng, t0)
@@ -346,6 +357,7 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     survivors (s not the zero) come in M^0's order; both put their zero
     last, labelled by the same _fresh_label(labels, "0")."""
     t0 = time.perf_counter()
+    _check_onto(s, gmap)
     tau0 = extend_to_zero(gmap)
     rep_zero = _adjoin_zero(s, gmap, tau0, time.perf_counter())
     s0 = tau0.target
@@ -389,6 +401,7 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     with the words over the base generators, via the column embedding
     s -> (i, s P_ji^-1, j)."""
     t0 = time.perf_counter()
+    _check_onto(s, gmap)
     if s.identity is None:
         raise NoIdentity("the base of the unit-sandwich theorem is a monoid")
     _grp, _emb, inverse = group_of_units(s)
@@ -492,8 +505,10 @@ def verify_czeros(s: FiniteSemigroup, gmap: GeneratorMap) -> VerificationReport:
     """Constructive form of the completely zero-simple correspondence: the
     decomposition plus the zero-Rees pipeline ties the loop problem of S to
     the loop problem of its maximal subgroup, and the unit-sandwich theorem
-    realizes the downward direction."""
+    realizes the downward direction.  S is read through all of its elements
+    whatever generators gmap picks; gmap must map onto S."""
     t0 = time.perf_counter()
+    _check_onto(s, gmap)
     dec = rees_decompose(s)
     sigma_g = full_generator_map(dec.group)
     rep42 = verify_semitoreeszero(dec.group, sigma_g, dec.i_count, dec.j_count,

@@ -589,8 +589,12 @@ CLI_CHECKS = [
     pytest.param(_spec("base triv.tbl\ni 1\nj 1\nmatrix\ne e\n"), ParseError,
                  "Parse error at line 5: matrix must have 1 rows of 1 entries",
                  id="matrix-shape"),
+    pytest.param(_spec("base triv.tbl\ni 1\nj 1\nmatrix e e\ne\n"), ParseError,
+                 "Parse error at line 4: matrix line takes no value", id="matrix-value"),
     pytest.param(lambda directory: next(iter_instances("no-such-tag")), ValueError,
                  "unknown theorem tag 'no-such-tag'", id="unknown-tag"),
+    pytest.param(lambda directory: next(iter_instances("semitorees", bases=("nope",))),
+                 ValueError, "unknown base semigroup 'nope'", id="unknown-base"),
 ]
 
 
@@ -600,3 +604,33 @@ def test_cli_check_raises_its_type_and_message(call, exc, message, tmp_path):
     with pytest.raises(exc) as err:
         call(tmp_path)
     assert type(err.value) is exc and str(err.value) == message.format(dir=tmp_path)
+
+
+# each subcommand's `--help` usage, as argparse prints it at 80 columns,
+# with its line breaks and indentation collapsed to single spaces
+USAGE = {
+    "info": "usage: reesloop info [-h] table",
+    "loop": "usage: reesloop loop [-h] [-o OUTPUT] [--dot DOT] table [LABEL ...]",
+    "cayley": "usage: reesloop cayley [-h] [-o OUTPUT] [--monoid] table [LABEL ...]",
+    "rees": "usage: reesloop rees [-h] [-o OUTPUT] spec",
+    "quotient": "usage: reesloop quotient [-h] [-o OUTPUT] table LABEL [LABEL ...]",
+    "adjoin-zero": "usage: reesloop adjoin-zero [-h] [-o OUTPUT] table",
+    "adjoin-identity": "usage: reesloop adjoin-identity [-h] [-o OUTPUT] table",
+    "check-ideal": "usage: reesloop check-ideal [-h] table LABEL [LABEL ...]",
+    "check-pru": "usage: reesloop check-pru [-h] table LABEL [LABEL ...]",
+    "decompose": "usage: reesloop decompose [-h] table",
+    "verify": "usage: reesloop verify [-h] [--max-order MAX_ORDER] [--imax IMAX] "
+              "[--jmax JMAX] [--seed SEED] [--base {b2,c2,c3,c4,leftzero2,null2,trivial}] "
+              "{rees-quotient,subsemigroup,remove-zero,adjoin-zero,semitorees,"
+              "semitoreeszero,unit-sandwich,czeros,decompose-roundtrip}",
+    "corpus": "usage: reesloop corpus [-h] [--max-order MAX_ORDER] [--imax IMAX] "
+              "[--jmax JMAX] [--seed SEED]",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_help_exits_zero_with_the_subcommand_usage(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert " ".join(usage.split()) == USAGE[command]

@@ -1014,6 +1014,27 @@ VERIFIER_CHECKS = [
                      1, 1, sandwich([[0]])),
                  semigroup.NoIdentity, "the base of the unit-sandwich theorem is a monoid",
                  id="unit-sandwich-without-identity"),
+    *(pytest.param(call, semigroup.SemigroupError, "the generator map is not onto S",
+                   id=f"{name}-map-onto-another-semigroup")
+      for name, call in (
+          # a map onto C2 given with C3 (onto C2^0 with B2): without the
+          # check some of these report a verdict about the map's semigroup
+          # and some raise a bare KeyError
+          ("rees-quotient", lambda: verify_rees_quotient(
+              cyclic_group(3), full_generator_map(cyclic_group(2)), {0, 1, 2})),
+          ("subsemigroup", lambda: verify_subsemigroup_intersection(
+              cyclic_group(3), full_generator_map(cyclic_group(2)), {0}, ("e",))),
+          ("adjoin-zero", lambda: verify_adjoin_zero(
+              cyclic_group(3), full_generator_map(cyclic_group(2)))),
+          ("semitorees", lambda: verify_semitorees(
+              cyclic_group(3), full_generator_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
+          ("semitoreeszero", lambda: verify_semitoreeszero(
+              cyclic_group(3), full_generator_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
+          ("unit-sandwich", lambda: verify_unit_sandwich(
+              cyclic_group(3), full_generator_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
+          ("czeros", lambda: verify_czeros(
+              brandt_b2(), full_generator_map(adjoin_zero(cyclic_group(2))))),
+      )),
 ]
 
 
