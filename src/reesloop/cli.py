@@ -70,6 +70,8 @@ def parse_rees_spec(text: str, directory: Path) -> FiniteSemigroup:
         if key in header:
             raise ParseError(f"repeated {key} line", no)
         if key == "base":
+            if not vals:
+                raise ParseError("base line needs a table file", no)
             name = " ".join(vals)
             try:
                 header[key] = parse_semigroup_text((directory / name).read_text())
@@ -84,6 +86,8 @@ def parse_rees_spec(text: str, directory: Path) -> FiniteSemigroup:
             header[key] = _SPEC_VALUES[key](vals[0], no)
         else:
             raise ParseError(f"unexpected line {ln!r}", no)
+    else:  # no matrix line
+        raise ParseError("spec needs base, i, j and matrix lines", 1)
     base, i_count, j_count = (header.get(key) for key in ("base", "i", "j"))
     with_zero = header.get("zero", False)
     matrix_rows = [(no, ln.split()) for no, ln in rest]

@@ -11,7 +11,7 @@ checking:
 * the Rees-quotient identity needs the Kleene star on its middle language,
   L union L_1T . L_TT* . L_T1: a collapsed ideal can be revisited any number
   of times, and consecutive inner visits need not chain through a common
-  element of T; the star merges the end set E of the three quotients,
+  element of T; the star merges the end set E of the ideal's words,
   which is T, into one state of L, S/T's zero;
 * the adjoin-zero identity admits every single letter as an inner loop at
   the sink vertex, besides the bracketed factors z-bar u z; the single
@@ -39,7 +39,7 @@ from .language import (
     trim,
     word_set_nfa,
 )
-from .loops import loop_automaton, loop_problem, non_returning_language, path_language, table_loop_nfa
+from .loops import loop_automaton, loop_problem, non_returning_language, table_loop_nfa
 from .semigroup import (
     FiniteSemigroup,
     GeneratorMap,
@@ -156,57 +156,45 @@ def result_line(report: VerificationReport, instance_id: str) -> str:
     return f"RESULT {report.tag} {instance_id} {report.verdict()}"
 
 
-def _quotient_union(l: Nfa, l_1t: Nfa, l_tt: Nfa, l_t1: Nfa) -> Nfa:
-    """L union L_1T . L_TT* . L_T1 as L with one set E of states merged.
-    The quotients keep L's rows and move one end set each to E: L_1T runs
-    from L's initial states to E, L_TT from E to E and L_T1 from E to L's
-    final states, so a path through the merged state k times spells L for
-    k = 0 and L_1T . L_TT^(k-1) . L_T1 for k >= 1.  The states are numbered
-    as rees_quotient numbers S/T: the states outside E in order, then E,
-    then L's identity unless E holds it.  For E = T, where R's positive
-    words lead, that is S/T's loop automaton, E its zero."""
-    if (any(a.alphabet != l.alphabet or a.rows != l.rows or a.eps != l.eps
-            for a in (l_1t, l_tt, l_t1))
-            or l_1t.initial != l.initial or l_t1.final != l.final
-            or l_tt.final != l_1t.final or l_tt.initial != l_t1.initial
-            or l_tt.initial != l_tt.final):
-        raise InternalError("quotients do not share L's rows and end sets")
-    e, ends = l_tt.final, l_tt.final | l.initial
+def _quotient_union(l: Nfa, e: frozenset[int]) -> Nfa:
+    """L union L_1T . L_TT* . L_T1 as L with the end set E merged into one
+    state.  On L's rows, L_1T runs from L's initial states to E, L_TT from E
+    to E and L_T1 from E to L's final states, so a path through the merged
+    state k times spells L for k = 0 and L_1T . L_TT^(k-1) . L_T1 for
+    k >= 1.  The states are numbered as rees_quotient numbers S/T: the
+    states outside E in order, then E, then L's identity unless E holds it.
+    For E = T, where R's positive words lead, that is S/T's loop automaton,
+    E its zero."""
+    ends = e | l.initial
     parts = [(p,) for p in range(l.n_states) if p not in ends]
     return _induced(l, [*parts, e, *((p,) for p in sorted(l.initial - e))])
 
 
 def _quotient_formula_rhs(gmap: GeneratorMap, l_nfa: Nfa, ideal) -> tuple[Nfa, list]:
     """L union (L R-bar^-1)(R^-1 L R-bar^-1)*(R^-1 L) for R a set of shortest
-    representative words of the ideal, plus the three path-language
-    cross-checks; l_nfa is L, gmap's loop automaton, and the right side is
-    L with the set E that R leads to from the identity merged into one
-    state, S/T's zero (_quotient_union).  The walk for R^-1 L finds E.
+    representative words of the ideal, plus the check "E=T"; l_nfa is L,
+    gmap's loop automaton, and the right side is L with the set E that R
+    leads to from the identity merged into one state, S/T's zero
+    (_quotient_union).  The walk for R^-1 L finds E.
     L has no epsilon moves, the identity is its one initial and final state
     and each move a --x--> b comes with b --x-bar--> a, so R-bar leads from
     E back: L R-bar^-1 is L's rows from the identity to E, R^-1 L R-bar^-1
-    from E to E, and no automaton is reversed."""
+    from E to E, and no automaton is reversed.  The three quotients are the
+    path languages of L between the identity and T exactly when E = T:
+    positive words move deterministically in a loop automaton, so a word of
+    R lies in L's rows from the identity to E exactly when its element is
+    in E."""
     if l_nfa.initial != l_nfa.final or any(l_nfa.eps):
         raise InternalError("L is not a loop automaton")
-    big, ident = l_nfa.alphabet, l_nfa.initial
     words = choose_words(gmap)
-    l_t1 = left_quotient(word_set_nfa(big, [words[t] for t in sorted(ideal)]), l_nfa)
-    l_1t, l_tt = (_built(Nfa, big, l_nfa.n_states, l_nfa.rows, l_nfa.eps, frm, l_t1.initial)
-                  for frm in (ident, l_t1.initial))
-    rhs = _quotient_union(l_nfa, l_1t, l_tt, l_t1)
-    checks = []
-    for name, formula, frm, to in (("L1T=path(1,T)", l_1t, ident, ideal),
-                                   ("LTT=path(T,T)", l_tt, ideal, ideal),
-                                   ("LT1=path(T,1)", l_t1, ideal, ident)):
-        sep = shortest_separator(formula, path_language(l_nfa, frm, to))
-        checks.append((name, sep is None, _render(big, sep)))
-    return rhs, checks
+    r = word_set_nfa(l_nfa.alphabet, [words[t] for t in sorted(ideal)])
+    e = left_quotient(r, l_nfa).initial
+    return _quotient_union(l_nfa, e), [("E=T", e == ideal, None)]
 
 
 def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> VerificationReport:
     """Loop problem of S/T against the quotient formula over the loop
-    problem of S, with the three quotient languages cross-checked against
-    path languages read off the loop automaton directly."""
+    problem of S, with the end set E of the ideal's words checked to be T."""
     t0 = time.perf_counter()
     _check_onto(s, gmap)
     tset = frozenset(ideal)

@@ -133,6 +133,10 @@ def build_rees_transducer(s_gmap: GeneratorMap, rees: ReesStructure,
     """
     if rees.with_zero:
         raise HasZero("the transducer construction needs a zero-free Rees product")
+    if s_gmap.target is not rees.base and s_gmap.target != rees.base:
+        raise SemigroupError("the base map is not onto the Rees product's base")
+    if m_gmap.target.order != rees.order:
+        raise SemigroupError("the Rees map's target is not of the Rees product's order")
     if words is None:
         words = choose_words(s_gmap)
     in_alpha = HatAlphabet(tuple(s_gmap.alphabet))

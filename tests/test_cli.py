@@ -586,6 +586,11 @@ CLI_CHECKS = [
     pytest.param(_spec("base triv.tbl\nmatrix\ne\n"), ParseError,
                  "Parse error at line 1: spec needs base, i, j and matrix lines",
                  id="missing-i-and-j"),
+    pytest.param(_spec("base triv.tbl\ni 1\nj 1\n"), ParseError,
+                 "Parse error at line 1: spec needs base, i, j and matrix lines",
+                 id="missing-matrix"),
+    pytest.param(_spec("base\ni 1\nj 1\nmatrix\ne\n"), ParseError,
+                 "Parse error at line 1: base line needs a table file", id="bare-base"),
     pytest.param(_spec("base triv.tbl\ni 1\nj 1\nmatrix\ne e\n"), ParseError,
                  "Parse error at line 5: matrix must have 1 rows of 1 entries",
                  id="matrix-shape"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -57,6 +58,13 @@ from test_language import any_nfa, dfa_product_separator, small_nfa
 from test_semigroup import break_morphism_check
 
 
+def quotient_parts(l, e):
+    """L_1T, L_TT and L_T1 read off L's rows: the paths from L's initial
+    states to the end set E, from E to E, and from E to L's final states."""
+    return (path_language(l, l.initial, e), path_language(l, e, e),
+            path_language(l, e, l.final))
+
+
 def reference_quotient_union(l, l_1t, l_tt, l_t1):
     """theorems._quotient_union as it was before it laid the star out on L's
     rows: L, L_1T, L_TT and L_T1 side by side, by union, concat and star."""
@@ -94,12 +102,21 @@ class TestReesQuotient:
         with pytest.raises(NotAnIdeal):
             verify_rees_quotient(s, full_generator_map(s), {0})
 
-    def test_cross_oracles_present(self):
+    def test_cross_oracles_present(self, monkeypatch):
+        # the report carries the one end-set check, and the three quotients
+        # read off L's rows at E are the path languages between 1 and T
+        real, ends = theorems._quotient_union, []
+        monkeypatch.setattr(theorems, "_quotient_union",
+                            lambda l, e: ends.append((l, e)) or real(l, e))
         s = adjoin_zero(cyclic_group(2))
-        rep = verify_rees_quotient(s, full_generator_map(s), {s.zero})
-        names = [n for n, _ok, _w in rep.checks]
-        assert "L1T=path(1,T)" in names and "LTT=path(T,T)" in names
-
+        ideal = frozenset({s.zero})
+        rep = verify_rees_quotient(s, full_generator_map(s), ideal)
+        assert [c for c in rep.checks if c[0] == "E=T"] == [("E=T", True, None)]
+        (l, e), = ends
+        oracles = (path_language(l, l.initial, ideal), path_language(l, ideal, ideal),
+                   path_language(l, ideal, l.final))
+        for part, oracle in zip(quotient_parts(l, e), oracles):
+            assert shortest_separator(part, oracle) is None
 
     def test_l_tt_is_the_left_quotient_of_l_1t(self, monkeypatch):
         """L_TT, read off L's rows with L_T1's initial and L_1T's final
@@ -108,7 +125,7 @@ class TestReesQuotient:
         real = theorems._quotient_union
         calls = []
         monkeypatch.setattr(theorems, "_quotient_union",
-                            lambda *args: calls.append(args) or real(*args))
+                            lambda l, e: calls.append((l, e)) or real(l, e))
         count = 0
         for n in (1, 2, 3):
             for s in enumerate_semigroups(n):
@@ -117,8 +134,9 @@ class TestReesQuotient:
                 for ideal in semigroup.all_ideals(s):
                     l_nfa = loop_automaton(gmap)
                     theorems._quotient_formula_rhs(gmap, l_nfa, ideal)
-                    (l, l_1t, l_tt, l_t1), = calls
+                    (l, e), = calls
                     calls.clear()
+                    l_1t, l_tt, l_t1 = quotient_parts(l, e)
                     r = word_set_nfa(l.alphabet, [words[t] for t in sorted(ideal)])
                     assert l is l_nfa
                     assert l_tt == language.left_quotient(r, l_1t) == \
@@ -135,11 +153,11 @@ class TestReesQuotient:
         real, real_quotient = theorems._quotient_union, theorems.rees_quotient
         calls, quotients = [], []
 
-        def checked(l, l_1t, l_tt, l_t1):
-            rhs = real(l, l_1t, l_tt, l_t1)
+        def checked(l, e):
+            rhs = real(l, e)
             assert rhs == loop_problem(quotients[-1])
             assert minimal_dfa(rhs) == minimal_dfa(
-                reference_quotient_union(l, l_1t, l_tt, l_t1))
+                reference_quotient_union(l, *quotient_parts(l, e)))
             calls.append(rhs)
             return rhs
 
@@ -160,29 +178,11 @@ class TestReesQuotient:
             assert verify_semitoreeszero(*args).holds
         assert ideals > 122 and len(calls) - ideals == 128
 
-    @pytest.mark.parametrize("part, moved", [("l_tt", "final"), ("l_tt", "initial"),
-                                             ("l_1t", "initial"), ("l_t1", "final"),
-                                             ("l_tt", "eps"), ("l_tt", "rows"),
-                                             ("l_1t l_tt", "final")])
-    def test_quotient_union_rejects_quotients_off_l_rows(self, part, moved):
-        # L itself is all three quotients at once; one quotient with an end
-        # set moved to B2's other vertices, or other moves, is refused, and
-        # so is an L_TT that runs between two end sets, which no one merged
-        # state can stand for
+    def test_quotient_union_at_the_identity_alone_is_l(self):
+        # merging the end set {1}, which L's numbering already puts last,
+        # leaves L itself
         l = loop_automaton(full_generator_map(brandt_b2()))
-        assert theorems._quotient_union(l, l, l, l).rows is l.rows
-        other = frozenset(range(l.n_states)) - l.initial
-        if moved == "eps":
-            broken = language.plus(l)
-        elif moved == "rows":
-            broken = star(l)
-        else:
-            ends = (other, l.final) if moved == "initial" else (l.initial, other)
-            broken = language._built(language.Nfa, l.alphabet, l.n_states, l.rows,
-                                     l.eps, *ends)
-        parts = dict.fromkeys(("l_1t", "l_tt", "l_t1"), l) | dict.fromkeys(part.split(), broken)
-        with pytest.raises(theorems.InternalError, match="L's rows"):
-            theorems._quotient_union(l, parts["l_1t"], parts["l_tt"], parts["l_t1"])
+        assert theorems._quotient_union(l, l.initial) is l
 
     def test_l_1t_is_the_right_quotient_by_r_bar_with_no_reversal(self, monkeypatch):
         """Every ideal of every semigroup of order <= 3 and of B2, and the
@@ -201,7 +201,8 @@ class TestReesQuotient:
         monkeypatch.setattr(language, "_reverse", lambda a: reversed_.append(a))
         monkeypatch.setattr(theorems, "_quotient_formula_rhs", rhs)
         monkeypatch.setattr(theorems, "_quotient_union",
-                            lambda *args: sides[-1].append(args[1]) or real_union(*args))
+                            lambda l, e: sides[-1].append(quotient_parts(l, e)[0])
+                            or real_union(l, e))
         semigroups = [s for n in (1, 2, 3) for s in enumerate_semigroups(n)]
         for s in semigroups + [brandt_b2()]:
             gmap = full_generator_map(s)
@@ -661,7 +662,7 @@ class TestFormulaMutations:
         """The quotient formula's right side with L_TT taken once, not
         starred: L union L_1T . L_TT . L_T1."""
         monkeypatch.setattr(theorems, "_quotient_union",
-                            lambda l, l_1t, l_tt, l_t1: union(l, concat(l_1t, l_tt, l_t1)))
+                            lambda l, e: union(l, concat(*quotient_parts(l, e))))
 
     def test_rees_quotient_needs_the_star_on_ltt(self, monkeypatch):
         self._drop_the_star_on_ltt(monkeypatch)
@@ -670,17 +671,21 @@ class TestFormulaMutations:
 
     def test_rees_quotient_side_checks_see_a_wrong_quotient(self, monkeypatch):
         # with the left quotient by R dropped, R^-1 L is L and its end set
-        # the identity, so L1T is L itself, which has the moves of
-        # path(1,T) but other final states: the automata are not equal, so
-        # the side check walks them and FAILs
+        # E the identity, not T, so the end-set check FAILs; L_1T read off
+        # at E is L itself, which has the moves of path(1,T) but other
+        # final states, and the empty word tells the two apart
+        real, ends = theorems._quotient_union, []
         monkeypatch.setattr(theorems, "left_quotient", lambda r, l: l)
+        monkeypatch.setattr(theorems, "_quotient_union",
+                            lambda l, e: ends.append((l, e)) or real(l, e))
         jobs = dict(iter_instances("rees-quotient", max_order=2))
         s, gmap, ideal = jobs["n2i3:T=s0.s1"][1]
         rep = verify_rees_quotient(s, gmap, ideal)
-        assert ("L1T=path(1,T)", False, "-") in rep.checks
-        la = loop_automaton(gmap)
-        path = path_language(la, la.initial, ideal)
-        assert member(la, ()) != member(path, ())
+        assert ("E=T", False, None) in rep.checks
+        assert rep.verdict() == "FAIL s0.~s1"
+        (la, e), = ends
+        l_1t, path = quotient_parts(la, e)[0], path_language(la, la.initial, ideal)
+        assert l_1t == la and member(l_1t, ()) != member(path, ())
 
     def test_remove_zero_needs_the_restriction_to_x(self, monkeypatch):
         # the right side as the whole L(tau) over S^0: the zero letter's
@@ -762,6 +767,17 @@ class TestFormulaMutations:
         self._fails("czeros", "b2", 1, leg,
                     "(1,0,1).~(1,(1,e,1),2).(1,(1,e,1),1).~(1,(1,e,1),2)"
                     ".(1,(1,e,1),1).~(1,0,2)")
+
+    def test_decompose_roundtrip_needs_the_right_group(self, monkeypatch):
+        # a decomposition that hands back the null semigroup of order 2 in
+        # place of the group C2, the same order but not a group
+        iid = "c2:I2J2:P=e,g;0,e"
+        job = dict(iter_instances("decompose-roundtrip"))[iid]
+        assert run_job((iid, job)) == (iid, True, f"RESULT decompose-roundtrip {iid} PASS")
+        real = theorems.rees_decompose
+        monkeypatch.setattr(theorems, "rees_decompose",
+                            lambda s: dataclasses.replace(real(s), group=null_semigroup(2)))
+        assert run_job((iid, job)) == (iid, False, f"RESULT decompose-roundtrip {iid} FAIL")
 
 
 class TestReporting:

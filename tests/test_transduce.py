@@ -17,6 +17,7 @@ from reesloop.language import (
 )
 from reesloop.loops import loop_problem
 from reesloop.semigroup import (
+    SemigroupError,
     cyclic_group,
     full_generator_map,
     generator_map,
@@ -281,6 +282,14 @@ class TestBuildReesTransducer:
         with pytest.raises(HasZero):
             build_rees_transducer(full_generator_map(triv), rs, full_generator_map(m))
 
+    def test_accepts_an_equal_copy_of_the_base(self):
+        c2 = cyclic_group(2)
+        m, rs = rees_matrix(c2, 1, 2, sandwich([[0], [1]]), False)
+        copy = cyclic_group(2)
+        assert copy is not c2 and copy == c2
+        assert build_rees_transducer(full_generator_map(copy), rs, full_generator_map(m)) == \
+            build_rees_transducer(full_generator_map(c2), rs, full_generator_map(m))
+
     def test_deterministic_given_maps(self):
         c2 = cyclic_group(2)
         p = sandwich([[0, 1], [1, 0]])
@@ -342,8 +351,23 @@ def test_apply_equals_the_product_reference_on_rees_images():
                 assert apply(t, l) == ref_apply(t, l)
 
 
-# (call, exception type, message): the Transducer constructor's checks and
-# apply's alphabet check
+def rees_transducer(base, rees_args, m_args):
+    """A call of build_rees_transducer on the full map onto base, the
+    structure of the zero-free Rees product rees_args = (S, I, J, P) and the
+    full map onto the one m_args names."""
+    def call():
+        rs = rees_matrix(*rees_args, False)[1]
+        m = rees_matrix(*m_args, False)[0]
+        return build_rees_transducer(full_generator_map(base), rs, full_generator_map(m))
+    return call
+
+
+C2, C3, E = cyclic_group(2), cyclic_group(3), sandwich([[0]])
+
+
+# (call, exception type, message): the Transducer constructor's checks,
+# apply's alphabet check and build_rees_transducer's checks that its inputs
+# belong together
 TRANSDUCER_CHECKS = [
     pytest.param(lambda: transducer(X, Y, 1, [], {0}, {1}), LanguageError,
                  "state 1 out of range", id="final-state"),
@@ -355,6 +379,12 @@ TRANSDUCER_CHECKS = [
                  "output letter 4 out of range", id="output-letter"),
     pytest.param(lambda: apply(identity_transducer(X), word_set_nfa(Y, [()])), AlphabetMismatch,
                  "language is not over the transducer input alphabet", id="apply-alphabet"),
+    pytest.param(rees_transducer(C2, (C3, 1, 1, E), (C3, 1, 1, E)), SemigroupError,
+                 "the base map is not onto the Rees product's base", id="rees-other-base"),
+    pytest.param(rees_transducer(C2, (C2, 2, 1, sandwich([[0, 0]])), (C2, 1, 1, E)),
+                 SemigroupError,
+                 "the Rees map's target is not of the Rees product's order",
+                 id="rees-other-order"),
 ]
 
 
