@@ -334,7 +334,9 @@ def subsemigroup(s: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int
 
 def rees_quotient(s: FiniteSemigroup, ideal, gmap: GeneratorMap | None = None):
     """S/T: collapse an ideal to a zero.  Returns (quotient, projection) and,
-    when a generator map is supplied, (quotient, projection, induced map)."""
+    when a generator map onto S is supplied, (quotient, projection, induced map)."""
+    if gmap is not None and gmap.target is not s and gmap.target != s:
+        raise SemigroupError("the generator map is not onto S")
     t = frozenset(ideal)
     if not is_ideal(s, t):
         raise NotAnIdeal(f"{sorted(t)} is not an ideal")

@@ -1,9 +1,10 @@
-"""One executable verifier per language identity: each builds the left- and
-right-hand languages independently and decides equality of minimal DFAs;
-two sides built as the same automaton are minimized once.  A report holds
-its outcome once, as named checks with witnesses: the main comparison and
-its shortest separating word first, then side checks, among them nested
-verifiers' reports, each handing on its own witness.
+"""One executable verifier per language identity, for S and a semigroup
+map X+ -> S onto S: each reads loop problems at S^1's fresh identity, builds
+the left- and right-hand languages independently and decides equality of
+minimal DFAs; two sides built as the same automaton are minimized once.  A
+report holds its outcome once, as named checks with witnesses: the main
+comparison and its shortest separating word first, then side checks, among
+them nested verifiers' reports, each handing on its own witness.
 
 Two fine points of the identities, both forced by exhaustive small-order
 checking:
@@ -120,10 +121,13 @@ class VerificationReport:
 
 
 def _check_onto(s: FiniteSemigroup, gmap: GeneratorMap) -> None:
-    """Raise SemigroupError unless gmap maps onto S: the same object, as in
-    every corpus instance, or an equal one."""
+    """Raise SemigroupError unless gmap is a semigroup map onto S, the same
+    object, as in every corpus instance, or an equal one: the one place a
+    verifier reads the monoid flag, as no side loops at S's own identity."""
     if gmap.target is not s and gmap.target != s:
         raise SemigroupError("the generator map is not onto S")
+    if gmap.monoid:
+        raise SemigroupError("the generator map is a monoid map")
 
 
 def _render(alphabet, word) -> str | None:
@@ -206,17 +210,17 @@ def verify_rees_quotient(s: FiniteSemigroup, gmap: GeneratorMap, ideal) -> Verif
 
 
 def _restriction_sides(tau: GeneratorMap, x_symbols, base: FiniteSemigroup,
-                       base_image=None, monoid: bool = False) -> tuple[Nfa, Nfa]:
+                       base_image=None) -> tuple[Nfa, Nfa]:
     """Both sides of the restriction identity over tau's hat alphabet, X's
-    generator i on the letter of x_symbols[i]: the images base_image (X's
-    under tau by default) in base on their positive reach, and
-    L(tau) /\\ X-hat-star, tau's automaton on X's letters and their reach."""
+    generator i on the letter of x_symbols[i], each side looping at a fresh
+    identity: the images base_image (X's under tau by default) in base on
+    their positive reach, and L(tau) /\\ X-hat-star, tau's automaton on X's
+    letters and their reach."""
     big = HatAlphabet(tau.alphabet)
     letters = sub_hat_letters(big, x_symbols)
     x_image = [tau.image[x] for x in letters[:len(x_symbols)]]
-    lhs = table_loop_nfa(base, x_image if base_image is None else base_image,
-                         big, letters, monoid)
-    return lhs, table_loop_nfa(tau.target, x_image, big, letters, tau.monoid, both=True)
+    lhs = table_loop_nfa(base, x_image if base_image is None else base_image, big, letters)
+    return lhs, table_loop_nfa(tau.target, x_image, big, letters, both=True)
 
 
 def verify_subsemigroup_intersection(s: FiniteSemigroup, tau: GeneratorMap,
@@ -289,8 +293,7 @@ def _adjoin_zero(s: FiniteSemigroup, gmap: GeneratorMap, tau: GeneratorMap,
     lhs = loop_problem(tau)
     big = lhs.alphabet
     z_letter = big.letter(tau.alphabet[-1])
-    l_big = table_loop_nfa(gmap.target, gmap.image, big,
-                           sub_hat_letters(big, gmap.alphabet), gmap.monoid)
+    l_big = table_loop_nfa(gmap.target, gmap.image, big, sub_hat_letters(big, gmap.alphabet))
     return _finish("adjoin-zero", lhs, _sink_union(l_big, z_letter), [],
                    {"order": s.order}, t0)
 
@@ -384,10 +387,10 @@ def find_admissible_column(s: FiniteSemigroup, p: SandwichMatrix):
 
 def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
                          j_count: int, p: SandwichMatrix) -> VerificationReport:
-    """When the sandwich matrix contains a unit of the base monoid, the loop
-    problem of the base is the loop problem of the Rees semigroup intersected
-    with the words over the base generators, via the column embedding
-    s -> (i, s P_ji^-1, j)."""
+    """When the sandwich matrix contains a unit of the monoid S, L(S), read
+    at S^1's fresh identity like every side, is the loop problem of the Rees
+    semigroup intersected with the words over S's generators, via the column
+    embedding s -> (i, s P_ji^-1, j)."""
     t0 = time.perf_counter()
     _check_onto(s, gmap)
     if s.identity is None:
@@ -398,10 +401,9 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     if loc is None:
         raise NoUnitInP("sandwich matrix has no unit entry")
     i0, j0 = loc
-    pji = p.entry(j0, i0)
     with_zero = p.has_zero_entry
     m, rs = rees_matrix(s, i_count, j_count, p, with_zero)
-    pinv = inverse[pji]
+    pinv = inverse[p.entry(j0, i0)]
     rho = [rs.encode(i0, s.mul(x, pinv), j0) for x in range(s.order)]
     if not _is_morphism(s, m, rho):
         raise InternalError("column embedding is not a morphism")
@@ -413,7 +415,7 @@ def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
     y_symbols = x_symbols + m.labels
     tau = GeneratorMap(y_symbols, m,
                        tuple(rho[v] for v in gmap.image) + tuple(range(m.order)))
-    lhs, rhs = _restriction_sides(tau, x_symbols, gmap.target, gmap.image, gmap.monoid)
+    lhs, rhs = _restriction_sides(tau, x_symbols, gmap.target, gmap.image)
     return _finish("unit-sandwich", lhs, rhs,
                    [("column-weakly-pru", is_weakly_pru(m, tset), None)],
                    {"order": s.order, "m_order": m.order, "column": (i0, j0)}, t0)

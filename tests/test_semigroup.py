@@ -383,6 +383,12 @@ class TestIdealsAndQuotients:
         q, proj = rees_quotient(s, {0, 1})
         assert q.order == 1 and q.zero == 0
 
+    def test_quotient_accepts_a_map_onto_an_equal_copy(self):
+        s, copy = cyclic_group(2), cyclic_group(2)
+        assert copy is not s and copy == s
+        q, proj, gmap = rees_quotient(s, {0, 1}, full_generator_map(copy))
+        assert gmap.target is q and gmap.image == (0, 0)
+
     def test_quotient_by_zero_ideal_is_isomorphic(self):
         s = adjoin_zero(cyclic_group(2))
         q, proj = rees_quotient(s, {s.zero})
@@ -905,6 +911,9 @@ INPUT_CHECKS = [
                  SemigroupError, "sandwich matrix must be 1x2", id="rees-wrong-shape"),
     pytest.param(lambda: rees_matrix(cyclic_group(2), 1, 1, sandwich([[2]]), False),
                  IndexOutOfRange, "sandwich entry 2 out of range", id="rees-entry-too-large"),
+    pytest.param(lambda: rees_quotient(brandt_b2(), {4}, full_generator_map(cyclic_group(2))),
+                 SemigroupError, "the generator map is not onto S",
+                 id="quotient-map-onto-another-semigroup"),
     pytest.param(lambda: _c2_rees().encode(0, 2, 0), IndexOutOfRange,
                  "bad triple (0,2,0)", id="encode-out-of-range"),
     pytest.param(lambda: _c2_rees().decode(2), IndexOutOfRange,

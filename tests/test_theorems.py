@@ -1013,6 +1013,11 @@ class TestGates:
         assert str(err.value) == "restricted generators do not generate T"
 
 
+def monoid_map(s):
+    """The full generator map of the monoid s as a monoid map."""
+    return semigroup.GeneratorMap(s.labels, s, tuple(range(s.order)), monoid=True)
+
+
 # (call, exception type, message): the input checks of the verifiers that
 # the corpora never reach
 VERIFIER_CHECKS = [
@@ -1050,6 +1055,26 @@ VERIFIER_CHECKS = [
               cyclic_group(3), full_generator_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
           ("czeros", lambda: verify_czeros(
               brandt_b2(), full_generator_map(adjoin_zero(cyclic_group(2))))),
+      )),
+    *(pytest.param(call, semigroup.SemigroupError, "the generator map is a monoid map",
+                   id=f"{name}-monoid-map")
+      for name, call in (
+          # the identities read L(S) at S^1's fresh identity, and a monoid
+          # map's images need not generate S without the empty word
+          ("rees-quotient", lambda: verify_rees_quotient(
+              cyclic_group(2), monoid_map(cyclic_group(2)), {0, 1})),
+          ("subsemigroup", lambda: verify_subsemigroup_intersection(
+              cyclic_group(2), monoid_map(cyclic_group(2)), {0}, ("e",))),
+          ("adjoin-zero", lambda: verify_adjoin_zero(
+              cyclic_group(2), monoid_map(cyclic_group(2)))),
+          ("semitorees", lambda: verify_semitorees(
+              cyclic_group(2), monoid_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
+          ("semitoreeszero", lambda: verify_semitoreeszero(
+              cyclic_group(2), monoid_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
+          ("unit-sandwich", lambda: verify_unit_sandwich(
+              cyclic_group(2), monoid_map(cyclic_group(2)), 1, 1, sandwich([[0]]))),
+          ("czeros", lambda: verify_czeros(
+              adjoin_zero(cyclic_group(2)), monoid_map(adjoin_zero(cyclic_group(2))))),
       )),
 ]
 
