@@ -1,10 +1,11 @@
 """One executable verifier per language identity, for S and a semigroup
 map X+ -> S onto S: each reads loop problems at S^1's fresh identity, builds
-the left- and right-hand languages independently and decides equality of
-minimal DFAs; two sides built as the same automaton are minimized once.  A
-report holds its outcome once, as named checks with witnesses: the main
-comparison and its shortest separating word first, then side checks, among
-them nested verifiers' reports, each handing on its own witness.
+the left- and right-hand languages independently as automata and decides
+their equality: two sides built as the same automaton are equal at once,
+other sides by their minimal DFAs.  A report holds its outcome once, as
+named checks with witnesses: the main comparison and its shortest
+separating word first, then side checks, among them nested verifiers'
+reports, each handing on its own witness.
 
 Two fine points of the identities, both forced by exhaustive small-order
 checking:
@@ -26,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 from .language import (
-    Dfa,
     HatAlphabet,
     Nfa,
     _induced,
@@ -94,14 +94,16 @@ class InternalError(RuntimeError):
 class VerificationReport:
     """The outcome is held once, in `checks`: one (name, ok, witness) per
     named check, the main comparison ("main") first, each witness already
-    rendered to text or None.  `separator` is the main comparison's
-    shortest word in the symmetric difference of the two compared languages
-    (letters of lhs.alphabet), None when they agree.  `stats` holds only
-    measurements and instance parameters."""
+    rendered to text or None.  `lhs` and `rhs` are the two sides of the
+    main comparison as built, not minimized.  `separator` is its shortest
+    word in the symmetric difference of the two languages (letters of
+    lhs.alphabet), None when they agree.  `stats` holds only measurements
+    and instance parameters: "lhs_states" and "rhs_states" count the
+    states of the two sides as built."""
 
     tag: str
-    lhs: Dfa
-    rhs: Dfa
+    lhs: Nfa
+    rhs: Nfa
     separator: tuple[int, ...] | None
     checks: tuple[tuple[str, bool, str | None], ...]
     stats: dict = field(default_factory=dict, compare=False)
@@ -138,17 +140,16 @@ def _render(alphabet, word) -> str | None:
     return ".".join(alphabet.name(x) for x in word)
 
 
-def _finish(tag: str, lhs_nfa: Nfa, rhs_nfa: Nfa, extra_checks, stats, t0) -> VerificationReport:
-    """Minimize both sides, compare, and put the main comparison ahead of
-    the extra named checks.  Two sides built as the same automaton are
-    minimized once.  The minimal DFAs are canonical, so == decides the main
-    comparison; only when they differ is the separator found, by walking
-    the two NFAs.  stats["main"] records what was compared: "==" for the
-    two sides themselves, or "minimal DFAs"."""
-    lhs = minimal_dfa(lhs_nfa)
-    same = rhs_nfa == lhs_nfa
-    rhs = lhs if same else minimal_dfa(rhs_nfa)
-    sep = None if lhs == rhs else shortest_separator(lhs_nfa, rhs_nfa)
+def _finish(tag: str, lhs: Nfa, rhs: Nfa, extra_checks, stats, t0) -> VerificationReport:
+    """Compare the two sides and put the main comparison ahead of the extra
+    named checks.  Two sides built as the same automaton hold at once;
+    other sides are minimized, and their canonical minimal DFAs compared
+    with ==; only when those differ is the separator found, by walking the
+    two NFAs.  stats["main"] records what was compared: "==" for the two
+    sides themselves, or "minimal DFAs"."""
+    same = rhs == lhs
+    agree = same or minimal_dfa(lhs) == minimal_dfa(rhs)
+    sep = None if agree else shortest_separator(lhs, rhs)
     checks = (("main", sep is None, _render(lhs.alphabet, sep)), *extra_checks)
     stats = {**stats, "main": "==" if same else "minimal DFAs",
              "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
@@ -367,22 +368,6 @@ def verify_semitoreeszero(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,
                     ("via-semitorees", rep_rees.holds, rep_rees.witness()),
                     ("quotient-iso-M0", quotient == m0, None), *cross],
                    {"order": s.order, "m0_order": m0.order}, t0)
-
-
-def find_admissible_column(s: FiniteSemigroup, p: SandwichMatrix):
-    """Some (i, j) with P[j][i] nonzero and S P[j'][i] inside S P[j][i] for
-    every j' with a nonzero entry, or None."""
-    for i in range(p.cols):
-        for j in range(p.rows):
-            pji = p.entry(j, i)
-            if pji is None:
-                continue
-            spji = {s.mul(x, pji) for x in range(s.order)}
-            if all(p.entry(jp, i) is None
-                   or {s.mul(x, p.entry(jp, i)) for x in range(s.order)} <= spji
-                   for jp in range(p.rows)):
-                return (i, j)
-    return None
 
 
 def verify_unit_sandwich(s: FiniteSemigroup, gmap: GeneratorMap, i_count: int,

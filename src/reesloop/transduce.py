@@ -7,8 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .language import (AlphabetMismatch, HatAlphabet, LanguageError, Nfa,
-                       _product_nfa, member, word_set_nfa)
+from .language import AlphabetMismatch, HatAlphabet, LanguageError, Nfa, _product_nfa
 from .semigroup import GeneratorMap, ReesStructure, SemigroupError, _built
 
 
@@ -68,12 +67,6 @@ def normalize(t: Transducer) -> Transducer:
             prev = nxt
     return _built(Transducer, t.in_alphabet, t.out_alphabet, n,
                   frozenset(edges), t.initial, t.final)
-
-
-def accepts_pair(t: Transducer, u, v) -> bool:
-    """True iff some initial-to-final path spells the pair (u, v): v is in
-    the image of the one-word language {u}."""
-    return member(apply(t, word_set_nfa(t.in_alphabet, [u])), v)
 
 
 def apply(t: Transducer, l: Nfa) -> Nfa:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reesloop import language, semigroup, theorems
-from reesloop.cli import _sandwiches, iter_instances, run_job
+from reesloop.cli import REGISTRY, _sandwiches, iter_instances, run_job
 from reesloop.language import (HatAlphabet, concat, factor_closure, member,
                                minimal_dfa, prefix_closure, relabel,
                                shortest_separator, star, sub_hat_letters,
@@ -40,7 +40,6 @@ from reesloop.theorems import (
     NoUnitInP,
     NotCompletelyZeroSimple,
     extend_to_zero,
-    find_admissible_column,
     negative_control_search,
     rees_decompose,
     result_line,
@@ -84,6 +83,22 @@ def reference_sink_union(l, z, bare_letters=True):
         middle = union(middle, word_set_nfa(big, [(x,) for x in range(big.size)]))
     return union(l, concat(prefix_closure(l), z_nfa, star(middle), zbar_nfa,
                            suffix_closure(l)))
+
+
+def find_admissible_column(s, p):
+    """Some (i, j) with P[j][i] nonzero and S P[j'][i] inside S P[j][i] for
+    every j' with a nonzero entry, or None."""
+    for i in range(p.cols):
+        for j in range(p.rows):
+            pji = p.entry(j, i)
+            if pji is None:
+                continue
+            spji = {s.mul(x, pji) for x in range(s.order)}
+            if all(p.entry(jp, i) is None
+                   or {s.mul(x, p.entry(jp, i)) for x in range(s.order)} <= spji
+                   for jp in range(p.rows)):
+                return (i, j)
+    return None
 
 
 class TestReesQuotient:
@@ -447,8 +462,11 @@ class TestClosedImage:
             *args, seed = args
             rep, ref = (verify(*args, rng=None if seed is None else random.Random(seed))
                         for verify in (verify_semitorees, raw_image_semitorees))
-            assert (rep.checks, rep.separator, rep.lhs, rep.rhs) == \
-                (ref.checks, ref.separator, ref.lhs, ref.rhs), iid
+            # the closed image gives another right-side NFA for the same
+            # language, so the sides compare by their minimal DFAs
+            assert (rep.checks, rep.separator) == (ref.checks, ref.separator), iid
+            assert minimal_dfa(rep.lhs) == minimal_dfa(ref.lhs), iid
+            assert minimal_dfa(rep.rhs) == minimal_dfa(ref.rhs), iid
 
     def test_stats_count_the_image_before_and_after_closing(self):
         job = dict(iter_instances("semitorees"))["c3:I2J2:P=g2,g2;g,e"]
@@ -552,20 +570,6 @@ class TestUnitSandwich:
                                  sandwich([[s.zero]]))
 
 
-class TestAdmissibleColumn:
-    def test_unit_entry_qualifies(self):
-        c2 = cyclic_group(2)
-        p = sandwich([[1, ZERO], [ZERO, ZERO]])
-        assert find_admissible_column(c2, p) == (0, 0)
-
-    def test_all_zero_matrix(self):
-        assert find_admissible_column(cyclic_group(2),
-                                      sandwich([[ZERO, ZERO]])) is None
-
-    def test_one_by_one(self):
-        assert find_admissible_column(cyclic_group(2), sandwich([[1]])) == (0, 0)
-
-
 class TestDecompose:
     def test_group_with_zero(self):
         for n in (2, 3):
@@ -639,7 +643,8 @@ class TestNegativeControl:
         assert checked == 7963
         assert len(failures) == 600
         for _s, _tset, rep in failures:
-            assert rep.separator == dfa_product_separator(rep.lhs, rep.rhs)
+            assert rep.separator == dfa_product_separator(minimal_dfa(rep.lhs),
+                                                          minimal_dfa(rep.rhs))
             assert member(rep.lhs, rep.separator) != member(rep.rhs, rep.separator)
 
 
@@ -842,25 +847,31 @@ class TestReporting:
 
 
 def two_call_finish(tag, lhs_nfa, rhs_nfa, extra_checks, stats, t0):
-    """_finish as it was before equal sides were minimized once: both sides
-    go through minimal_dfa.  stats["main"] names what _finish would decide
-    the pair by, so that the two reports compare equal."""
+    """_finish as it was before equal sides were taken off the minimization
+    path: both sides go through minimal_dfa, and the report holds the two
+    minimal DFAs.  Its stats are _finish's: stats["main"] names what
+    _finish decides the pair by, and "lhs_states"/"rhs_states" count the
+    NFAs' states."""
     lhs = theorems.minimal_dfa(lhs_nfa)
     rhs = theorems.minimal_dfa(rhs_nfa)
     sep = None if lhs == rhs else theorems.shortest_separator(lhs_nfa, rhs_nfa)
     checks = (("main", sep is None, theorems._render(lhs.alphabet, sep)), *extra_checks)
     stats = {**stats, "main": "==" if rhs_nfa == lhs_nfa else "minimal DFAs",
-             "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,
+             "lhs_states": lhs_nfa.n_states, "rhs_states": rhs_nfa.n_states,
              "elapsed": round(time.perf_counter() - t0, 6)}
     return theorems.VerificationReport(tag, lhs, rhs, sep, checks, stats)
 
 
 class TestMinimizeOnce:
-    """Two sides built as the same automaton are minimized once, and the
-    report is the one both minimizations give."""
+    """Each side of a main comparison is minimized at most once: two sides
+    built as the same automaton not at all, other sides once each.  The
+    report is the one that minimizing both sides gives, with the sides
+    kept as built."""
 
     @staticmethod
     def _run(monkeypatch, verify, *args):
+        """The report and minimal_dfa call count of verify, then the
+        reference report and call count under two_call_finish."""
         calls = []
         real = theorems.minimal_dfa
 
@@ -873,55 +884,76 @@ class TestMinimizeOnce:
         count = len(calls)
         monkeypatch.setattr(theorems, "_finish", two_call_finish)
         reference = verify(*args)
-        assert len(calls) == count + 2
-        return report, reference, count
+        return report, reference, count, len(calls) - count
 
     @staticmethod
     def _same_report(report, reference):
         assert report.tag == reference.tag
         assert report.holds == reference.holds
-        assert report.lhs == reference.lhs
-        assert report.rhs == reference.rhs
+        assert minimal_dfa(report.lhs) == reference.lhs
+        assert minimal_dfa(report.rhs) == reference.rhs
         assert report.separator == reference.separator
         assert report.checks == reference.checks
         drop = {"elapsed"}
         assert {k: v for k, v in report.stats.items() if k not in drop} == \
             {k: v for k, v in reference.stats.items() if k not in drop}
 
-    def test_remove_zero_minimizes_once(self, monkeypatch):
+    def test_remove_zero_minimizes_nothing(self, monkeypatch):
         tau = extend_to_zero(full_generator_map(cyclic_group(3)))
-        report, reference, calls = self._run(
+        report, reference, calls, ref_calls = self._run(
             monkeypatch, verify_subsemigroup_intersection,
             tau.target, tau, frozenset(range(3)), tau.alphabet[:-1])
-        assert calls == 1 and report.holds
+        assert (calls, ref_calls) == (0, 2) and report.holds
+        assert report.stats["main"] == "=="
         self._same_report(report, reference)
 
-    def test_subsemigroup_with_equal_sides_minimizes_once(self, monkeypatch):
+    def test_subsemigroup_with_equal_sides_minimizes_nothing(self, monkeypatch):
         s = make_semigroup(None, ((0, 0), (1, 1)))  # left zero
         tau = full_generator_map(s)
-        report, reference, calls = self._run(
+        report, reference, calls, ref_calls = self._run(
             monkeypatch, verify_subsemigroup_intersection, s, tau, {1}, ("s1",))
-        assert calls == 1 and report.holds
+        assert (calls, ref_calls) == (0, 2) and report.holds
+        assert report.stats["main"] == "=="
         self._same_report(report, reference)
 
     def test_adjoin_zero_minimizes_both_sides(self, monkeypatch):
         s = cyclic_group(2)
-        report, reference, calls = self._run(
+        report, reference, calls, ref_calls = self._run(
             monkeypatch, verify_adjoin_zero, s, full_generator_map(s))
-        assert calls == 2 and report.holds
+        assert (calls, ref_calls) == (2, 2) and report.holds
+        assert report.stats["main"] == "minimal DFAs"
         self._same_report(report, reference)
 
-    def test_rees_quotient_minimizes_once(self, monkeypatch):
+    @pytest.mark.parametrize("tag, iid, calls, ref_calls", [
+        ("subsemigroup", "n2i0:T=s0", 2, 2),
+        ("unit-sandwich", "c2:I1J1:P=g", 2, 2),
+        ("semitorees", "trivial:I1J1:P=e", 2, 2),
+        # 2 for its own sides and 2 for each of its nested adjoin-zero and
+        # semitorees legs; its semitoreeszero and unit-sandwich legs hold
+        # by ==
+        ("czeros", "c2:I2J2:P=g,e;0,e", 6, 10),
+    ])
+    def test_differing_sides_minimize_both(self, monkeypatch, tag, iid, calls,
+                                           ref_calls):
+        _tag, args = dict(iter_instances(tag))[iid]
+        report, reference, got, ref_got = self._run(
+            monkeypatch, REGISTRY[tag].verify, *args)
+        assert (got, ref_got) == (calls, ref_calls) and report.holds
+        assert report.stats["main"] == "minimal DFAs"
+        self._same_report(report, reference)
+
+    def test_rees_quotient_minimizes_nothing(self, monkeypatch):
         # the right side is S/T's loop automaton, == to the left side, for
         # every ideal of every semigroup of order <= 3 and of B2
         count = 0
         for s in [s for n in (1, 2, 3) for s in enumerate_semigroups(n)] + [brandt_b2()]:
             gmap = full_generator_map(s)
             for ideal in semigroup.all_ideals(s):
-                report, reference, calls = self._run(
+                report, reference, calls, ref_calls = self._run(
                     monkeypatch, verify_rees_quotient, s, gmap, ideal)
                 monkeypatch.undo()
-                assert calls == 1 and report.holds and report.stats["main"] == "=="
+                assert (calls, ref_calls) == (0, 2) and report.holds
+                assert report.stats["main"] == "=="
                 self._same_report(report, reference)
                 count += 1
         assert count > 122

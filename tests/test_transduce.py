@@ -12,6 +12,7 @@ from reesloop.language import (
     empty_nfa,
     enumerate_words,
     equivalent,
+    member,
     star,
     word_set_nfa,
 )
@@ -29,7 +30,6 @@ from reesloop.semigroup import (
 from reesloop.transduce import (
     HasZero,
     Transducer,
-    accepts_pair,
     apply,
     build_rees_transducer,
     choose_words,
@@ -53,6 +53,12 @@ def identity_transducer(alpha):
     return transducer(alpha, alpha, 1,
                       [(0, (a,), (a,), 0) for a in range(alpha.size)],
                       {0}, {0})
+
+
+def accepts_pair(t, u, v):
+    """True iff some initial-to-final path spells the pair (u, v): v is in
+    the image under apply of the one-word language {u}."""
+    return member(apply(t, word_set_nfa(t.in_alphabet, [u])), v)
 
 
 def raw_accepts_pair(t, u, v):
@@ -196,17 +202,12 @@ class TestApply:
                 # output word of length <= 3
                 want = set()
                 for u in all_words(X, 8):
-                    if not _member(l, u):
+                    if not member(l, u):
                         continue
                     for v in all_words(Y, 3):
                         if v not in want and raw_accepts_pair(t, u, v):
                             want.add(v)
                 assert got == want
-
-
-def _member(l, u):
-    from reesloop.language import member
-    return member(l, u)
 
 
 class TestApplyAlgebra:
