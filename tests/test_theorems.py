@@ -959,6 +959,68 @@ class TestMinimizeOnce:
         assert count > 122
 
 
+def _decided(report):
+    """What a report decided: verdict, checks, separator and stats less the
+    wall time."""
+    stats = {k: v for k, v in report.stats.items() if k != "elapsed"}
+    return report.holds, report.checks, report.separator, stats
+
+
+class TestSeparatorMemo:
+    """_finish decides each pair of differing sides once per process, keyed
+    by the two NFAs and the minimal_dfa and shortest_separator it reads."""
+
+    @staticmethod
+    def _verify_pair():
+        """The report of subsemigroup n2i0:T=s0, whose sides differ."""
+        _tag, args = dict(iter_instances("subsemigroup"))["n2i0:T=s0"]
+        return REGISTRY["subsemigroup"].verify(*args)
+
+    def test_a_repeated_pair_is_minimized_once(self, monkeypatch):
+        calls = []
+        real = theorems.minimal_dfa
+        monkeypatch.setattr(theorems, "minimal_dfa",
+                            lambda a: calls.append(a) or real(a))
+        first, second = self._verify_pair(), self._verify_pair()
+        assert len(calls) == 2
+        assert first.stats["main"] == "minimal DFAs" and first.holds
+        assert _decided(second) == _decided(first)
+
+    def test_a_rebound_function_is_run_not_recalled(self, monkeypatch):
+        assert self._verify_pair().holds
+        hits = theorems._separator.cache_info().hits
+        assert self._verify_pair().holds
+        assert theorems._separator.cache_info().hits == hits + 1
+        # the sides are distinct NFAs, so as their own "minimal DFAs" they
+        # differ, and the rebound separator is the verdict's word
+        monkeypatch.setattr(theorems, "minimal_dfa", lambda a: a)
+        monkeypatch.setattr(theorems, "shortest_separator", lambda a, b: (0,))
+        report = self._verify_pair()
+        assert report.separator == (0,)
+        assert report.verdict() == f"FAIL {report.lhs.alphabet.name(0)}"
+
+    def test_recall_never_changes_a_report(self):
+        jobs = [(verify_subsemigroup_intersection,
+                 (s, full_generator_map(s), tset,
+                  tuple(s.labels[v] for v in sorted(tset)), False))
+                for n in (1, 2, 3) for s in enumerate_semigroups(n)
+                for tset in all_subsemigroups(s)
+                if not is_weakly_pru(s, tset)]
+        assert len(jobs) == 51
+        jobs += [(REGISTRY[tag].verify, args)
+                 for _iid, (tag, args) in iter_instances("subsemigroup", max_order=3)]
+
+        def cold(verify, args):
+            theorems._separator.cache_clear()
+            return verify(*args)
+
+        reference = [_decided(cold(verify, args)) for verify, args in jobs]
+        theorems._separator.cache_clear()
+        warm = [_decided(verify(*args)) for verify, args in jobs]
+        assert theorems._separator.cache_info().hits > 0
+        assert warm == reference
+
+
 class TestGates:
     def test_semitoreeszero_records_a_broken_quotient_map(self, monkeypatch):
         # a quotient with two labels swapped is no longer M^0 itself, and
