@@ -1,13 +1,16 @@
 """Finite-state transducers with word-pair edge labels, and the explicit
 transducer carrying the loop problem of a base semigroup onto the loop
-problem of a Rees matrix semigroup over it."""
+problem of a Rees matrix semigroup over it.  apply reads an input word as a
+chain of one-letter moves; word_letters first makes each word one letter,
+as the semitorees verifier does, so its image has no epsilon chain."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .language import AlphabetMismatch, HatAlphabet, LanguageError, Nfa, _product_nfa
+from .language import (AlphabetMismatch, HatAlphabet, LanguageError, Nfa, _core, _mask,
+                       _product_nfa, _reach, _union)
 from .semigroup import GeneratorMap, ReesStructure, SemigroupError, _built
 
 
@@ -80,6 +83,30 @@ def apply(t: Transducer, l: Nfa) -> Nfa:
     for p, u, v, q in nt.edges:
         t_moves[p].append((u[0] if u else None, v[0] if v else None, q))
     return _product_nfa(t.out_alphabet, l, t_moves, nt.initial, nt.final)
+
+
+def word_letters(t: Transducer, l: Nfa) -> tuple[Transducer, Nfa]:
+    """t with each distinct input word of its edges read as one letter, and
+    l over those letters with no epsilon move: s --k--> s' for every s' that
+    word k leads to from the closure of s; s is final when its closure
+    holds a final state.  apply of the two has apply(t, l)'s language."""
+    if l.alphabet != t.in_alphabet:
+        raise AlphabetMismatch("language is not over the transducer input alphabet")
+    letter = {u: k for k, u in enumerate(sorted({u for _p, u, _v, _q in t.edges}))}
+    n, rows, full = l.n_states, _core(l).rows, (1 << l.n_states) - 1
+    close, moves = [_reach(1 << s, l.eps) for s in range(n)], [0] * n
+    for s in range(n):
+        for u, k in letter.items():
+            m = close[s]
+            for a in u:
+                m = _union(rows, m) >> a * n & full
+            moves[s] |= m << k * n
+    alpha, fmask = HatAlphabet(tuple(f"w{k}" for k in range(len(letter)))), _mask(l.final)
+    return (_built(Transducer, alpha, t.out_alphabet, t.n_states,
+                   frozenset((p, (letter[u],), v, q) for p, u, v, q in t.edges),
+                   t.initial, t.final),
+            _built(Nfa, alpha, n, tuple(moves), (0,) * n, l.initial,
+                   frozenset(s for s in range(n) if close[s] & fmask)))
 
 
 def choose_words(gmap: GeneratorMap, rng: random.Random | None = None) -> dict[int, tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """The RESULT streams of `reesloop verify` and `reesloop corpus` against
 their digests in data/streams.sha256, run through `cli.main` in process;
-and the default corpus, the order-4 verify streams and `verify
-semitoreeszero --base c3` with two pool workers against the serial stream.
+and the default corpus, the order-4 verify streams, `verify
+semitoreeszero --base c3` and `verify semitorees --imax 3 --jmax 2` with
+two pool workers against the serial stream.
 Each worker recalls other decided pairs than a serial run does, so equal
 streams show that recall never reaches a RESULT line."""
 
@@ -46,7 +47,8 @@ def test_two_worker_corpus_is_the_serial_corpus(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(name for name in RESULT_STREAMS
                                         if name.endswith("--max-order 4")
-                                        or name == "verify semitoreeszero --base c3"))
+                                        or name in ("verify semitoreeszero --base c3",
+                                                    "verify semitorees --imax 3 --jmax 2")))
 def test_two_worker_verify_stream_is_the_serial_stream(name, monkeypatch):
     monkeypatch.setenv("REES_LOOP_WORKERS", "1")
     serial = serial_stream(name)

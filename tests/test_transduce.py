@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reesloop import theorems
+from reesloop.cli import REGISTRY, iter_instances
 from reesloop.language import (
     AlphabetMismatch,
     HatAlphabet,
@@ -13,6 +15,7 @@ from reesloop.language import (
     enumerate_words,
     equivalent,
     member,
+    minimal_dfa,
     star,
     word_set_nfa,
 )
@@ -34,6 +37,7 @@ from reesloop.transduce import (
     build_rees_transducer,
     choose_words,
     normalize,
+    word_letters,
 )
 
 from test_language import eps_nfas, ref_product
@@ -230,6 +234,95 @@ class TestApplyAlgebra:
                               union(apply(t, a), apply(t, b)))
 
 
+def word_letter_image(t, l):
+    """The image as the semitorees verifier builds it: apply on t and l
+    with each input word of t read as one letter."""
+    return apply(*word_letters(t, l))
+
+
+def random_word_transducer(rng, read_min=0, write=(0, 2)):
+    """Three states and five edges, each reading a word of read_min to 3
+    letters of X (bars included) and writing write[0] to write[1] of Y."""
+    edges = []
+    for _e in range(5):
+        p, q = rng.randrange(3), rng.randrange(3)
+        u = tuple(rng.randrange(X.size) for _ in range(rng.randint(read_min, 3)))
+        v = tuple(rng.randrange(Y.size) for _ in range(rng.randint(*write)))
+        edges.append((p, u, v, q))
+    return transducer(X, Y, 3, edges, {0}, {rng.randrange(3)})
+
+
+_x, _xb = X.letter("x"), X.letter("~x")
+# finite languages whose automata have epsilon moves (None), at the initial
+# state and inside words, as (automaton, its words)
+FINITE_EPS_INPUTS = [
+    (word_set_nfa(X, ws), {tuple(a for a in w if a is not None) for w in ws})
+    for ws in ([(None,)], [(None, _x, _xb), (_x, None, _x, None)],
+               [(), (_xb, None, _x, _x)], [(None, _xb, _x), (None, None)])]
+# infinite ones with epsilon moves, from star and concat
+INFINITE_EPS_INPUTS = [star(word_set_nfa(X, [(_x, _xb)])),
+                       concat(star(word_set_nfa(X, [(_x,)])), word_set_nfa(X, [(_xb,)]))]
+
+
+class TestWordLetters:
+    def test_image_has_the_language_of_apply(self):
+        rng = random.Random(38)
+        for _ in range(12):
+            t = random_word_transducer(rng)
+            for l, words in FINITE_EPS_INPUTS:
+                got = word_letter_image(t, l)
+                assert equivalent(got, apply(t, l))
+                # exact: l is finite, so these are all its pairs' outputs
+                want = {v for v in all_words(Y, 3)
+                        if any(raw_accepts_pair(t, u, v) for u in words)}
+                assert set(enumerate_words(got, 3)) == want
+            for l in INFINITE_EPS_INPUTS:
+                assert equivalent(word_letter_image(t, l), apply(t, l))
+
+    def test_image_has_no_epsilon_move_when_each_edge_reads_and_writes_one_letter(self):
+        # a nonempty word read and one letter written on every edge: each
+        # product move writes a letter, whatever epsilon moves l has
+        rng = random.Random(39)
+        for _ in range(12):
+            t = random_word_transducer(rng, read_min=1, write=(1, 1))
+            for l in [l for l, _w in FINITE_EPS_INPUTS] + INFINITE_EPS_INPUTS:
+                assert not any(word_letter_image(t, l).eps)
+
+    def test_letters_are_the_distinct_input_words(self):
+        t = transducer(X, Y, 2, [(0, (_x, _xb), (0,), 1), (1, (_x, _xb), (1,), 0),
+                                 (1, (), (2,), 1)], {0}, {1})
+        wt, wl = word_letters(t, word_set_nfa(X, [(None, _x, _xb)]))
+        # words in sorted order: () is letter 0, (x, ~x) letter 1
+        assert wt.in_alphabet.base == ("w0", "w1")
+        assert wt.edges == {(0, (1,), (0,), 1), (1, (1,), (1,), 0), (1, (0,), (2,), 1)}
+        assert (wt.n_states, wt.initial, wt.final) == (t.n_states, t.initial, t.final)
+        # states 0 -eps-> 1 -x-> 2 -~x-> 3: from 0 and 1 the word x ~x
+        # leads to 3, and the empty word to the closure; 0 is not final
+        assert wl.transitions == {(0, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 0, 3),
+                                  (0, 1, 3), (1, 1, 3)}
+        assert (wl.initial, wl.final) == ({0}, {3})
+
+    def test_rees_images_have_the_minimal_dfas_of_apply(self, monkeypatch):
+        # every image the default semitorees and semitoreeszero corpora
+        # build, the randomized reruns and the S^0 legs included
+        built = []
+
+        def recorded(t, l):
+            built.append((t, l))
+            return word_letters(t, l)
+
+        monkeypatch.setattr(theorems, "word_letters", recorded)
+        jobs = [job for tag in ("semitorees", "semitoreeszero")
+                for _iid, job in iter_instances(tag)]
+        for tag, args in jobs:
+            REGISTRY[tag].verify(*args)
+        assert len(built) == len(jobs)
+        for t, l in built:
+            image = word_letter_image(t, l)
+            assert not any(image.eps)
+            assert minimal_dfa(image) == minimal_dfa(apply(t, l))
+
+
 class TestChooseWords:
     def test_c2_single_generator(self):
         gm = generator_map(cyclic_group(2), ["g"])
@@ -338,6 +431,12 @@ def test_apply_equals_the_product_reference(t, l):
     assert apply(t, l) == ref_apply(t, l)
 
 
+@settings(max_examples=200, deadline=None)
+@given(xy_transducers(), st.composite(eps_nfas)(X))
+def test_word_letter_image_has_the_language_of_apply(t, l):
+    assert equivalent(word_letter_image(t, l), apply(t, l))
+
+
 def test_apply_equals_the_product_reference_on_rees_images():
     rng = random.Random(13)
     for base in (trivial_semigroup(), cyclic_group(2), cyclic_group(3)):
@@ -367,8 +466,8 @@ C2, C3, E = cyclic_group(2), cyclic_group(3), sandwich([[0]])
 
 
 # (call, exception type, message): the Transducer constructor's checks,
-# apply's alphabet check and build_rees_transducer's checks that its inputs
-# belong together
+# the alphabet checks of apply and word_letters, and build_rees_transducer's
+# checks that its inputs belong together
 TRANSDUCER_CHECKS = [
     pytest.param(lambda: transducer(X, Y, 1, [], {0}, {1}), LanguageError,
                  "state 1 out of range", id="final-state"),
@@ -380,6 +479,9 @@ TRANSDUCER_CHECKS = [
                  "output letter 4 out of range", id="output-letter"),
     pytest.param(lambda: apply(identity_transducer(X), word_set_nfa(Y, [()])), AlphabetMismatch,
                  "language is not over the transducer input alphabet", id="apply-alphabet"),
+    pytest.param(lambda: word_letters(identity_transducer(X), word_set_nfa(Y, [()])),
+                 AlphabetMismatch, "language is not over the transducer input alphabet",
+                 id="word-letters-alphabet"),
     pytest.param(rees_transducer(C2, (C3, 1, 1, E), (C3, 1, 1, E)), SemigroupError,
                  "the base map is not onto the Rees product's base", id="rees-other-base"),
     pytest.param(rees_transducer(C2, (C2, 2, 1, sandwich([[0, 0]])), (C2, 1, 1, E)),
